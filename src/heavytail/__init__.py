@@ -19,7 +19,6 @@ from .distributions import (
     kurtosis_gaussian,
     kurtosis_student_t,
     moment_gaussian,
-    pdf_student_t_input,
     tail_index,
     variance_factor,
 )
@@ -58,10 +57,8 @@ from .simulate import (
 )
 from .transform import (
     TailParams,
-    h_alpha,
     h_delta,
     h_tau,
-    w_alpha,
     w_delta,
     w_delta_ddelta,
     w_delta_dz,
@@ -100,7 +97,6 @@ __all__ = [
     "delta_gmm",
     "family_from_name",
     "grad_delta",
-    "h_alpha",
     "h_delta",
     "h_tau",
     "igmm",
@@ -113,14 +109,12 @@ __all__ = [
     "mle_delta_only",
     "mle_joint",
     "moment_gaussian",
-    "pdf_student_t_input",
     "rlambertw",
     "run_study",
     "sample_moments",
     "tail_index",
     "taylor_delta",
     "variance_factor",
-    "w_alpha",
     "w_delta",
     "w_delta_ddelta",
     "w_delta_dz",

@@ -20,13 +20,7 @@ import numpy as np
 from scipy import stats as st
 
 from .distributions import Gaussian, LambertWDist, family_from_name
-from .estimation import (
-    FitResult,
-    igmm,
-    igmm_double_tail,
-    mle_joint,
-    sample_moments,
-)
+from .estimation import fit_model, sample_moments
 from .exceptions import (
     ConvergenceError,
     DataError,
@@ -35,7 +29,7 @@ from .exceptions import (
     SeriesParseError,
 )
 from .normality import anderson_darling
-from .simulate import StudyPlan, rlambertw, run_study
+from .simulate import StudyPlan, _json_safe, rlambertw, run_study
 from .transform import TailParams, h_tau, w_tau
 
 __all__ = ["main", "entry_point"]
@@ -121,14 +115,6 @@ def _print_summaries(raw: dict, gaussianized: dict, out=sys.stdout) -> None:
         print(f"{key:>12}{raw[key]:>16.4f}{gaussianized[key]:>16.4f}", file=out)
 
 
-def _fit(y, family: str, tail: str, method: str) -> FitResult:
-    if method == "igmm":
-        if family != "gaussian":
-            raise DomainError("igmm supports the gaussian input family only")
-        return igmm(y) if tail == "h" else igmm_double_tail(y)
-    return mle_joint(y, family=family, tail=tail)
-
-
 def _t_and_p(estimate: float, se: float | None) -> tuple[float, float]:
     if se is None or not math.isfinite(se) or se <= 0:
         return math.nan, math.nan
@@ -137,7 +123,7 @@ def _t_and_p(estimate: float, se: float | None) -> tuple[float, float]:
 
 
 def _fit_report(y, args) -> dict:
-    result = _fit(y, args.family, args.tail, args.method)
+    result = fit_model(y, args.family, args.tail, args.method)
     x = w_tau(y, result.tau)
 
     params = {}
@@ -182,7 +168,7 @@ def _fit_report(y, args) -> dict:
 
     if args.tail == "hh":
         # One-parameter restriction: shared tail versus separate tails.
-        restricted = _fit(y, args.family, "h", args.method)
+        restricted = fit_model(y, args.family, "h", args.method)
         lr = 2.0 * (result.loglik_total - restricted.loglik_total)
         report["lr_test"] = {
             "statistic": lr,
@@ -239,20 +225,6 @@ def _print_fit_report(report: dict) -> None:
     )
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        if math.isnan(obj):
-            return "nan"
-        return "inf" if obj > 0 else "-inf"
-    if isinstance(obj, (np.floating, np.integer)):
-        return _json_safe(float(obj))
-    return obj
-
-
 def cmd_fit(args) -> int:
     y = read_series(args.input)
     report = _fit_report(y, args)
@@ -268,7 +240,7 @@ def cmd_gaussianize(args) -> int:
     if args.tau is not None:
         tau = parse_tau(args.tau)
     elif args.fit:
-        tau = _fit(y, "gaussian", args.tail, args.method).tau
+        tau = fit_model(y, "gaussian", args.tail, args.method).tau
     else:
         raise DomainError("gaussianize needs either --tau or --fit")
     x = w_tau(y, tau)

@@ -10,9 +10,8 @@ distribution with closed-form cdf, pdf and quantile function:
 
 With Gaussian input this is Tukey's h distribution (hh for separate left
 and right tail parameters).  Closed-form Gaussian-input moments, the
-kurtosis curve, the scale inflation factor sigma_y / sigma_x, and the
-Student-t-input density used for joint fitting of (mu, sigma, delta, nu)
-live here as well.
+kurtosis curve and the scale inflation factor sigma_y / sigma_x live here
+as well.
 
 Input families are standard distributions and are backed by scipy.stats;
 the Lambert W machinery on top of them is family-generic.  Nonexistent
@@ -35,7 +34,6 @@ from .transform import (
     TailParams,
     _dispatch_sides,
     h_tau,
-    w_delta,
     w_delta_dz,
     w_of_delta_z_sq,
     w_tau,
@@ -50,7 +48,6 @@ __all__ = [
     "StudentT",
     "LambertWDist",
     "family_from_name",
-    "pdf_student_t_input",
     "moment_gaussian",
     "kurtosis_gaussian",
     "variance_factor",
@@ -368,47 +365,6 @@ class LambertWDist:
         if tau.delta_left == 0.0 and tau.delta_right == 0.0:
             return x
         return h_tau(x, tau)
-
-
-def pdf_student_t_input(nu: float, tau: TailParams, z):
-    """Density of the heavy-tailed Student-t-input model at ``z``.
-
-    The model treats ``tau.sigma_x`` as the raw t scale: the latent
-    variable is ``mu_x + sigma_x * T`` with ``T ~ t_nu``, and the tail
-    transform acts on its unit-variance standardization.  On the raw t
-    coordinate that is a tail parameter ``delta * (nu - 2) / nu``, giving
-
-        g(z) = f_t( w_de(v) | nu ) * w_de'(v) / sigma_x,
-        v = (z - mu_x) / sigma_x,   de = delta * (nu - 2) / nu.
-
-    Integrates to one; at ``delta = 0`` it is the location-scale t density
-    with variance ``sigma_x^2 * nu / (nu - 2)``, and for large ``nu`` it
-    approaches the Gaussian-input density with the same (mu, sigma, delta).
-    """
-    nu = float(nu)
-    if not nu > 2:
-        raise DomainError("Student-t input requires nu > 2")
-    if tau.is_double:
-        raise DomainError("Student-t input supports symmetric tails only")
-    delta_eff = tau.delta * (nu - 2.0) / nu
-    v = (np.asarray(z, dtype=float) - tau.mu_x) / tau.sigma_x
-    wv = w_of_delta_z_sq(v, delta_eff)
-    u = w_delta(v, delta_eff)
-    return st.t.pdf(u, df=nu) * np.exp(-0.5 * wv) / (1.0 + wv) / tau.sigma_x
-
-
-def logpdf_student_t_input(nu: float, tau: TailParams, z):
-    """Log of :func:`pdf_student_t_input`, stable far out in the tails."""
-    nu = float(nu)
-    if not nu > 2:
-        raise DomainError("Student-t input requires nu > 2")
-    if tau.is_double:
-        raise DomainError("Student-t input supports symmetric tails only")
-    delta_eff = tau.delta * (nu - 2.0) / nu
-    v = (np.asarray(z, dtype=float) - tau.mu_x) / tau.sigma_x
-    wv = w_of_delta_z_sq(v, delta_eff)
-    u = w_delta(v, delta_eff)
-    return st.t.logpdf(u, df=nu) - 0.5 * wv - np.log1p(wv) - math.log(tau.sigma_x)
 
 
 def moment_gaussian(n: int, delta: float):

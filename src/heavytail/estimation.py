@@ -40,7 +40,7 @@ from .distributions import (
     variance_factor,
 )
 from .exceptions import ConvergenceError, DataError, DomainError
-from .transform import TailParams, w_delta, w_of_delta_z_sq
+from .transform import TailParams, _dispatch_sides, w_delta, w_of_delta_z_sq
 
 __all__ = [
     "LoglikParts",
@@ -76,7 +76,7 @@ class SampleMoments(NamedTuple):
 
 
 class GMMDelta(NamedTuple):
-    delta: float
+    delta: float | tuple[float, float]
     at_upper_bound: bool
 
 
@@ -374,17 +374,16 @@ def delta_gmm(
 
 def _delta2_gmm(
     z: np.ndarray,
-    target_kurtosis: float,
     delta_bounds: tuple[float, float],
     start: tuple[float, float],
-) -> tuple[float, float, bool]:
+) -> GMMDelta:
     """Two-tail inner step: match skewness and kurtosis of the input.
 
     A single kurtosis condition cannot identify two tail parameters, so
-    the left/right pair is chosen to reproduce both target moments of the
-    input (skewness 0 and the target kurtosis for Gaussian input) in a
-    least-squares sense.  Parametrized as delta = t^2 so the boundary
-    delta = 0 stays reachable by the simplex search.
+    the left/right pair is chosen to reproduce both target moments of
+    Gaussian input (skewness 0 and kurtosis 3) in a least-squares sense.
+    Parametrized as delta = t^2 so the boundary delta = 0 stays reachable
+    by the simplex search.
     """
     lo, hi = delta_bounds
 
@@ -396,7 +395,7 @@ def _delta2_gmm(
             skew, kurt = _central_moment_stats(u)
         except DataError:
             return math.inf
-        return skew * skew + (kurt - target_kurtosis) ** 2
+        return skew * skew + (kurt - 3.0) ** 2
 
     t0 = np.sqrt([start[0], start[1]])
     res = optimize.minimize(
@@ -407,27 +406,51 @@ def _delta2_gmm(
     )
     dl = float(min(max(res.x[0] ** 2, lo), hi))
     dr = float(min(max(res.x[1] ** 2, lo), hi))
-    return dl, dr, bool(max(dl, dr) >= hi)
+    return GMMDelta((dl, dr), bool(max(dl, dr) >= hi))
 
 
-def _igmm_start(y: np.ndarray, config: IGMMConfig) -> tuple[float, float, float]:
-    """Starting values: median, kurtosis-matched tail, deflated scale."""
-    g2 = _kurtosis(y)
-    delta0 = min(taylor_delta(g2), config.delta_bounds[1])
+def _igmm(data, config: IGMMConfig | None, step, double_tail: bool) -> FitResult:
+    """The IGMM loop shared by :func:`igmm` and :func:`igmm_double_tail`.
+
+    Starts from the median, the kurtosis-matched tail and the deflated
+    scale; each iteration updates the tail by
+    ``step(z, delta_bounds, delta) -> GMMDelta``.
+    """
+    cfg = config or IGMMConfig()
+    y = _check_series(data, min_n=10)
+    if np.std(y, ddof=1) == 0.0:
+        raise DataError("degenerate data: zero variance")
+
+    delta0 = min(taylor_delta(_kurtosis(y)), cfg.delta_bounds[1])
     vf = variance_factor(min(delta0, 0.499)) or 1.0
-    sigma0 = float(np.std(y, ddof=1)) / vf
-    return float(np.median(y)), sigma0, delta0
+    mu, sigma = float(np.median(y)), float(np.std(y, ddof=1)) / vf
+    delta = (delta0, delta0) if double_tail else delta0
+    tau_vec = np.hstack([mu, sigma, delta])
+    prev = np.zeros_like(tau_vec)
+    at_bound = False
+    iterations = 0
+    converged = False
+    while iterations < cfg.max_iterations:
+        if np.linalg.norm(tau_vec - prev) <= cfg.tol:
+            converged = True
+            break
+        iterations += 1
+        z = (y - mu) / sigma
+        delta, at_bound = step(z, cfg.delta_bounds, delta)
+        x = _dispatch_sides(w_delta, z, TailParams(0.0, 1.0, delta)) * sigma + mu
+        mu = float(np.mean(x))
+        sigma = float(np.std(x, ddof=1))
+        prev = tau_vec
+        tau_vec = np.hstack([mu, sigma, delta])
 
-
-def _igmm_result(
-    y: np.ndarray,
-    tau: TailParams,
-    iterations: int,
-    converged: bool,
-    boundary: str | None,
-) -> FitResult:
-    gauss = Gaussian(tau.mu_x, tau.sigma_x)
-    parts = loglik(y, LambertWDist(gauss, tau.delta))
+    tau = TailParams(mu, sigma, delta)
+    boundary = None
+    if at_bound:
+        boundary = "delta_upper"
+    elif min(tau.delta_left, tau.delta_right) == 0.0:
+        boundary = "delta_lower"
+    gauss = Gaussian(mu, sigma)
+    parts = loglik(y, LambertWDist(gauss, delta))
     return FitResult(
         tau=tau,
         method="igmm",
@@ -449,167 +472,88 @@ def igmm(data, config: IGMMConfig | None = None) -> FitResult:
     input kurtosis by :func:`delta_gmm`, back-transform, and refresh
     location/scale from the back-transformed sample (mean and unbiased
     standard deviation), until the Euclidean change of the parameter
-    triple drops to ``config.tol``.
+    vector drops to ``config.tol``.  A tail estimate at 0 is flagged
+    ``delta_lower``, one at the upper search bound ``delta_upper``.
     """
-    cfg = config or IGMMConfig()
-    y = _check_series(data, min_n=10)
-    if np.std(y, ddof=1) == 0.0:
-        raise DataError("degenerate data: zero variance")
-
-    mu, sigma, delta = _igmm_start(y, cfg)
-    tau_vec = np.array([mu, sigma, delta])
-    prev = np.zeros(3)
-    at_bound = False
-    iterations = 0
-    converged = False
-    while iterations < cfg.max_iterations:
-        if np.linalg.norm(tau_vec - prev) <= cfg.tol:
-            converged = True
-            break
-        iterations += 1
-        z = (y - mu) / sigma
-        delta, at_bound = delta_gmm(z, 3.0, cfg.delta_bounds)
-        x = w_delta(z, delta) * sigma + mu
-        mu = float(np.mean(x))
-        sigma = float(np.std(x, ddof=1))
-        prev = tau_vec
-        tau_vec = np.array([mu, sigma, delta])
-
-    boundary = "delta_upper" if at_bound else ("delta_lower" if delta == 0.0 else None)
-    return _igmm_result(
-        y, TailParams(mu, sigma, delta), iterations, converged, boundary
-    )
+    return _igmm(data, config, lambda z, bounds, _: delta_gmm(z, 3.0, bounds), False)
 
 
 def igmm_double_tail(data, config: IGMMConfig | None = None) -> FitResult:
-    """Double-tail variant of :func:`igmm` with a 2-D inner moment match."""
-    cfg = config or IGMMConfig()
-    y = _check_series(data, min_n=10)
-    if np.std(y, ddof=1) == 0.0:
-        raise DataError("degenerate data: zero variance")
+    """Double-tail variant of :func:`igmm` with a 2-D inner moment match.
 
-    mu, sigma, delta0 = _igmm_start(y, cfg)
-    dl = dr = delta0
-    tau_vec = np.array([mu, sigma, dl, dr])
-    prev = np.zeros(4)
-    at_bound = False
-    iterations = 0
-    converged = False
-    while iterations < cfg.max_iterations:
-        if np.linalg.norm(tau_vec - prev) <= cfg.tol:
-            converged = True
-            break
-        iterations += 1
-        z = (y - mu) / sigma
-        dl, dr, at_bound = _delta2_gmm(z, 3.0, cfg.delta_bounds, (dl, dr))
-        u = np.where(z <= 0.0, w_delta(z, dl), w_delta(z, dr))
-        x = u * sigma + mu
-        mu = float(np.mean(x))
-        sigma = float(np.std(x, ddof=1))
-        prev = tau_vec
-        tau_vec = np.array([mu, sigma, dl, dr])
-
-    tau = TailParams(mu, sigma, (dl, dr))
-    gauss = Gaussian(mu, sigma)
-    parts = loglik(y, LambertWDist(gauss, (dl, dr)))
-    boundary = "delta_upper" if at_bound else None
-    return FitResult(
-        tau=tau,
-        method="igmm",
-        loglik_total=parts.total,
-        loglik_input=parts.input_part,
-        loglik_penalty=parts.penalty_part,
-        iterations=iterations,
-        converged=converged,
-        input=gauss,
-        std_errors=None,
-        boundary_hit=boundary,
-    )
+    ``delta_lower`` is flagged when either tail estimate is 0.
+    """
+    return _igmm(data, config, _delta2_gmm, True)
 
 
 _NU_CAP = 1e6
 
+# Joint-MLE models keyed by (family, tail): the parameter names, a builder
+# from the natural-scale vector theta to a LambertWDist, and the reader of
+# theta back from a LambertWDist.  Adding a model is one entry here.
+_MODELS = {
+    ("gaussian", "h"): (
+        ("mu_x", "sigma_x", "delta"),
+        lambda t: LambertWDist(Gaussian(t[0], t[1]), t[2]),
+        lambda d: (d.input.mu, d.input.sigma, d.delta),
+    ),
+    ("gaussian", "hh"): (
+        ("mu_x", "sigma_x", "delta_left", "delta_right"),
+        lambda t: LambertWDist(Gaussian(t[0], t[1]), (t[2], t[3])),
+        lambda d: (d.input.mu, d.input.sigma, *d.delta),
+    ),
+    ("student-t", "h"): (
+        ("mu_x", "sigma_x", "delta", "nu"),
+        lambda t: LambertWDist(StudentT(nu=t[3], mu=t[0], scale=t[1]), t[2]),
+        lambda d: (d.input.mu, d.input.scale, d.delta, d.input.nu),
+    ),
+}
 
-def _joint_model(family: str, tail: str):
-    """Parameter packing/unpacking for the joint MLE.
-
-    Returns (names, pack, build) where ``pack`` maps a start dict to the
-    unconstrained optimizer vector and ``build`` maps an optimizer vector
-    to a LambertWDist.  Scale-like parameters are log-transformed and the
-    tail constraint delta >= 0 becomes unconstrained via delta = exp(p).
-    """
-    if family == "gaussian" and tail == "h":
-        names = ["mu_x", "sigma_x", "delta"]
-
-        def build(p):
-            return LambertWDist(Gaussian(p[0], math.exp(p[1])), math.exp(p[2]))
-
-        def pack(s):
-            return np.array([s["mu_x"], math.log(s["sigma_x"]), math.log(s["delta"])])
-
-    elif family == "gaussian" and tail == "hh":
-        names = ["mu_x", "sigma_x", "delta_left", "delta_right"]
-
-        def build(p):
-            return LambertWDist(
-                Gaussian(p[0], math.exp(p[1])),
-                (math.exp(p[2]), math.exp(p[3])),
-            )
-
-        def pack(s):
-            return np.array(
-                [
-                    s["mu_x"],
-                    math.log(s["sigma_x"]),
-                    math.log(s["delta_left"]),
-                    math.log(s["delta_right"]),
-                ]
-            )
-
-    elif family == "student-t" and tail == "h":
-        names = ["mu_x", "sigma_x", "delta", "nu"]
-
-        def build(p):
-            nu = 2.0 + min(float(np.exp(p[3])), _NU_CAP)
-            return LambertWDist(
-                StudentT(nu=nu, mu=p[0], scale=math.exp(p[1])), math.exp(p[2])
-            )
-
-        def pack(s):
-            return np.array(
-                [
-                    s["mu_x"],
-                    math.log(s["sigma_x"]),
-                    math.log(s["delta"]),
-                    math.log(s["nu"] - 2.0),
-                ]
-            )
-
-    else:
-        raise DomainError(
-            f"unsupported joint MLE model: family={family!r}, tail={tail!r}"
-        )
-    return names, pack, build
+# Per-name maps between theta and the unconstrained optimizer vector
+# (default: log scale), and the lower bounds seen by the Hessian stencil
+# (default: 0).  nu > 2 is searched as log(nu - 2), capped above.
+_TO_OPTIMIZER = {"mu_x": lambda v: v, "nu": lambda v: math.log(v - 2.0)}
+_FROM_OPTIMIZER = {
+    "mu_x": lambda p: p,
+    "nu": lambda p: 2.0 + min(float(np.exp(p)), _NU_CAP),
+}
+_LOWER_BOUNDS = {"mu_x": -math.inf, "nu": 2.0}
+_TAU_NAMES = ("mu_x", "sigma_x", "delta", "delta_left", "delta_right")
 
 
-def _default_start(y: np.ndarray, family: str, tail: str) -> dict[str, float]:
+def _pack(names, start: dict[str, float]) -> np.ndarray:
+    """Optimizer vector of the named start values."""
+    return np.array([_TO_OPTIMIZER.get(n, math.log)(start[n]) for n in names])
+
+
+def _unpack(names, p: np.ndarray) -> list:
+    """Natural-scale theta of an optimizer vector."""
+    return [_FROM_OPTIMIZER.get(n, math.exp)(v) for n, v in zip(names, p)]
+
+
+def _default_start(y: np.ndarray, names) -> dict[str, float]:
     g2 = _kurtosis(y)
     delta0 = max(taylor_delta(g2), 1e-3)
     vf = variance_factor(min(delta0, 0.499)) or 1.0
     sigma0 = max(float(np.std(y, ddof=1)) / vf, 1e-12)
     start = {"mu_x": float(np.median(y)), "sigma_x": sigma0}
-    if tail == "hh":
-        start["delta_left"] = delta0
-        start["delta_right"] = delta0
-    else:
-        start["delta"] = delta0
-    if family == "student-t":
+    start.update({name: delta0 for name in names if name.startswith("delta")})
+    if "nu" in names:
         # Split the observed tail weight between delta and the t dof.
         nu0 = (4.0 * g2 - 6.0) / (g2 - 3.0) if g2 > 3.5 else 30.0
         start["nu"] = float(min(max(nu0, 2.5), 100.0))
         start["delta"] = max(delta0 / 2.0, 1e-3)
         start["sigma_x"] = sigma0 / math.sqrt(start["nu"] / (start["nu"] - 2.0))
     return start
+
+
+def _neg_loglik(y: np.ndarray, build, theta) -> float:
+    """-loglik at ``build(theta)``; +inf where the model cannot be built."""
+    try:
+        total = loglik(y, build(theta)).total
+    except (DomainError, OverflowError):
+        return math.inf
+    return -total if math.isfinite(total) else math.inf
 
 
 def mle_joint(
@@ -632,21 +576,24 @@ def mle_joint(
     y = _check_series(data, min_n=10)
     if np.std(y, ddof=1) == 0.0:
         raise DataError("degenerate data: zero variance")
-    names, pack, build = _joint_model(family, tail)
-    start_dict = dict(start) if start is not None else _default_start(y, family, tail)
-    p0 = pack(start_dict)
+    try:
+        names, build, read = _MODELS[(family, tail)]
+    except KeyError:
+        raise DomainError(
+            f"unsupported joint MLE model: family={family!r}, tail={tail!r}"
+        ) from None
+
+    def build_from_optimizer(p: np.ndarray) -> LambertWDist:
+        return build(_unpack(names, p))
 
     def neg_loglik(p: np.ndarray) -> float:
         if not np.all(np.isfinite(p)):
             return math.inf
-        try:
-            parts = loglik(y, build(p))
-        except (DomainError, OverflowError):
-            return math.inf
-        return -parts.total if math.isfinite(parts.total) else math.inf
+        return _neg_loglik(y, build_from_optimizer, p)
 
+    p0 = _pack(names, start if start is not None else _default_start(y, names))
     if not math.isfinite(neg_loglik(p0)):
-        p0 = pack(_default_start(y, family, tail))
+        p0 = _pack(names, _default_start(y, names))
 
     best = None
     iterations = 0
@@ -665,23 +612,20 @@ def mle_joint(
         # Perturbed restart from the best point seen so far.
         p0 = best.x + 0.05 * (attempt + 1) * np.arange(1, len(names) + 1)
 
-    dist = build(best.x)
-    dist = _refine_boundary(y, dist)
+    dist = _refine_boundary(y, build_from_optimizer(best.x))
     parts = loglik(y, dist)
-    tau = dist.tau if family != "student-t" else TailParams(
-        dist.input.mu, dist.input.scale, dist.delta
-    )
-    theta = np.array(list(_theta_of(dist, family, tail).values()))
+    natural = read(dist)
+    theta = np.array(natural)
     se = _hessian_std_errors(
-        lambda t: -_loglik_at_theta(y, t, family, tail),
+        lambda t: _neg_loglik(y, build, t),
         theta,
-        _theta_lower_bounds(family, tail),
+        np.array([_LOWER_BOUNDS.get(n, 0.0) for n in names]),
     )
+    tau = TailParams(theta[0], theta[1], dist.delta)
     boundary = None
     if min(tau.delta_left, tau.delta_right) == 0.0:
         boundary = "delta_lower"
 
-    extra = {"nu": dist.input.nu} if family == "student-t" else {}
     return FitResult(
         tau=tau,
         method=f"mle_{family}_{tail}",
@@ -693,8 +637,17 @@ def mle_joint(
         input=dist.input,
         std_errors=dict(zip(names, se)),
         boundary_hit=boundary,
-        extra=extra,
+        extra={n: v for n, v in zip(names, natural) if n not in _TAU_NAMES},
     )
+
+
+def fit_model(data, family: str, tail: str, method: str) -> FitResult:
+    """Fit by method name: ``"igmm"`` (Gaussian input only) or ``"mle"``."""
+    if method == "igmm":
+        if family != "gaussian":
+            raise DomainError("igmm supports the gaussian input family only")
+        return igmm(data) if tail == "h" else igmm_double_tail(data)
+    return mle_joint(data, family=family, tail=tail)
 
 
 _BOUNDARY_SNAP = 1e-3
@@ -732,51 +685,6 @@ def _refine_boundary(y, dist: LambertWDist) -> LambertWDist:
         key=lambda c: sum(1 for d in c if d == 0.0),
     )
     return LambertWDist(dist.input, as_delta(best))
-
-
-def _theta_of(dist: LambertWDist, family: str, tail: str) -> dict[str, float]:
-    if family == "gaussian" and tail == "h":
-        return {
-            "mu_x": dist.input.mu,
-            "sigma_x": dist.input.sigma,
-            "delta": dist.delta,
-        }
-    if family == "gaussian" and tail == "hh":
-        return {
-            "mu_x": dist.input.mu,
-            "sigma_x": dist.input.sigma,
-            "delta_left": dist.delta[0],
-            "delta_right": dist.delta[1],
-        }
-    return {
-        "mu_x": dist.input.mu,
-        "sigma_x": dist.input.scale,
-        "delta": dist.delta,
-        "nu": dist.input.nu,
-    }
-
-
-def _theta_lower_bounds(family: str, tail: str) -> np.ndarray:
-    if family == "gaussian" and tail == "h":
-        return np.array([-math.inf, 0.0, 0.0])
-    if family == "gaussian" and tail == "hh":
-        return np.array([-math.inf, 0.0, 0.0, 0.0])
-    return np.array([-math.inf, 0.0, 0.0, 2.0])
-
-
-def _loglik_at_theta(y, theta, family: str, tail: str) -> float:
-    try:
-        if family == "gaussian" and tail == "h":
-            dist = LambertWDist(Gaussian(theta[0], theta[1]), theta[2])
-        elif family == "gaussian" and tail == "hh":
-            dist = LambertWDist(Gaussian(theta[0], theta[1]), (theta[2], theta[3]))
-        else:
-            dist = LambertWDist(
-                StudentT(nu=theta[3], mu=theta[0], scale=theta[1]), theta[2]
-            )
-        return loglik(y, dist).total
-    except (DomainError, OverflowError):
-        return -math.inf
 
 
 def _hessian_std_errors(f, theta: np.ndarray, lower: np.ndarray) -> list[float]:

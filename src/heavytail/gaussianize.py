@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimation import igmm, igmm_double_tail, mle_joint
+from .estimation import fit_model
 from .exceptions import DataError, DomainError, NotFittedError
 from .transform import TailParams, h_tau, w_tau
 
@@ -62,11 +62,7 @@ class Gaussianizer:
             raise DomainError(f"method must be one of {_METHODS}")
         if self.tail not in _TAILS:
             raise DomainError(f"tail must be one of {_TAILS}")
-        y = self._check_series(y)
-        if self.method == "igmm":
-            result = igmm(y) if self.tail == "h" else igmm_double_tail(y)
-        else:
-            result = mle_joint(y, family="gaussian", tail=self.tail)
+        result = fit_model(self._check_series(y), "gaussian", self.tail, self.method)
         self.result_ = result
         self.tau_ = result.tau
         return self

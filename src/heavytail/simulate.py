@@ -12,8 +12,7 @@ deviation times sqrt(N) and the RMSE times sqrt(N).  Replications whose
 fit fails or returns non-finite estimates are redrawn (with a hard attempt
 cap) and counted in ``na_ratio``.  Every (cell, attempt) pair owns an
 independent counter-based RNG substream, so results are reproducible and
-independent of execution order or parallelism (``HEAVYTAIL_THREADS`` caps
-the worker count).
+independent of execution order.  Cells run serially, one after another.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,13 +134,23 @@ class TableRow:
     na_ratio: float
 
 
-def _cell(v: float):
-    """JSON-safe cell: non-finite floats become the strings inf/-inf/nan."""
-    if isinstance(v, float) and not math.isfinite(v):
-        if math.isnan(v):
+def _json_safe(obj):
+    """Recursively JSON-safe: non-finite floats become "inf"/"-inf"/"nan".
+
+    Containers are walked, tuples become lists, and numpy scalars become
+    floats (numpy integers too).
+    """
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
             return "nan"
-        return "inf" if v > 0 else "-inf"
-    return v
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, (np.floating, np.integer)):
+        return _json_safe(float(obj))
+    return obj
 
 
 @dataclass
@@ -160,9 +167,9 @@ class ReplicationTable:
                 writer.writerow([getattr(r, c) for c in TABLE_COLUMNS])
 
     def to_json(self, path) -> None:
-        payload = [
-            {c: _cell(getattr(r, c)) for c in TABLE_COLUMNS} for r in self.rows
-        ]
+        payload = _json_safe(
+            [{c: getattr(r, c) for c in TABLE_COLUMNS} for r in self.rows]
+        )
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
@@ -306,19 +313,9 @@ def run_study(plan: StudyPlan) -> ReplicationTable:
                 cells.append((idx, int(n), float(delta), estimator, plan))
                 idx += 1
 
-    workers = int(os.environ.get("HEAVYTAIL_THREADS", "1") or "1")
-    results: list[list[TableRow]] = [[] for _ in cells]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, rows in enumerate(pool.map(_safe_run_cell, cells)):
-                results[i] = rows
-    else:
-        for i, cell in enumerate(cells):
-            results[i] = _safe_run_cell(cell)
-
     table = ReplicationTable()
-    for rows in results:
-        table.rows.extend(rows)
+    for cell in cells:
+        table.rows.extend(_safe_run_cell(cell))
     return table
 
 

@@ -26,8 +26,6 @@ __all__ = [
     "w_delta",
     "h_tau",
     "w_tau",
-    "h_alpha",
-    "w_alpha",
     "w_delta_dz",
     "w_delta_sq_ddelta",
     "w_delta_ddelta",
@@ -208,41 +206,6 @@ def w_tau(y, tau: TailParams, config: SolverConfig | None = None):
     z = (y - tau.mu_x) / tau.sigma_x
     u = _dispatch_sides(lambda v, d: w_delta(v, d, config), z, tau)
     return _ret(np.asarray(u * tau.sigma_x + tau.mu_x), scalar)
-
-
-def h_alpha(u, delta, alpha):
-    """Generalized forward transform ``u * exp(delta/(2 alpha) * (u^2)^alpha)``.
-
-    Reduces exactly to :func:`h_delta` at ``alpha = 1``.  Provided as a
-    transform-level utility only; no distribution objects are built on it.
-    """
-    delta = _check_delta(delta)
-    alpha = float(alpha)
-    if not (np.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    if alpha == 1.0:
-        return h_delta(u, delta)
-    u, scalar = _as_float_array(u)
-    with np.errstate(over="ignore"):
-        out = u * np.exp(delta / (2.0 * alpha) * (u * u) ** alpha)
-    return _ret(out, scalar)
-
-
-def w_alpha(z, delta, alpha, config: SolverConfig | None = None):
-    """Inverse of :func:`h_alpha`: ``sgn(z) * (W(delta (z^2)^alpha)/delta)^(1/(2 alpha))``."""
-    delta = _check_delta(delta)
-    alpha = float(alpha)
-    if not (np.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    if alpha == 1.0:
-        return w_delta(z, delta, config)
-    z, scalar = _as_float_array(z)
-    if delta == 0.0:
-        return _ret(z + 0.0, scalar)
-    arg = delta * (z * z) ** alpha
-    wv = np.atleast_1d(lambert_w0(arg, config))
-    out = np.sign(z) * (wv / delta) ** (1.0 / (2.0 * alpha))
-    return _ret(out.reshape(np.shape(z)), scalar)
 
 
 def w_delta_dz(z, delta, config: SolverConfig | None = None):

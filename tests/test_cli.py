@@ -201,6 +201,14 @@ class TestFit:
         assert "delta_left" in report["parameters"]
         assert 0.0 <= report["lr_test"]["p"] <= 1.0
 
+    def test_igmm_needs_gaussian_family(self, sample_file, capsys):
+        code, captured = run_cli_capture(
+            capsys, "fit", str(sample_file), "--family", "student-t",
+            "--method", "igmm",
+        )
+        assert code == 2
+        assert "igmm supports the gaussian input family only" in captured.err
+
     def test_insufficient_data(self, tmp_path):
         short = tmp_path / "s.txt"
         short.write_text("1\n2\n3\n4\n5\n")

@@ -22,14 +22,12 @@ from heavytail import (
     kurtosis_gaussian,
     kurtosis_student_t,
     moment_gaussian,
-    pdf_student_t_input,
     rlambertw,
     tail_index,
     variance_factor,
     w_delta,
 )
-from heavytail.distributions import logpdf_student_t_input
-from util import normalization_by_substitution
+from util import normalization_by_substitution, pdf_student_t_input
 
 FAMILIES = {
     "gaussian": Gaussian(0.0, 1.0),
@@ -277,16 +275,12 @@ class TestStudentTInput:
             pdf_student_t_input(6.0, tau, grid), dist.pdf(grid), rtol=1e-12
         )
         np.testing.assert_allclose(
-            np.exp(logpdf_student_t_input(6.0, tau, grid)),
+            np.exp(dist.logpdf(grid)),
             pdf_student_t_input(6.0, tau, grid),
             rtol=1e-12,
         )
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            pdf_student_t_input(2.0, TailParams(0, 1, 0.1), 0.0)
-        with pytest.raises(DomainError):
-            pdf_student_t_input(5.0, TailParams(0, 1, (0.1, 0.2)), 0.0)
         with pytest.raises(DomainError):
             StudentT(2.0)
 

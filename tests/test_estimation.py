@@ -29,6 +29,7 @@ from heavytail import (
     w_delta,
     w_tau,
 )
+from heavytail.estimation import _MODELS, _pack, _unpack
 
 
 def make_sample(delta, n, seed, mu=0.0, sigma=1.0):
@@ -291,6 +292,15 @@ class TestIGMMDoubleTail:
         r = igmm_double_tail(y)
         assert r.tau.delta_left <= 0.06 and r.tau.delta_right <= 0.06
 
+    def test_zero_tail_flags_lower_boundary(self):
+        # same rule as igmm and mle_joint(tail="hh"): a zero tail is a boundary hit
+        y = make_sample(0.0, 1000, seed=0, mu=0.3, sigma=1.7)
+        r = igmm_double_tail(y)
+        assert min(r.tau.delta_left, r.tau.delta_right) == 0.0
+        assert r.boundary_hit == "delta_lower"
+        assert igmm(y).boundary_hit == "delta_lower"
+        assert mle_joint(y, tail="hh").boundary_hit == "delta_lower"
+
 
 class TestMleJoint:
     def test_recovers_parameters(self):
@@ -373,10 +383,20 @@ class TestMleJoint:
             mle_joint(np.arange(5.0))
         with pytest.raises(DataError):
             mle_joint(np.ones(100))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="family='gamma', tail='h'"):
             mle_joint(make_sample(0.1, 100, seed=1), family="gamma")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="family='student-t', tail='hh'"):
             mle_joint(make_sample(0.1, 100, seed=1), family="student-t", tail="hh")
+
+    @pytest.mark.parametrize("model", sorted(_MODELS), ids="-".join)
+    def test_model_table_round_trip(self, model):
+        # start -> optimizer vector -> LambertWDist -> theta gives the start back
+        names, build, read = _MODELS[model]
+        start = {"mu_x": 0.3, "sigma_x": 1.7, "delta": 0.2,
+                 "delta_left": 0.1, "delta_right": 0.25, "nu": 6.0}
+        theta = read(build(_unpack(names, _pack(names, start))))
+        assert len(theta) == len(names)
+        np.testing.assert_allclose(theta, [start[n] for n in names], rtol=1e-12)
 
     def test_start_override(self):
         y = make_sample(0.1, 400, seed=77)

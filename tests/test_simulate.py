@@ -242,13 +242,6 @@ class TestRunStudy:
         assert row.na_ratio == 0.0
         assert abs(row.bias) <= 0.25
 
-    def test_threads_env_gives_identical_results(self, tmp_path, monkeypatch):
-        plan = small_plan(replications=8)
-        serial = run_study(plan)
-        monkeypatch.setenv("HEAVYTAIL_THREADS", "4")
-        threaded = run_study(plan)
-        assert serial.rows == threaded.rows
-
 
 class TestCauchyDemo:
     def test_running_means(self):

@@ -10,10 +10,8 @@ from hypothesis import strategies as hst
 from heavytail import (
     DomainError,
     TailParams,
-    h_alpha,
     h_delta,
     h_tau,
-    w_alpha,
     w_delta,
     w_delta_ddelta,
     w_delta_dz,
@@ -174,27 +172,6 @@ class TestLocationScale:
             dbl = TailParams(0.1, 1.3, (d, d))
             np.testing.assert_array_equal(h_tau(x, sym), h_tau(x, dbl))
             np.testing.assert_array_equal(w_tau(x, sym), w_tau(x, dbl))
-
-
-class TestGeneralizedAlpha:
-    def test_alpha_one_reduces_exactly(self):
-        assert h_alpha(1.3, 0.2, 1.0) == h_delta(1.3, 0.2)
-        z = h_delta(1.3, 0.2)
-        assert w_alpha(z, 0.2, 1.0) == w_delta(z, 0.2)
-
-    def test_inverse_pair(self):
-        z = h_alpha(1.1, 0.5, 0.5)
-        np.testing.assert_allclose(w_alpha(z, 0.5, 0.5), 1.1, rtol=1e-12)
-
-    def test_zero_fixed(self):
-        assert h_alpha(0.0, 0.7, 2.0) == 0.0
-        assert w_alpha(0.0, 0.7, 2.0) == 0.0
-
-    def test_alpha_validation(self):
-        with pytest.raises(DomainError):
-            h_alpha(1.0, 0.1, 0.0)
-        with pytest.raises(DomainError):
-            w_alpha(1.0, 0.1, -1.0)
 
 
 class TestDerivatives:

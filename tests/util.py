@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 from scipy import integrate
+from scipy import stats as st
 
-from heavytail import LambertWDist, h_tau
+from heavytail import LambertWDist, TailParams, h_tau, w_delta
+from heavytail.transform import w_of_delta_z_sq
 
 
 def normalization_by_substitution(dist: LambertWDist, p_tail: float = 1e-10) -> float:
@@ -36,3 +39,25 @@ def normalization_by_substitution(dist: LambertWDist, p_tail: float = 1e-10) -> 
     val, err = integrate.quad(integrand, x_lo, x_hi, limit=300)
     assert err < 1e-8
     return val + mass_outside
+
+
+def pdf_student_t_input(nu: float, tau: TailParams, z):
+    """Reference density of the heavy-tailed Student-t-input model at ``z``.
+
+    The model treats ``tau.sigma_x`` as the raw t scale: the latent
+    variable is ``mu_x + sigma_x * T`` with ``T ~ t_nu``, and the tail
+    transform acts on its unit-variance standardization.  On the raw t
+    coordinate that is a tail parameter ``delta * (nu - 2) / nu``, giving
+
+        g(z) = f_t( w_de(v) | nu ) * w_de'(v) / sigma_x,
+        v = (z - mu_x) / sigma_x,   de = delta * (nu - 2) / nu.
+
+    Written out from the formula, with scipy's t density, as an oracle
+    for ``LambertWDist(StudentT(nu, mu_x, sigma_x), delta)``; symmetric
+    tails and ``nu > 2`` only.
+    """
+    delta_eff = tau.delta * (nu - 2.0) / nu
+    v = (np.asarray(z, dtype=float) - tau.mu_x) / tau.sigma_x
+    wv = w_of_delta_z_sq(v, delta_eff)
+    u = w_delta(v, delta_eff)
+    return st.t.pdf(u, df=nu) * np.exp(-0.5 * wv) / (1.0 + wv) / tau.sigma_x
