@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as st
+from scipy import special as sp
 
 from .distributions import Gaussian, LambertWDist, family_from_name
 from .estimation import fit_model, sample_moments
@@ -119,7 +119,7 @@ def _t_and_p(estimate: float, se: float | None) -> tuple[float, float]:
     if se is None or not math.isfinite(se) or se <= 0:
         return math.nan, math.nan
     t = estimate / se
-    return t, 2.0 * st.norm.sf(abs(t))
+    return t, 2.0 * sp.ndtr(-abs(t))
 
 
 def _fit_report(y, args) -> dict:
@@ -173,7 +173,7 @@ def _fit_report(y, args) -> dict:
         report["lr_test"] = {
             "statistic": lr,
             "df": 1,
-            "p": float(st.chi2.sf(max(lr, 0.0), 1)),
+            "p": float(sp.chdtrc(1, max(lr, 0.0))),
             "loglik_h": restricted.loglik_total,
             "loglik_hh": result.loglik_total,
         }

@@ -13,9 +13,10 @@ and right tail parameters).  Closed-form Gaussian-input moments, the
 kurtosis curve and the scale inflation factor sigma_y / sigma_x live here
 as well.
 
-Input families are standard distributions and are backed by scipy.stats;
-the Lambert W machinery on top of them is family-generic.  Nonexistent
-moments are reported as ``None``, never as NaN.
+Input families are standard distributions written as closed forms over
+``scipy.special``; the Lambert W machinery on top of them is
+family-generic.  Nonexistent moments are reported as ``None``, never as
+NaN.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import special as sp
-from scipy import stats as st
 
 from .exceptions import DomainError
 from .transform import (
@@ -64,45 +64,74 @@ _P_HI = 1.0 - 1e-16
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _piecewise(t, core, support, below, above, closed):
+    """``core(t)`` on the support, ``below``/``above`` beyond it, NaN at NaN.
+
+    ``closed`` counts the support's end points as inside (densities); the
+    cdf uses the open support, so an end point gets 0 or 1.  ``core`` is
+    evaluated everywhere and its values beyond the support are discarded.
+    A 0-d result comes back as a numpy scalar.
+    """
+    lo, hi = support
+    with np.errstate(all="ignore"):
+        low = t < lo if closed else t <= lo
+        high = t > hi if closed else t >= hi
+        out = np.where(low, below, np.where(high, above, core(t)))
+    out[np.isnan(t)] = np.nan
+    return out[()]
+
+
 @dataclass(frozen=True)
 class _Family:
     """Shared behaviour of input families.
 
-    Subclasses either override the density/cdf/quantile methods with
-    explicit formulas (the likelihood hot path must not rebuild scipy
-    frozen distributions per call) or supply ``_dist`` and inherit the
-    scipy-backed defaults, which are frozen once per instance.
+    A family is a standard distribution on ``support``, shifted by ``_loc``
+    and stretched by ``_scale``.  Subclasses supply the standard
+    ``_logpdf``, ``_cdf`` and ``_ppf`` (and ``_pdf`` where it is not
+    ``exp(_logpdf)``) as closed forms over ``scipy.special``; the public
+    methods add location, scale and support the way ``scipy.stats`` does,
+    in the same operation order, so values match it bit for bit.
     """
 
     kind: ClassVar[str] = "location-scale"
     name: ClassVar[str] = ""
-
-    def _dist(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    @cached_property
-    def _frozen(self):
-        return self._dist()
+    support: ClassVar[tuple[float, float]] = (-math.inf, math.inf)
 
     @property
-    def mean_x(self) -> float:
-        return float(self._frozen.mean())
+    def _loc(self) -> float:
+        return 0.0
 
     @property
-    def sd_x(self) -> float:
-        return float(self._frozen.std())
+    def _scale(self) -> float:
+        return 1.0
+
+    def _standardize(self, x):
+        return (np.asarray(x, dtype=float) - self._loc) / self._scale
+
+    def _pdf(self, t):
+        return np.exp(self._logpdf(t))
 
     def pdf(self, x):
-        return self._frozen.pdf(x)
+        return _piecewise(
+            self._standardize(x),
+            lambda t: self._pdf(t) / self._scale,
+            self.support, 0.0, 0.0, closed=True,
+        )
 
     def logpdf(self, x):
-        return self._frozen.logpdf(x)
+        return _piecewise(
+            self._standardize(x),
+            lambda t: self._logpdf(t) - np.log(self._scale),
+            self.support, -np.inf, -np.inf, closed=True,
+        )
 
     def cdf(self, x):
-        return self._frozen.cdf(x)
+        return _piecewise(
+            self._standardize(x), self._cdf, self.support, 0.0, 1.0, closed=False
+        )
 
     def quantile(self, p):
-        return self._frozen.ppf(np.clip(p, _P_LO, _P_HI))
+        return self._ppf(np.clip(p, _P_LO, _P_HI)) * self._scale + self._loc
 
     def sample(self, n: int, rng: np.random.Generator):
         # Inverse-cdf sampling keeps streams reproducible across platforms
@@ -149,6 +178,7 @@ class Uniform(_Family):
     b: float = 1.0
     kind: ClassVar[str] = "location-scale"
     name: ClassVar[str] = "uniform"
+    support: ClassVar[tuple[float, float]] = (0.0, 1.0)
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
@@ -162,8 +192,25 @@ class Uniform(_Family):
     def sd_x(self) -> float:
         return (self.b - self.a) / math.sqrt(12.0)
 
-    def _dist(self):
-        return st.uniform(loc=self.a, scale=self.b - self.a)
+    @property
+    def _loc(self) -> float:
+        return self.a
+
+    @property
+    def _scale(self) -> float:
+        return self.b - self.a
+
+    def _pdf(self, t):
+        return np.ones_like(t)
+
+    def _logpdf(self, t):
+        return np.zeros_like(t)
+
+    def _cdf(self, t):
+        return t
+
+    def _ppf(self, q):
+        return q
 
 
 @dataclass(frozen=True)
@@ -172,6 +219,7 @@ class Gamma(_Family):
     rate: float = 1.0
     kind: ClassVar[str] = "scale"
     name: ClassVar[str] = "gamma"
+    support: ClassVar[tuple[float, float]] = (0.0, math.inf)
 
     def __post_init__(self):
         if not (self.shape > 0 and self.rate > 0):
@@ -185,8 +233,18 @@ class Gamma(_Family):
     def sd_x(self) -> float:
         return math.sqrt(self.shape) / self.rate
 
-    def _dist(self):
-        return st.gamma(a=self.shape, scale=1.0 / self.rate)
+    @property
+    def _scale(self) -> float:
+        return 1.0 / self.rate
+
+    def _logpdf(self, t):
+        return sp.xlogy(self.shape - 1.0, t) - t - sp.gammaln(self.shape)
+
+    def _cdf(self, t):
+        return sp.gammainc(self.shape, t)
+
+    def _ppf(self, q):
+        return sp.gammaincinv(self.shape, q)
 
 
 @dataclass(frozen=True)
@@ -194,6 +252,7 @@ class ChiSquared(_Family):
     k: float = 1.0
     kind: ClassVar[str] = "scale"
     name: ClassVar[str] = "chisq"
+    support: ClassVar[tuple[float, float]] = (0.0, math.inf)
 
     def __post_init__(self):
         if not self.k > 0:
@@ -207,8 +266,20 @@ class ChiSquared(_Family):
     def sd_x(self) -> float:
         return math.sqrt(2.0 * self.k)
 
-    def _dist(self):
-        return st.chi2(df=self.k)
+    def _logpdf(self, t):
+        k = self.k
+        return (
+            sp.xlogy(k / 2.0 - 1.0, t)
+            - t / 2.0
+            - sp.gammaln(k / 2.0)
+            - (np.log(2.0) * k) / 2.0
+        )
+
+    def _cdf(self, t):
+        return sp.chdtr(self.k, t)
+
+    def _ppf(self, q):
+        return 2.0 * sp.gammaincinv(self.k / 2.0, q)
 
 
 @dataclass(frozen=True)
@@ -216,6 +287,7 @@ class Exponential(_Family):
     rate: float = 1.0
     kind: ClassVar[str] = "scale"
     name: ClassVar[str] = "exponential"
+    support: ClassVar[tuple[float, float]] = (0.0, math.inf)
 
     def __post_init__(self):
         if not self.rate > 0:
@@ -229,8 +301,21 @@ class Exponential(_Family):
     def sd_x(self) -> float:
         return 1.0 / self.rate
 
-    def _dist(self):
-        return st.expon(scale=1.0 / self.rate)
+    @property
+    def _scale(self) -> float:
+        return 1.0 / self.rate
+
+    def _pdf(self, t):
+        return np.exp(-t)
+
+    def _logpdf(self, t):
+        return -t
+
+    def _cdf(self, t):
+        return -sp.expm1(-t)
+
+    def _ppf(self, q):
+        return -sp.log1p(-q)
 
 
 @dataclass(frozen=True)
@@ -276,8 +361,19 @@ class StudentT(_Family):
     def pdf(self, x):
         return np.exp(self.logpdf(x))
 
-    def _dist(self):
-        return st.t(df=self.nu, loc=self.mu, scale=self.scale)
+    @property
+    def _loc(self) -> float:
+        return self.mu
+
+    @property
+    def _scale(self) -> float:
+        return self.scale
+
+    def _cdf(self, t):
+        return sp.stdtr(self.nu, t)
+
+    def _ppf(self, q):
+        return sp.stdtrit(self.nu, q)
 
 
 _FAMILIES = {

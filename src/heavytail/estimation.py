@@ -22,6 +22,10 @@ Estimators provided here:
   vector stabilizes.
 * :func:`taylor_delta`     -- rule-of-thumb tail start value from sample
   kurtosis.
+
+``scipy.optimize`` is imported inside the functions that call it, so
+importing the package (and the CLI commands that fit nothing) never loads
+it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from .distributions import (
     Gaussian,
@@ -110,8 +113,9 @@ class FitResult:
     ``loglik_total`` always equals ``loglik_input + loglik_penalty``;
     the penalty part is nonpositive and zero only when every fitted tail
     parameter is zero.  ``std_errors`` comes from the inverse numeric
-    Hessian and is ``None`` for moment-based fits.  ``boundary_hit`` flags
-    estimates pinned at ``delta = 0`` or at the upper search bound.
+    Hessian (NaN for a tail parameter estimated at 0) and is ``None`` for
+    moment-based fits.  ``boundary_hit`` flags estimates pinned at
+    ``delta = 0`` or at the upper search bound.
     """
 
     tau: TailParams
@@ -290,6 +294,8 @@ def mle_delta_only(z_data) -> FitResult:
                     "tail-parameter bracket left the representable search "
                     "region; data too extreme for a finite estimate"
                 )
+        from scipy import optimize
+
         delta_hat, info = optimize.brentq(
             grad_delta, 0.0, hi, args=(z,), xtol=1e-12, full_output=True
         )
@@ -368,6 +374,8 @@ def delta_gmm(
         return GMMDelta(float(lo), False)
     if mismatch(hi) >= 0.0:
         return GMMDelta(float(hi), True)
+    from scipy import optimize
+
     root = optimize.brentq(mismatch, lo, hi, xtol=1e-13, rtol=8.9e-16)
     return GMMDelta(float(root), False)
 
@@ -396,6 +404,8 @@ def _delta2_gmm(
         except DataError:
             return math.inf
         return skew * skew + (kurt - 3.0) ** 2
+
+    from scipy import optimize
 
     t0 = np.sqrt([start[0], start[1]])
     res = optimize.minimize(
@@ -515,7 +525,8 @@ _MODELS = {
 _TO_OPTIMIZER = {"mu_x": lambda v: v, "nu": lambda v: math.log(v - 2.0)}
 _FROM_OPTIMIZER = {
     "mu_x": lambda p: p,
-    "nu": lambda p: 2.0 + min(float(np.exp(p)), _NU_CAP),
+    # Clamped so that np.exp cannot overflow; exp(700) is far above the cap.
+    "nu": lambda p: 2.0 + min(float(np.exp(min(p, 700.0))), _NU_CAP),
 }
 _LOWER_BOUNDS = {"mu_x": -math.inf, "nu": 2.0}
 _TAU_NAMES = ("mu_x", "sigma_x", "delta", "delta_left", "delta_right")
@@ -571,7 +582,8 @@ def mle_joint(
     optimizer is restarted from a perturbed simplex when it fails to
     converge.  Standard errors come from the central-difference Hessian of
     the negative log-likelihood at the optimum (step ``max(1e-4,
-    1e-4 |param|)``), pseudo-inverted with a condition-number guard.
+    1e-4 |param|)``), pseudo-inverted with a condition-number guard; a
+    tail estimate at 0 is held fixed there and gets a NaN standard error.
     """
     y = _check_series(data, min_n=10)
     if np.std(y, ddof=1) == 0.0:
@@ -594,6 +606,8 @@ def mle_joint(
     p0 = _pack(names, start if start is not None else _default_start(y, names))
     if not math.isfinite(neg_loglik(p0)):
         p0 = _pack(names, _default_start(y, names))
+
+    from scipy import optimize
 
     best = None
     iterations = 0
@@ -690,23 +704,30 @@ def _refine_boundary(y, dist: LambertWDist) -> LambertWDist:
 def _hessian_std_errors(f, theta: np.ndarray, lower: np.ndarray) -> list[float]:
     """Standard errors from a numeric Hessian, boundary-aware.
 
-    Central differences with step ``max(1e-4, 1e-4 |theta_i|)``; when a
-    parameter sits too close to its lower bound, the stencil for that
-    coordinate shifts forward.  The Hessian is pseudo-inverted (rcond
-    guard) and nonpositive variances are reported as NaN.
+    A coordinate on its lower bound (a tail estimate snapped to 0) gets a
+    NaN standard error and is held fixed; the Hessian is taken over the
+    other coordinates only.  Central differences with step
+    ``max(1e-4, 1e-4 |theta_i|)``; when a parameter sits too close to its
+    lower bound, the stencil for that coordinate shifts forward.  The
+    Hessian is pseudo-inverted (rcond guard) and nonpositive variances are
+    reported as NaN.
     """
-    n = len(theta)
-    h = np.maximum(1e-4, 1e-4 * np.abs(theta))
-    a = np.where(theta - h > lower, -1.0, 0.0)
+    out = [math.nan] * len(theta)
+    free = np.flatnonzero(theta > lower)
+    n = free.size
+    h = np.maximum(1e-4, 1e-4 * np.abs(theta[free]))
+    a = np.where(theta[free] - h > lower[free], -1.0, 0.0)
     b = np.ones(n)
 
     def ev(offsets):
-        return f(theta + offsets * h)
+        step = np.zeros_like(theta)
+        step[free] = offsets * h
+        return f(theta + step)
 
     hess = np.zeros((n, n))
     f0 = ev(np.zeros(n))
     if not math.isfinite(f0):
-        return [math.nan] * n
+        return out
     for i in range(n):
         o = np.zeros(n)
         if a[i] == -1.0:
@@ -739,10 +760,9 @@ def _hessian_std_errors(f, theta: np.ndarray, lower: np.ndarray) -> list[float]:
                 (b[i] - a[i]) * (b[j] - a[j]) * h[i] * h[j]
             )
     if not np.all(np.isfinite(hess)):
-        return [math.nan] * n
+        return out
     cov = np.linalg.pinv(hess, rcond=1e-10)
-    out = []
-    for i in range(n):
+    for i, k in enumerate(free):
         v = cov[i, i]
-        out.append(float(math.sqrt(v)) if v > 0 else math.nan)
+        out[k] = float(math.sqrt(v)) if v > 0 else math.nan
     return out

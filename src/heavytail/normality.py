@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as st
+from scipy import special as sp
 
 from .exceptions import DataError
 
@@ -54,7 +54,7 @@ def anderson_darling(series) -> NormalityResult:
     w = np.sort((x - x.mean()) / sd)
     # Clamp cdf values away from {0, 1}: extreme outliers would otherwise
     # produce log(0) and an infinite statistic.
-    z = np.clip(st.norm.cdf(w), 1e-300, 1.0 - 1e-16)
+    z = np.clip(sp.ndtr(w), 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)
     s = np.sum((2.0 * i - 1.0) * (np.log(z) + np.log1p(-z[::-1]))) / n
     a2 = -n - s

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as st
 
 import heavytail
-from heavytail.cli import main, parse_tau, read_series, write_series
+from heavytail.cli import _t_and_p, main, parse_tau, read_series, write_series
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -27,6 +28,39 @@ for name in attr.split("."):
 sys.argv[0] = "heavytail"
 sys.exit(obj())
 """
+
+
+# Which of the slow-to-import scipy subpackages each CLI step loads, checked
+# in a fresh interpreter; the first argument is a scratch file path.
+IMPORT_GRAPH = """\
+import sys
+import heavytail
+import heavytail.cli
+from heavytail.cli import main
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules)
+
+assert loaded() == [], ("import", loaded())
+path = sys.argv[1]
+assert main(["simulate", "--tau", "0,1,0.2", "--n", "200", "--seed", "3",
+             "--out", path]) == 0
+assert main(["transform", path, "--tau", "0,1,0.2", "--direction", "inverse",
+             "--out", path + ".x"]) == 0
+assert loaded() == [], ("simulate, transform", loaded())
+assert main(["fit", path]) == 0
+assert loaded() == ["scipy.optimize"], ("fit", loaded())
+"""
+
+
+def child_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src_dir = Path(heavytail.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src_dir), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def run_cli(*args):
@@ -209,6 +243,29 @@ class TestFit:
         assert code == 2
         assert "igmm supports the gaussian input family only" in captured.err
 
+    def test_p_values_match_scipy_stats(self, sample_file, capsys):
+        # Wald p-values are 2 * norm.sf(|t|) and the LR p-value is
+        # chi2.sf(LR, 1), bit for bit.
+        code, captured = run_cli_capture(
+            capsys, "fit", str(sample_file), "--tail", "hh", "--json"
+        )
+        assert code == 0
+        report = json.loads(captured.out)
+        for row in report["parameters"].values():
+            assert row["p"] == 2.0 * st.norm.sf(abs(row["t"]))
+        lr = report["lr_test"]
+        assert lr["p"] == float(st.chi2.sf(max(lr["statistic"], 0.0), 1))
+
+    def test_t_and_p_bitwise(self):
+        rng = np.random.default_rng(4)
+        t_values = np.concatenate(
+            [rng.normal(0.0, 3.0, 500), [0.0, -0.0, 5e-324, 8.0, 38.0, 40.0, 1e300]]
+        )
+        for t in t_values:
+            _, p = _t_and_p(float(t), 1.0)
+            ref = 2.0 * st.norm.sf(abs(t))
+            assert p.hex() == ref.hex(), t
+
     def test_insufficient_data(self, tmp_path):
         short = tmp_path / "s.txt"
         short.write_text("1\n2\n3\n4\n5\n")
@@ -280,6 +337,18 @@ class TestReplicate:
                        str(tmp_path / "r")) == 2
 
 
+class TestImportGraph:
+    def test_scipy_stats_and_optimize_load_lazily(self, tmp_path):
+        # scipy.stats is never imported; scipy.optimize only on the first fit.
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GRAPH, str(tmp_path / "y.txt")],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "x.txt"
@@ -299,12 +368,7 @@ class TestEntryPoint:
         tomllib = pytest.importorskip("tomllib")
         with open(PYPROJECT, "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["heavytail"]
-        src_dir = Path(heavytail.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src_dir), env.get("PYTHONPATH")) if p
-        )
-        commands = [([sys.executable, "-c", SCRIPT_WRAPPER, target], env)]
+        commands = [([sys.executable, "-c", SCRIPT_WRAPPER, target], child_env())]
         # An installed environment also runs the real script.
         installed = shutil.which("heavytail")
         if installed is not None:

@@ -1,6 +1,7 @@
 """Estimation tests: likelihood decomposition, gradient, MLE and IGMM."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from heavytail import (
     w_delta,
     w_tau,
 )
-from heavytail.estimation import _MODELS, _pack, _unpack
+from heavytail.estimation import _MODELS, _NU_CAP, _pack, _unpack
 
 
 def make_sample(delta, n, seed, mu=0.0, sigma=1.0):
@@ -397,6 +398,36 @@ class TestMleJoint:
         theta = read(build(_unpack(names, _pack(names, start))))
         assert len(theta) == len(names)
         np.testing.assert_allclose(theta, [start[n] for n in names], rtol=1e-12)
+
+    def test_nu_map_does_not_overflow(self):
+        # a huge optimizer step in log(nu - 2) lands on the cap, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _unpack(("nu",), np.array([800.0])) == [2.0 + _NU_CAP]
+
+    def test_std_errors_at_zero_tail(self):
+        # delta snaps to 0: the tail gets NaN, and location and scale get
+        # the Gaussian-MLE standard errors sd / sqrt(n) and sd / sqrt(2n).
+        y = rlambertw(60, LambertWDist(Gaussian(0.3, 1.7), 0.0), seed=0)
+        r = mle_joint(y)
+        assert r.tau.delta == 0.0 and r.boundary_hit == "delta_lower"
+        sd = r.tau.sigma_x
+        np.testing.assert_allclose(sd, y.std(), rtol=1e-6)
+        np.testing.assert_allclose(
+            r.std_errors["mu_x"], sd / math.sqrt(60), rtol=1e-5
+        )
+        np.testing.assert_allclose(
+            r.std_errors["sigma_x"], sd / math.sqrt(120), rtol=1e-5
+        )
+        assert math.isnan(r.std_errors["delta"])
+
+    def test_std_errors_at_one_zero_tail(self):
+        y = rlambertw(200, LambertWDist(Gaussian(0.0, 1.0), (0.0, 0.3)), seed=0)
+        r = mle_joint(y, tail="hh")
+        assert r.tau.delta_left == 0.0 < r.tau.delta_right
+        assert math.isnan(r.std_errors["delta_left"])
+        for name in ("mu_x", "sigma_x", "delta_right"):
+            assert 0.0 < r.std_errors[name] < 0.2, name
 
     def test_start_override(self):
         y = make_sample(0.1, 400, seed=77)

@@ -1,12 +1,14 @@
 """Anderson-Darling normality test checks."""
 
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats as st
 
 from heavytail import DataError, Gaussian, LambertWDist, anderson_darling, rlambertw
+from heavytail import normality
 
 
 class TestStatistic:
@@ -26,6 +28,21 @@ class TestStatistic:
             np.testing.assert_allclose(
                 ours, a2 * (1 + 0.75 / n + 2.25 / n**2), rtol=1e-10
             )
+
+    def test_bitwise_equal_with_scipy_norm_cdf(self, monkeypatch):
+        # The normal cdf inside the statistic is ndtr, which is what
+        # scipy.stats.norm.cdf evaluates: both results match bit for bit.
+        rng = np.random.default_rng(6)
+        series = [
+            rng.normal(size=50),
+            rlambertw(2000, LambertWDist(Gaussian(0, 1), 0.4), seed=8),
+            np.r_[rng.normal(size=30), 1e6],
+        ]
+        ours = [anderson_darling(x) for x in series]
+        monkeypatch.setattr(normality, "sp", SimpleNamespace(ndtr=st.norm.cdf))
+        for x, res in zip(series, ours):
+            ref = anderson_darling(x)
+            assert [v.hex() for v in res] == [v.hex() for v in ref]
 
     def test_heavier_tails_larger_statistic(self):
         base = rlambertw(2000, LambertWDist(Gaussian(0, 1), 0.0), seed=9)

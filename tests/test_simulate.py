@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as st
 
 from heavytail import (
+    ConvergenceError,
     DomainError,
     Gaussian,
     LambertWDist,
@@ -18,7 +20,8 @@ from heavytail import (
     variance_factor,
     w_tau,
 )
-from heavytail.simulate import TABLE_COLUMNS, _rng_for
+from heavytail import simulate
+from heavytail.simulate import TABLE_COLUMNS, _cauchy_quantile, _rng_for
 
 
 class TestRlambertw:
@@ -259,3 +262,30 @@ class TestCauchyDemo:
     def test_short_input_rejected(self):
         with pytest.raises(Exception):
             cauchy_demo(5, seed=1)
+
+    def test_cauchy_quantile_matches_scipy(self):
+        rng = np.random.default_rng(13)
+        q = np.clip(
+            np.r_[rng.random(10**4), 1e-300, 1 - 1e-16, 0.5, 0.25, 0.75],
+            1e-300,
+            1 - 1e-16,
+        )
+        ours, ref = _cauchy_quantile(q), st.cauchy.ppf(q)
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+    def test_failed_fits_skipped(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no optimum")
+
+        monkeypatch.setattr(simulate, "mle_joint", fail)
+        demo = cauchy_demo(20, seed=1)
+        assert demo.final_fit is None
+        assert np.all(np.isnan(demo.delta_estimates))
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(simulate, "mle_joint", broken)
+        with pytest.raises(TypeError):
+            cauchy_demo(20, seed=1)
