@@ -30,14 +30,7 @@ import numpy as np
 from scipy import special as sp
 
 from .exceptions import DomainError
-from .transform import (
-    TailParams,
-    _dispatch_sides,
-    h_tau,
-    w_delta_dz,
-    w_of_delta_z_sq,
-    w_tau,
-)
+from .transform import TailParams, _dispatch_sides, _w_and_w_delta, h_tau, w_tau
 
 __all__ = [
     "Gaussian",
@@ -356,7 +349,16 @@ class StudentT(_Family):
             - 0.5 * math.log(nu * math.pi)
             - math.log(self.scale)
         )
-        return log_norm - 0.5 * (nu + 1.0) * np.log1p(t * t / nu)
+        with np.errstate(over="ignore"):
+            s = t * t / nu
+        log_term = np.log1p(s)
+        if not np.isfinite(s).all():
+            # t*t overflowed (or t is inf/NaN): log1p(t^2/nu) rewritten as
+            # 2 log|t| - log nu + log1p(nu/t^2), which stays finite.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                far = 2.0 * np.log(np.abs(t)) - math.log(nu) + np.log1p(nu / t / t)
+            log_term = np.where(np.isfinite(s), log_term, far)
+        return log_norm - 0.5 * (nu + 1.0) * log_term
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
@@ -426,19 +428,20 @@ class LambertWDist:
     def cdf(self, y):
         return self.input.cdf(w_tau(y, self.tau))
 
-    def pdf(self, y):
+    def _w_and_input(self, y):
+        """``(W(delta z^2), w_tau(y))`` at ``y``, from one W per point."""
         tau = self.tau
-        y_arr = np.asarray(y, dtype=float)
-        z = (y_arr - tau.mu_x) / tau.sigma_x
-        jac = _dispatch_sides(w_delta_dz, z, tau)
-        return self.input.pdf(w_tau(y, tau)) * jac
+        z = (np.asarray(y, dtype=float) - tau.mu_x) / tau.sigma_x
+        wv, u = _dispatch_sides(_w_and_w_delta, z, tau)
+        return wv, u * tau.sigma_x + tau.mu_x
+
+    def pdf(self, y):
+        wv, x = self._w_and_input(y)
+        return self.input.pdf(x) * (np.exp(-0.5 * wv) / (1.0 + wv))
 
     def logpdf(self, y):
-        tau = self.tau
-        y_arr = np.asarray(y, dtype=float)
-        z = (y_arr - tau.mu_x) / tau.sigma_x
-        wv = _dispatch_sides(w_of_delta_z_sq, z, tau)
-        return self.input.logpdf(w_tau(y, tau)) - 0.5 * wv - np.log1p(wv)
+        wv, x = self._w_and_input(y)
+        return self.input.logpdf(x) - 0.5 * wv - np.log1p(wv)
 
     def quantile(self, p):
         p_arr = np.asarray(p, dtype=float)

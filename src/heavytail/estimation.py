@@ -208,25 +208,7 @@ def loglik(data, dist: LambertWDist) -> LoglikParts:
     optimizers can treat such points as rejected.
     """
     y = _check_series(data, min_n=1)
-    tau = dist.tau
-    z = (y - tau.mu_x) / tau.sigma_x
-
-    def one_side(zs: np.ndarray, delta: float):
-        wv = np.asarray(w_of_delta_z_sq(zs, delta))
-        if delta == 0.0:
-            return wv, zs
-        return wv, np.sign(zs) * np.sqrt(wv / delta)
-
-    if tau.is_double and tau.delta_left != tau.delta_right:
-        left = z <= 0.0
-        wv = np.empty_like(z)
-        u = np.empty_like(z)
-        wv[left], u[left] = one_side(z[left], tau.delta_left)
-        wv[~left], u[~left] = one_side(z[~left], tau.delta_right)
-    else:
-        wv, u = one_side(z, tau.delta_left)
-
-    x = u * tau.sigma_x + tau.mu_x
+    wv, x = dist._w_and_input(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         input_part = float(np.sum(dist.input.logpdf(x)))
         penalty_part = float(np.sum(-0.5 * wv - np.log1p(wv)))
@@ -394,11 +376,16 @@ def _delta2_gmm(
     by the simplex search.
     """
     lo, hi = delta_bounds
+    left = z <= 0.0
+    right = ~left
+    z_left, z_right = z[left], z[right]
+    u = np.empty_like(z)
 
     def objective(t: np.ndarray) -> float:
         dl = min(max(t[0] * t[0], lo), hi)
         dr = min(max(t[1] * t[1], lo), hi)
-        u = np.where(z <= 0.0, w_delta(z, dl), w_delta(z, dr))
+        u[left] = w_delta(z_left, dl)
+        u[right] = w_delta(z_right, dr)
         try:
             skew, kurt = _central_moment_stats(u)
         except DataError:
@@ -626,7 +613,14 @@ def mle_joint(
         # Perturbed restart from the best point seen so far.
         p0 = best.x + 0.05 * (attempt + 1) * np.arange(1, len(names) + 1)
 
-    dist = _refine_boundary(y, build_from_optimizer(best.x))
+    try:
+        dist = build_from_optimizer(best.x)
+    except (DomainError, OverflowError):
+        raise ConvergenceError(
+            "the likelihood search left the parameter space on this data: "
+            f"its best point {best.x.tolist()} gives no valid {family} model"
+        ) from None
+    dist = _refine_boundary(y, dist)
     parts = loglik(y, dist)
     natural = read(dist)
     theta = np.array(natural)

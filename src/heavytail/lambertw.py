@@ -2,11 +2,18 @@
 
 W0(x) is the inverse of ``w * exp(w)`` on ``w >= -1``, defined for
 ``x >= -1/e``.  The whole package stands on this single special function,
-so it is evaluated here from scratch with Halley's method and verified
-against the defining identity ``W(x) * exp(W(x)) = x`` rather than
-delegated to a third-party implementation.  Piecewise initial guesses
-(branch-point series, small-argument rational, log-log asymptotic) keep the
-iteration overflow-free up to the largest representable arguments.
+so it is evaluated here from scratch and verified against the defining
+identity ``W(x) * exp(W(x)) = x`` rather than delegated to a third-party
+implementation.
+
+Evaluation is a fast path plus a verified polish.  The fast path runs over
+the whole array with no masks: Winitzki's starting value, one Fritsch step
+(Fritsch, Shafer & Crowley, CACM 1973; Veberic, arXiv 1209.0735) and one
+Halley step, which leave W within a few ulp, then one residual pass over
+every point.  Points that fail the residual pass are solved again by a
+masked Halley loop whose piecewise initial guesses (branch-point series,
+small-argument rational, log-log asymptotic) keep it overflow-free up to
+the largest representable arguments.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ BRANCH_POINT = -np.exp(-1.0)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule for the Halley iteration.
+    """Stopping rule for the Lambert W evaluation.
 
     ``abs_tol`` bounds the residual of the defining identity relative to
     ``max(1, |x|)``; it also sets the width of the clamp band below the
@@ -73,8 +80,86 @@ def _initial_guess(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _fast_path(x: np.ndarray, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """W0 by two fixed steps over the whole array, plus the residual check.
+
+    Winitzki's start ``L (1 - log1p(L) / (2 + L))`` with ``L = log1p(x)``,
+    one Fritsch step (Fritsch, Shafer & Crowley 1973) and one Halley step.
+    No masks: every element takes the same arithmetic.  Returns ``w`` and
+    the mask of points whose residual meets ``abs_tol``; the others (NaN,
+    inf, 0, arguments near the branch point, and arguments so large that
+    the residual is finer than one ulp of ``w``) are left to the loop.
+    """
+    with np.errstate(all="ignore"):
+        lx = np.log1p(x)
+        w = lx * (1.0 - np.log1p(lx) / (2.0 + lx))
+
+        wp1 = w + 1.0
+        zn = np.log(x / w) - w
+        qn = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * zn)
+        w = w * (1.0 + zn / wp1 * (qn - zn) / (qn - 2.0 * zn))
+
+        ew = np.exp(w)
+        f = w * ew - x
+        wp1 = w + 1.0
+        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        np.maximum(w, -1.0, out=w)
+
+        # x >= -1/e here, so max(1, |x|) is max(1, x).
+        ok = np.abs(w * np.exp(w) - x) <= abs_tol * np.maximum(x, 1.0)
+    return w, ok
+
+
+def _halley(z: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Masked Halley iteration from :func:`_initial_guess`, for any ``z >= -1/e``.
+
+    A point stops when its residual meets ``abs_tol`` or its step falls
+    below float resolution; NaN and inf pass through.  Raises
+    :class:`ConvergenceError` when ``max_iter`` runs out first.
+    """
+    nan_mask = np.isnan(z)
+    inf_mask = np.isinf(z)
+    w = _initial_guess(np.where(nan_mask | inf_mask, 1.0, z))
+    w[inf_mask] = np.inf
+    w[nan_mask] = np.nan
+
+    tol = cfg.abs_tol * np.maximum(1.0, np.abs(z))
+    done = nan_mask | inf_mask
+    eps = np.finfo(float).eps
+    for _ in range(cfg.max_iter):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            done = done | (np.abs(w * np.exp(w) - z) <= tol)
+            if done.all():
+                break
+            # Halley's step with numerator and denominator divided by
+            # exp(w), so that neither overflows near the float maximum.
+            g = w - z * np.exp(-w)
+            wp1 = w + 1.0
+            denom = wp1 - (w + 2.0) * g / (2.0 * wp1)
+            step = np.where(done | (denom == 0.0), 0.0, g / denom)
+        w = np.maximum(w - step, -1.0)
+        # A step below float resolution means w is the representable fixed
+        # point; for huge arguments the residual criterion alone is finer
+        # than one ulp of w can express.
+        done = done | (np.abs(step) <= 4.0 * eps * (1.0 + np.abs(w)))
+        if done.all():
+            break
+    else:
+        raise ConvergenceError(
+            f"lambert_w0 did not reach tolerance {cfg.abs_tol} "
+            f"within {cfg.max_iter} iterations"
+        )
+    return w
+
+
 def lambert_w0(x, config: SolverConfig | None = None):
     """Evaluate the principal branch W0 at ``x``.
+
+    When ``max_iter`` allows two steps, every point first takes the two
+    fixed steps of the fast path; points whose residual then misses
+    ``abs_tol`` are solved again from scratch by the masked Halley loop,
+    with the full ``max_iter`` budget.  With ``max_iter < 2`` every point
+    goes to the loop.
 
     Parameters
     ----------
@@ -88,60 +173,37 @@ def lambert_w0(x, config: SolverConfig | None = None):
     Returns
     -------
     float or numpy.ndarray
-        ``w`` with ``|w * exp(w) - x| <= abs_tol * max(1, |x|)`` and
-        ``w >= -1``.
+        ``w >= -1`` with ``|w * exp(w) - x| <= abs_tol * max(1, |x|)``, or,
+        where that residual is finer than float resolution, the point at
+        which the Halley step falls below one ulp of ``w``.
 
     Raises
     ------
     DomainError
         If any argument lies below the branch point beyond the clamp band.
     ConvergenceError
-        If the Halley iteration exhausts ``max_iter`` (never returns a
-        silently unconverged value).
+        If the Halley loop exhausts ``max_iter`` (never returns a silently
+        unconverged value).
     """
     cfg = config if config is not None else _DEFAULT
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    z = np.atleast_1d(arr).astype(float, copy=True)
+    z = np.atleast_1d(arr)
 
-    nan_mask = np.isnan(z)
-    if np.any(z[~nan_mask] < BRANCH_POINT - cfg.abs_tol):
-        bad = float(np.min(z[~nan_mask]))
+    if (z < BRANCH_POINT - cfg.abs_tol).any():
+        bad = float(np.nanmin(z))
         raise DomainError(
             f"lambert_w0 argument {bad!r} below the branch point -1/e"
         )
-    np.clip(z, BRANCH_POINT, None, out=z)
+    z = np.maximum(z, BRANCH_POINT)
 
-    inf_mask = np.isinf(z)
-    w = _initial_guess(np.where(nan_mask | inf_mask, 1.0, z))
-    w[inf_mask] = np.inf
-    w[nan_mask] = np.nan
-
-    tol = cfg.abs_tol * np.maximum(1.0, np.abs(z))
-    done = nan_mask | inf_mask
-    eps = np.finfo(float).eps
-    for _ in range(cfg.max_iter):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ew = np.exp(w)
-            f = w * ew - z
-            done = done | (np.abs(f) <= tol)
-            if done.all():
-                break
-            wp1 = w + 1.0
-            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-            step = np.where(done | (denom == 0.0), 0.0, f / denom)
-        w = np.maximum(w - step, -1.0)
-        # A step below float resolution means w is the representable fixed
-        # point; for huge arguments the residual criterion alone is finer
-        # than one ulp of w can express.
-        done = done | (np.abs(step) <= 4.0 * eps * (1.0 + np.abs(w)))
-        if done.all():
-            break
+    if cfg.max_iter < 2:
+        w = _halley(z, cfg)
     else:
-        raise ConvergenceError(
-            f"lambert_w0 did not reach tolerance {cfg.abs_tol} "
-            f"within {cfg.max_iter} iterations"
-        )
+        w, ok = _fast_path(z, cfg.abs_tol)
+        if not ok.all():
+            redo = ~ok
+            w[redo] = _halley(z[redo], cfg)
 
     return float(w[0]) if scalar else w
 

@@ -43,6 +43,11 @@ __all__ = [
 #: Estimator names usable in a study plan.
 ESTIMATORS = ("median", "gaussian_mle", "igmm", "lambertw_mle", "delta_mle")
 
+# Failures of one fit that count as a redraw (or a "failed" cell, or a NaN
+# prefix in the Cauchy demo); anything else is a programming error and
+# propagates.
+_FIT_ERRORS = (HeavytailError, ArithmeticError, np.linalg.LinAlgError)
+
 #: Fixed column order of the emitted tables.
 TABLE_COLUMNS = (
     "N",
@@ -278,7 +283,7 @@ def _run_cell(args) -> list[TableRow]:
         y = dist.sample(n, rng)
         try:
             est = _estimate_once(estimator, y)
-        except Exception:
+        except _FIT_ERRORS:
             continue
         # Implied sigma_y may legitimately be inf; every directly
         # estimated parameter must be finite for the draw to count.
@@ -321,7 +326,7 @@ def run_study(plan: StudyPlan) -> ReplicationTable:
 def _safe_run_cell(args) -> list[TableRow]:
     try:
         return _run_cell(args)
-    except Exception:
+    except _FIT_ERRORS:
         _, n, delta, estimator, plan = args
         nan = math.nan
         return [
@@ -383,7 +388,7 @@ def cauchy_demo(n: int, seed: int = 0, step: int = 1) -> CauchyDemo:
         raw[i] = np.mean(prefix)
         try:
             fit = mle_joint(prefix, family="gaussian", tail="h", start=start)
-        except (HeavytailError, ArithmeticError, np.linalg.LinAlgError):
+        except _FIT_ERRORS:
             continue
         start = dict(fit.params)
         start["delta"] = max(start["delta"], 1e-4)

@@ -114,20 +114,58 @@ def w_of_delta_z_sq(z, delta, config: SolverConfig | None = None):
         return _ret(np.zeros_like(z), scalar)
     with np.errstate(over="ignore"):
         arg = delta * z * z
-    out = np.empty_like(arg)
+    return _ret(np.asarray(_w_of_arg(arg, z, delta, config)), scalar)
+
+
+def _w_of_arg(arg, z, delta: float, config: SolverConfig | None):
+    """W(arg) for ``arg = delta * z**2`` with ``delta > 0``.
+
+    Where ``arg`` exceeds ``_OVERFLOW_ARG`` (or overflowed to inf), W is
+    taken on the log scale from ``log(delta) + 2 log|z|``.
+    """
     huge = arg > _OVERFLOW_ARG
+    if not huge.any():
+        return lambert_w0(arg, config)
+    out = np.empty_like(arg)
     safe = ~huge
     if safe.any():
         out[safe] = lambert_w0(arg[safe], config)
-    if huge.any():
-        with np.errstate(divide="ignore"):
-            log_arg = np.log(delta) + 2.0 * np.log(np.abs(z[huge]))
-        finite = np.isfinite(log_arg)
-        vals = np.full(log_arg.shape, np.inf)
-        if finite.any():
-            vals[finite] = _w0_from_log(log_arg[finite], config)
-        out[huge] = vals
-    return _ret(out, scalar)
+    with np.errstate(divide="ignore"):
+        log_arg = np.log(delta) + 2.0 * np.log(np.abs(z[huge]))
+    finite = np.isfinite(log_arg)
+    vals = np.full(log_arg.shape, np.inf)
+    if finite.any():
+        vals[finite] = _w0_from_log(log_arg[finite], config)
+    out[huge] = vals
+    return out
+
+
+def _w_and_w_delta(z, delta, config: SolverConfig | None = None):
+    """``(W(delta z^2), w_delta(z, delta))`` from one W evaluation.
+
+    The inverse is ``z * sqrt(W(arg)/arg)`` with ``arg = delta * z**2``,
+    which stays accurate when ``arg`` is tiny (the ratio tends smoothly to
+    1) and never divides by a subnormal ``delta``.  The ratio lies in
+    ``(0, 1]`` except where ``arg`` is 0 (``z == 0`` or underflow: the
+    identity to double precision), inf (huge ``z``: ``sgn(z) sqrt(W /
+    delta)``) or NaN; only those points take a second formula.
+    """
+    delta = _check_delta(delta)
+    z, scalar = _as_float_array(z)
+    if delta == 0.0:
+        return _ret(np.zeros_like(z), scalar), _ret(z + 0.0, scalar)
+    z1 = np.atleast_1d(z)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        arg = delta * z1 * z1
+        wv = _w_of_arg(arg, z1, delta, config)
+        ratio = wv / arg
+    u = z1 * np.sqrt(ratio)
+    if not (ratio > 0.0).all():
+        redo = ~(ratio > 0.0)
+        zr = z1[redo]
+        u[redo] = np.where(arg[redo] == 0.0, zr, np.sign(zr) * np.sqrt(wv[redo] / delta))
+    shape = np.shape(z)
+    return _ret(wv.reshape(shape), scalar), _ret(u.reshape(shape), scalar)
 
 
 def h_delta(u, delta):
@@ -139,9 +177,13 @@ def h_delta(u, delta):
     """
     delta = _check_delta(delta)
     u, scalar = _as_float_array(u)
+    return _ret(_h(u, delta), scalar)
+
+
+def _h(u, delta):
+    """``u * exp(delta/2 * u^2)`` for a checked scalar or per-point ``delta``."""
     with np.errstate(over="ignore"):
-        out = u * np.exp(0.5 * delta * u * u)
-    return _ret(out, scalar)
+        return u * np.exp(0.5 * delta * u * u)
 
 
 def w_delta(z, delta, config: SolverConfig | None = None):
@@ -149,39 +191,37 @@ def w_delta(z, delta, config: SolverConfig | None = None):
 
     Exact inverse of :func:`h_delta`; sign preserving, with
     ``|w_delta(z, delta)| <= |z|`` and equality only for ``delta = 0`` or
-    ``z = 0``.  Evaluated as ``z * sqrt(W(arg)/arg)`` with
-    ``arg = delta * z**2``, which stays accurate when ``arg`` is tiny
-    (the ratio tends smoothly to 1) and never divides by a subnormal
-    ``delta``.
+    ``z = 0``.  Evaluated by :func:`_w_and_w_delta`.
     """
-    delta = _check_delta(delta)
-    z, scalar = _as_float_array(z)
-    if delta == 0.0:
-        return _ret(z + 0.0, scalar)
-    z1 = np.atleast_1d(z).astype(float)
-    with np.errstate(over="ignore"):
-        arg = delta * z1 * z1
-    wv = np.atleast_1d(w_of_delta_z_sq(z1, delta, config))
-    out = np.empty_like(z1)
-    tiny = arg == 0.0  # underflow or z == 0: identity to double precision
-    huge = np.isinf(arg)
-    mid = ~(tiny | huge)
-    out[tiny] = z1[tiny]
-    out[mid] = z1[mid] * np.sqrt(wv[mid] / arg[mid])
-    out[huge] = np.sign(z1[huge]) * np.sqrt(wv[huge] / delta)
-    return _ret(out.reshape(np.shape(z)), scalar)
+    return _w_and_w_delta(z, delta, config)[1]
 
 
 def _dispatch_sides(func, v, tau: TailParams):
     """Apply ``func(v, delta)`` with the side-appropriate tail parameter.
 
     ``v <= 0`` uses the left parameter (ties at 0 are assigned left for
-    bit-reproducibility; both sides agree on the value there).  With equal
-    parameters this reduces bit-exactly to a single symmetric evaluation.
+    bit-reproducibility; both sides agree on the value there), and each
+    side is evaluated on its own points only.  ``func`` may return an
+    array or a tuple of arrays.  With equal parameters this reduces to a
+    single symmetric evaluation.
     """
     if not tau.is_double or tau.delta_left == tau.delta_right:
         return func(v, tau.delta_left)
-    return np.where(v <= 0.0, func(v, tau.delta_left), func(v, tau.delta_right))
+    v = np.asarray(v, dtype=float)
+    left = v <= 0.0
+    right = ~left
+
+    def merge(on_left, on_right):
+        out = np.empty(v.shape)
+        out[left] = on_left
+        out[right] = on_right
+        return out
+
+    lo = func(v[left], tau.delta_left)
+    hi = func(v[right], tau.delta_right)
+    if isinstance(lo, tuple):
+        return tuple(map(merge, lo, hi))
+    return merge(lo, hi)
 
 
 def h_tau(x, tau: TailParams):
@@ -192,7 +232,10 @@ def h_tau(x, tau: TailParams):
     """
     x, scalar = _as_float_array(x)
     u = (x - tau.mu_x) / tau.sigma_x
-    z = _dispatch_sides(h_delta, u, tau)
+    # The forward map is cheap: one pass with a per-point tail parameter
+    # costs less than splitting the points by side.
+    delta = np.where(u <= 0.0, *tau.delta) if tau.is_double else tau.delta
+    z = _h(u, delta)
     return _ret(np.asarray(z * tau.sigma_x + tau.mu_x), scalar)
 
 
@@ -227,11 +270,8 @@ def w_delta_sq_ddelta(z, delta, config: SolverConfig | None = None):
     Always <= 0: increasing the tail parameter shrinks the back-transformed
     value toward zero.  At ``delta = 0`` this is the limit ``-z^4``.
     """
-    z, scalar = _as_float_array(z)
-    wv = np.atleast_1d(w_of_delta_z_sq(z, delta, config))
-    wd = np.atleast_1d(w_delta(z, delta, config))
-    out = (-(wd**4) / (1.0 + wv)).reshape(np.shape(z))
-    return _ret(out, scalar)
+    wv, wd = _w_and_w_delta(z, delta, config)
+    return -(wd**4) / (1.0 + wv)
 
 
 def w_delta_ddelta(z, delta, config: SolverConfig | None = None):
@@ -239,8 +279,5 @@ def w_delta_ddelta(z, delta, config: SolverConfig | None = None):
 
     Sign opposite to ``z``; the ``delta = 0`` limit is ``-z^3 / 2``.
     """
-    z, scalar = _as_float_array(z)
-    wv = np.atleast_1d(w_of_delta_z_sq(z, delta, config))
-    wd = np.atleast_1d(w_delta(z, delta, config))
-    out = (-0.5 * wd**3 / (1.0 + wv)).reshape(np.shape(z))
-    return _ret(out, scalar)
+    wv, wd = _w_and_w_delta(z, delta, config)
+    return -0.5 * wd**3 / (1.0 + wv)

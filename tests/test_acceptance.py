@@ -42,7 +42,7 @@ from heavytail import (
     w_delta,
     w_tau,
 )
-from util import normalization_by_substitution
+from util import child_env, normalization_by_substitution
 
 CHI2_95_DF1 = 3.8414588206941254  # 95% quantile of chi-squared with 1 df
 
@@ -297,6 +297,7 @@ def run_cli(*args):
         [sys.executable, "-m", "heavytail.cli", *args],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 

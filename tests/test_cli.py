@@ -1,7 +1,6 @@
 """Command-line integration tests: exit codes, determinism, round trips."""
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +12,7 @@ from scipy import stats as st
 
 import heavytail
 from heavytail.cli import _t_and_p, main, parse_tau, read_series, write_series
+from util import child_env
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -51,16 +51,6 @@ assert loaded() == [], ("simulate, transform", loaded())
 assert main(["fit", path]) == 0
 assert loaded() == ["scipy.optimize"], ("fit", loaded())
 """
-
-
-def child_env() -> dict:
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src_dir = Path(heavytail.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src_dir), env.get("PYTHONPATH")) if p
-    )
-    return env
 
 
 def run_cli(*args):
@@ -271,6 +261,17 @@ class TestFit:
         short.write_text("1\n2\n3\n4\n5\n")
         assert run_cli("fit", str(short)) == 2
 
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_search_leaving_parameter_space_exits_3(self, tmp_path, capsys, family):
+        dist = heavytail.LambertWDist(heavytail.Gaussian(0.0, 1.0), 0.2)
+        y = heavytail.rlambertw(200, dist, seed=1)
+        y[0] = 1e200
+        src = tmp_path / "y.txt"
+        write_series(y, src)
+        with np.errstate(all="ignore"):
+            assert run_cli("fit", str(src), "--family", family) == 3
+        assert "left the parameter space" in capsys.readouterr().err
+
 
 class TestGaussianize:
     def test_identity_tau(self, tmp_path, capsys):
@@ -357,6 +358,7 @@ class TestEntryPoint:
              "--n", "20", "--seed", "1", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert out.exists()

@@ -6,9 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 from scipy import stats as st
 
+import heavytail.transform as transform
 from heavytail import (
     ChiSquared,
     DomainError,
@@ -21,13 +24,16 @@ from heavytail import (
     Uniform,
     family_from_name,
     h_delta,
+    h_tau,
     kurtosis_gaussian,
     kurtosis_student_t,
+    loglik,
     moment_gaussian,
     rlambertw,
     tail_index,
     variance_factor,
     w_delta,
+    w_tau,
 )
 from util import normalization_by_substitution, pdf_student_t_input
 
@@ -476,3 +482,89 @@ class TestFamilyRegistry:
         np.testing.assert_allclose(dist.tau.sigma_x, math.sqrt(3.0))
         dist = LambertWDist(StudentT(5.0), 0.2)
         np.testing.assert_allclose(dist.tau.sigma_x, math.sqrt(5.0 / 3.0))
+
+
+class TestStudentTFarTail:
+    def test_logpdf_finite_where_t_squared_overflows(self):
+        d = StudentT(5.0, mu=0.5, scale=2.0)
+        x = np.array([1e300, -1e300, 1e200, -3e154, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = d.logpdf(x)
+            scalar = d.logpdf(1e300)
+        t = (x - 0.5) / 2.0
+        nu = 5.0
+        log_norm = (math.lgamma(3.0) - math.lgamma(2.5)
+                    - 0.5 * math.log(nu * math.pi) - math.log(2.0))
+        closed = log_norm - 0.5 * (nu + 1.0) * (2.0 * np.log(np.abs(t)) - math.log(nu))
+        np.testing.assert_allclose(ours, closed, rtol=1e-14)
+        assert type(scalar) is np.float64 and scalar == ours[0]
+
+    def test_infinite_and_nan_arguments(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = StudentT(5.0).logpdf(np.array([np.inf, -np.inf, np.nan, 0.0]))
+        assert out[0] == out[1] == -np.inf
+        assert np.isnan(out[2]) and np.isfinite(out[3])
+
+    def test_finite_range_unchanged(self):
+        # Where t*t/nu is finite the value is the one-line formula, bit for bit.
+        d = StudentT(7.0, mu=-1.0, scale=0.5)
+        x = np.concatenate([np.linspace(-50, 50, 1001), [1e150, -1e150, 0.0, -0.0]])
+        t = (x + 1.0) / 0.5
+        log_norm = (math.lgamma(4.0) - math.lgamma(3.5)
+                    - 0.5 * math.log(7.0 * math.pi) - math.log(0.5))
+        assert_bitwise(d.logpdf(x), log_norm - 4.0 * np.log1p(t * t / 7.0))
+
+
+class TestOneWPerPoint:
+    """Each density, cdf and likelihood call evaluates W once per point."""
+
+    @pytest.fixture
+    def w_elements(self, monkeypatch):
+        seen = []
+        original = transform.lambert_w0
+
+        def counting(x, config=None):
+            seen.append(np.size(x))
+            return original(x, config)
+
+        monkeypatch.setattr(transform, "lambert_w0", counting)
+        return seen
+
+    @pytest.mark.parametrize("delta", [1 / 3, (0.1, 0.5)], ids=["h", "hh"])
+    @pytest.mark.parametrize("call", ["pdf", "logpdf", "cdf", "w_tau", "loglik"])
+    def test_n_elements(self, w_elements, delta, call):
+        dist = LambertWDist(Gaussian(0.3, 1.2), delta)
+        y = rlambertw(500, dist, seed=4)
+        assert (y <= 0.3).any() and (y > 0.3).any()
+        calls = {
+            "pdf": lambda: dist.pdf(y),
+            "logpdf": lambda: dist.logpdf(y),
+            "cdf": lambda: dist.cdf(y),
+            "w_tau": lambda: w_tau(y, dist.tau),
+            "loglik": lambda: loglik(y, dist),
+        }
+        w_elements.clear()
+        calls[call]()
+        assert sum(w_elements) == y.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    delta=hst.one_of(hst.just(0.0), hst.floats(1e-6, 3.0)),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_equal_tails_bit_identical_to_h(delta, seed):
+    h = LambertWDist(Gaussian(0.4, 1.7), delta)
+    hh = LambertWDist(Gaussian(0.4, 1.7), (delta, delta))
+    y = np.concatenate([rlambertw(200, h, seed=seed), [0.4, -1e200, 1e200]])
+    p = np.linspace(0.01, 0.99, 21)
+    # At delta = 0 the Gaussian density of +-1e200 underflows through an
+    # overflowing square; the comparison is about the values.
+    with np.errstate(over="ignore"):
+        for method, arg in (("pdf", y), ("logpdf", y), ("cdf", y), ("quantile", p)):
+            assert_bitwise(getattr(hh, method)(arg), getattr(h, method)(arg))
+    assert_bitwise(w_tau(y, hh.tau), w_tau(y, h.tau))
+    assert_bitwise(h_tau(y[:200], hh.tau), h_tau(y[:200], h.tau))
+    assert loglik(y[:200], hh) == loglik(y[:200], h)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from heavytail import (
+    ConvergenceError,
     DataError,
     DomainError,
     Gaussian,
@@ -433,6 +434,17 @@ class TestMleJoint:
         y = make_sample(0.1, 400, seed=77)
         r = mle_joint(y, start={"mu_x": 0.0, "sigma_x": 1.0, "delta": 0.1})
         assert r.converged
+
+    @pytest.mark.parametrize("family", ["gaussian", "student-t"])
+    def test_search_leaving_parameter_space(self, family):
+        # One point at 1e200 makes the sample scale infinite, so no point of
+        # the search is a valid model: a numerical failure, not a bad
+        # argument.
+        y = make_sample(0.2, 200, seed=1)
+        y[0] = 1e200
+        with np.errstate(all="ignore"):
+            with pytest.raises(ConvergenceError, match="left the parameter space"):
+                mle_joint(y, family=family)
 
 
 class TestSampleMoments:

@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy import special as sp
 
 from heavytail import (
     BRANCH_POINT,
     ConvergenceError,
     DomainError,
+    Gaussian,
+    LambertWDist,
     SolverConfig,
     lambert_w0,
     lambert_w0_prime,
+    rlambertw,
 )
 
 
@@ -135,3 +141,109 @@ class TestShapes:
     def test_array_in_array_out(self):
         out = lambert_w0(np.array([0.5, 1.0, 2.0]))
         assert isinstance(out, np.ndarray) and out.shape == (3,)
+
+
+def ulp_distance(w, ref):
+    """|w - ref| in units of the spacing of doubles at ``ref``."""
+    return np.abs(w - ref) / np.spacing(np.abs(ref))
+
+
+class TestAccuracy:
+    # scipy.special.lambertw is an independent implementation, used here
+    # as the reference value.
+    def test_within_4_ulp_on_logspace(self):
+        x = np.logspace(-320, 300, 6001)
+        assert ulp_distance(lambert_w0(x), sp.lambertw(x).real).max() <= 4.0
+
+    @pytest.mark.parametrize("delta", [0.1, 1 / 3, 1.0])
+    def test_within_4_ulp_on_transform_arguments(self, delta):
+        y = rlambertw(20000, LambertWDist(Gaussian(0.0, 1.0), delta), seed=5)
+        arg = delta * y * y
+        arg = arg[arg > 0.0]
+        assert ulp_distance(lambert_w0(arg), sp.lambertw(arg).real).max() <= 4.0
+
+
+_TOL = SolverConfig().abs_tol
+
+# Every double at or above the branch point (subnormals, both zeros, the
+# largest finite value and +inf included), the clamp band below it, and NaN.
+_ARGS = hst.one_of(
+    hst.floats(min_value=BRANCH_POINT),
+    hst.floats(min_value=BRANCH_POINT - 0.5 * _TOL, max_value=BRANCH_POINT),
+    hst.sampled_from(
+        [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7e308,
+         1.7976931348623157e308, math.inf, math.nan]
+    ),
+)
+
+
+def _error_bound(x, w):
+    """Largest error in ``w`` that the residual bound allows.
+
+    A residual of ``tol * max(1, |x|)`` moves ``w`` by at most that much
+    over the slope ``exp(w) (1 + w)`` of ``w exp(w)``, plus a few ulp of
+    rounding; the bound is infinite at the branch point itself.
+    """
+    with np.errstate(all="ignore"):
+        slope = np.exp(w) * (1.0 + w)
+        bound = _TOL * np.maximum(1.0, np.abs(x)) / slope
+    bound = np.where(slope > 0.0, bound, np.inf)
+    return bound + 4.0 * np.spacing(np.abs(w))
+
+
+def _identity_or_step(x: float, w: float) -> bool:
+    """The residual bound holds, or ``w`` is within 4 ulp-steps of the root.
+
+    The second form is the loop's stopping rule for arguments whose
+    residual is finer than one ulp of ``w``; it is checked on the log
+    scale, ``v + log(v) - log(x)``, which changes sign at the root and
+    cannot overflow.
+    """
+    resid = abs(w * math.exp(w) - x) if w < 709.0 else math.inf
+    if resid <= _TOL * max(1.0, abs(x)):
+        return True
+    if x <= math.e:
+        return False
+    step = 4.0 * np.finfo(float).eps * (1.0 + abs(w))
+    g = lambda v: v + math.log(v) - math.log(x)
+    return g(w - step) <= 0.0 <= g(w + step)
+
+
+class TestWholeFloatRange:
+    @settings(max_examples=400, deadline=None)
+    @given(x=_ARGS)
+    def test_pointwise_contract(self, x):
+        w = lambert_w0(x)
+        assert type(w) is float
+        if math.isnan(x):
+            assert math.isnan(w)
+        elif x == math.inf:
+            assert w == math.inf
+        else:
+            assert w >= -1.0
+            assert _identity_or_step(x, w), (x, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=hst.lists(hst.one_of(
+        hst.floats(min_value=BRANCH_POINT, max_value=1.7e308),
+        hst.floats(min_value=BRANCH_POINT - 0.5 * _TOL, max_value=BRANCH_POINT),
+    ), min_size=2, max_size=50))
+    def test_monotone_on_sorted_input(self, xs):
+        # Monotone up to the accuracy of each value: two arguments one ulp
+        # apart may come back one or two ulp out of order.
+        x = np.sort(np.array(xs))
+        w = lambert_w0(x)
+        slack = _error_bound(x, w)
+        assert np.all(w[1:] >= w[:-1] - (slack[1:] + slack[:-1]))
+
+    def test_array_of_the_whole_range(self):
+        x = np.array([-0.0, 0.0, 5e-324, 1e-310, BRANCH_POINT, 1e-300, 1.0,
+                      1e22, 1e60, 1e300, 1.7e308, 1.7976931348623157e308,
+                      math.inf, math.nan])
+        w = lambert_w0(x)
+        for xi, wi in zip(x.tolist(), w.tolist()):
+            if math.isnan(xi):
+                assert math.isnan(wi)
+                continue
+            assert wi == lambert_w0(xi)
+            assert (wi == math.inf) if xi == math.inf else _identity_or_step(xi, wi)

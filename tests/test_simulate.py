@@ -289,3 +289,24 @@ class TestCauchyDemo:
         monkeypatch.setattr(simulate, "mle_joint", broken)
         with pytest.raises(TypeError):
             cauchy_demo(20, seed=1)
+
+
+class TestStudyErrors:
+    PLAN = StudyPlan(sample_sizes=(50,), delta_values=(0.1,), replications=2,
+                     estimators=("igmm",), seed=3)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(name, y):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(simulate, "_estimate_once", broken)
+        with pytest.raises(TypeError):
+            run_study(self.PLAN)
+
+    def test_fit_failures_redraw_then_fail_the_cell(self, monkeypatch):
+        def failing(name, y):
+            raise ConvergenceError("no optimum")
+
+        monkeypatch.setattr(simulate, "_estimate_once", failing)
+        rows = run_study(self.PLAN).rows
+        assert [r.parameter for r in rows] == ["failed"]

@@ -1,13 +1,30 @@
-"""Shared test oracles."""
+"""Shared test oracles and helpers."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 from scipy import stats as st
 
+import heavytail
 from heavytail import LambertWDist, TailParams, h_tau, w_delta
 from heavytail.transform import w_of_delta_z_sq
+
+
+def child_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH.
+
+    Subprocesses get it so that they run the package under test, however
+    pytest itself found it.
+    """
+    src_dir = Path(heavytail.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src_dir), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def normalization_by_substitution(dist: LambertWDist, p_tail: float = 1e-10) -> float:
