@@ -24,7 +24,6 @@ from .distributions import (
 )
 from .estimation import (
     FitResult,
-    IGMMConfig,
     LoglikParts,
     delta_gmm,
     grad_delta,
@@ -45,7 +44,7 @@ from .exceptions import (
     SeriesParseError,
 )
 from .gaussianize import Gaussianizer
-from .lambertw import BRANCH_POINT, SolverConfig, lambert_w0, lambert_w0_prime
+from .lambertw import BRANCH_POINT, lambert_w0, lambert_w0_prime
 from .normality import anderson_darling
 from .simulate import (
     CauchyDemo,
@@ -81,13 +80,11 @@ __all__ = [
     "Gaussian",
     "Gaussianizer",
     "HeavytailError",
-    "IGMMConfig",
     "LambertWDist",
     "LoglikParts",
     "NotFittedError",
     "ReplicationTable",
     "SeriesParseError",
-    "SolverConfig",
     "StudentT",
     "StudyPlan",
     "TailParams",

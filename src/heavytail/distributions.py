@@ -153,7 +153,9 @@ class Gaussian(_Family):
 
     def logpdf(self, x):
         u = (np.asarray(x, dtype=float) - self.mu) / self.sigma
-        return -0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
+        # |u| above about 1e154 squares to inf: log density -inf, density 0.
+        with np.errstate(over="ignore"):
+            return -0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))

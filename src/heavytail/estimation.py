@@ -48,7 +48,6 @@ from .transform import TailParams, _dispatch_sides, w_delta, w_of_delta_z_sq
 __all__ = [
     "LoglikParts",
     "FitResult",
-    "IGMMConfig",
     "SampleMoments",
     "sample_moments",
     "loglik",
@@ -83,27 +82,12 @@ class GMMDelta(NamedTuple):
     at_upper_bound: bool
 
 
-@dataclass(frozen=True)
-class IGMMConfig:
-    """Stopping rule and search region for the iterative moment estimator.
-
-    Convergence is declared when the Euclidean norm of the change in the
-    raw parameter vector drops to ``tol``; the tail search is restricted
-    to ``delta_bounds``.
-    """
-
-    tol: float = 1.22e-4
-    delta_bounds: tuple[float, float] = (0.0, 10.0)
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
-        lo, hi = self.delta_bounds
-        if not (0.0 <= lo < hi):
-            raise DomainError("delta_bounds must be ordered and nonnegative")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
+# IGMM stopping rule and search region: the loop stops when the Euclidean
+# norm of the change in the raw parameter vector drops to _IGMM_TOL, or
+# after _IGMM_MAX_ITERATIONS updates; tail estimates stay in _DELTA_BOUNDS.
+_IGMM_TOL = 1.22e-4
+_IGMM_MAX_ITERATIONS = 100
+_DELTA_BOUNDS = (0.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -156,20 +140,13 @@ def _check_series(data, min_n: int = 1) -> np.ndarray:
 def _central_moment_stats(x: np.ndarray) -> tuple[float, float]:
     """(skewness, kurtosis) as standardized central moments m3/m2^1.5, m4/m2^2."""
     c = x - x.mean()
-    m2 = np.mean(c * c)
+    c2 = c * c
+    m2 = np.mean(c2)
     if m2 == 0.0:
         raise DataError("degenerate data: zero variance")
-    m3 = np.mean(c**3)
-    m4 = np.mean(c**4)
+    m3 = np.mean(c2 * c)
+    m4 = np.mean(c2 * c2)
     return float(m3 / m2**1.5), float(m4 / (m2 * m2))
-
-
-def _kurtosis(x: np.ndarray) -> float:
-    c = x - x.mean()
-    m2 = np.mean(c * c)
-    if m2 == 0.0:
-        raise DataError("degenerate data: zero variance")
-    return float(np.mean(c**4) / (m2 * m2))
 
 
 def sample_moments(data) -> SampleMoments:
@@ -330,15 +307,11 @@ def taylor_delta(sample_kurtosis: float) -> float:
     return max((math.sqrt(disc) - 6.0) / 66.0, 0.0)
 
 
-def delta_gmm(
-    z_data,
-    target_kurtosis: float = 3.0,
-    delta_bounds: tuple[float, float] = (0.0, 10.0),
-) -> GMMDelta:
+def delta_gmm(z_data) -> GMMDelta:
     """Tail parameter minimizing the kurtosis mismatch of back-transformed data.
 
-    For standardized data ``z`` this finds ``delta`` in ``delta_bounds``
-    with ``kurtosis(w_delta(z, delta))`` equal to ``target_kurtosis``.
+    For standardized data ``z`` this finds ``delta`` in [0, 10] with
+    ``kurtosis(w_delta(z, delta))`` equal to 3, the Gaussian value.
     Back-transforming shrinks kurtosis monotonically, so when the data
     kurtosis exceeds the target the match is a root-finding problem (solved
     by Brent bracketing to machine width); when it does not, the mismatch
@@ -346,10 +319,10 @@ def delta_gmm(
     the upper bound is flagged.
     """
     z = _check_series(z_data, min_n=4)
-    lo, hi = delta_bounds
+    lo, hi = _DELTA_BOUNDS
 
     def mismatch(delta: float) -> float:
-        return _kurtosis(w_delta(z, delta)) - target_kurtosis
+        return _central_moment_stats(w_delta(z, delta))[1] - 3.0
 
     f_lo = mismatch(lo)
     if f_lo <= 0.0:
@@ -362,11 +335,7 @@ def delta_gmm(
     return GMMDelta(float(root), False)
 
 
-def _delta2_gmm(
-    z: np.ndarray,
-    delta_bounds: tuple[float, float],
-    start: tuple[float, float],
-) -> GMMDelta:
+def _delta2_gmm(z: np.ndarray, start: tuple[float, float]) -> GMMDelta:
     """Two-tail inner step: match skewness and kurtosis of the input.
 
     A single kurtosis condition cannot identify two tail parameters, so
@@ -375,7 +344,7 @@ def _delta2_gmm(
     Parametrized as delta = t^2 so the boundary delta = 0 stays reachable
     by the simplex search.
     """
-    lo, hi = delta_bounds
+    lo, hi = _DELTA_BOUNDS
     left = z <= 0.0
     right = ~left
     z_left, z_right = z[left], z[right]
@@ -406,19 +375,18 @@ def _delta2_gmm(
     return GMMDelta((dl, dr), bool(max(dl, dr) >= hi))
 
 
-def _igmm(data, config: IGMMConfig | None, step, double_tail: bool) -> FitResult:
+def _igmm(data, step, double_tail: bool) -> FitResult:
     """The IGMM loop shared by :func:`igmm` and :func:`igmm_double_tail`.
 
     Starts from the median, the kurtosis-matched tail and the deflated
     scale; each iteration updates the tail by
-    ``step(z, delta_bounds, delta) -> GMMDelta``.
+    ``step(z, delta) -> GMMDelta``.
     """
-    cfg = config or IGMMConfig()
     y = _check_series(data, min_n=10)
     if np.std(y, ddof=1) == 0.0:
         raise DataError("degenerate data: zero variance")
 
-    delta0 = min(taylor_delta(_kurtosis(y)), cfg.delta_bounds[1])
+    delta0 = min(taylor_delta(_central_moment_stats(y)[1]), _DELTA_BOUNDS[1])
     vf = variance_factor(min(delta0, 0.499)) or 1.0
     mu, sigma = float(np.median(y)), float(np.std(y, ddof=1)) / vf
     delta = (delta0, delta0) if double_tail else delta0
@@ -427,13 +395,13 @@ def _igmm(data, config: IGMMConfig | None, step, double_tail: bool) -> FitResult
     at_bound = False
     iterations = 0
     converged = False
-    while iterations < cfg.max_iterations:
-        if np.linalg.norm(tau_vec - prev) <= cfg.tol:
+    while iterations < _IGMM_MAX_ITERATIONS:
+        if np.linalg.norm(tau_vec - prev) <= _IGMM_TOL:
             converged = True
             break
         iterations += 1
         z = (y - mu) / sigma
-        delta, at_bound = step(z, cfg.delta_bounds, delta)
+        delta, at_bound = step(z, delta)
         x = _dispatch_sides(w_delta, z, TailParams(0.0, 1.0, delta)) * sigma + mu
         mu = float(np.mean(x))
         sigma = float(np.std(x, ddof=1))
@@ -462,25 +430,26 @@ def _igmm(data, config: IGMMConfig | None, step, double_tail: bool) -> FitResult
     )
 
 
-def igmm(data, config: IGMMConfig | None = None) -> FitResult:
+def igmm(data) -> FitResult:
     """Iterative generalized method of moments for (mu_x, sigma_x, delta).
 
     Alternates: standardize with the current location/scale, match the
     input kurtosis by :func:`delta_gmm`, back-transform, and refresh
     location/scale from the back-transformed sample (mean and unbiased
     standard deviation), until the Euclidean change of the parameter
-    vector drops to ``config.tol``.  A tail estimate at 0 is flagged
-    ``delta_lower``, one at the upper search bound ``delta_upper``.
+    vector drops to 1.22e-4, or for at most 100 updates.  The tail search
+    runs over [0, 10]; a tail estimate at 0 is flagged ``delta_lower``, one
+    at the upper bound 10 ``delta_upper``.
     """
-    return _igmm(data, config, lambda z, bounds, _: delta_gmm(z, 3.0, bounds), False)
+    return _igmm(data, lambda z, _: delta_gmm(z), False)
 
 
-def igmm_double_tail(data, config: IGMMConfig | None = None) -> FitResult:
+def igmm_double_tail(data) -> FitResult:
     """Double-tail variant of :func:`igmm` with a 2-D inner moment match.
 
     ``delta_lower`` is flagged when either tail estimate is 0.
     """
-    return _igmm(data, config, _delta2_gmm, True)
+    return _igmm(data, _delta2_gmm, True)
 
 
 _NU_CAP = 1e6
@@ -530,10 +499,12 @@ def _unpack(names, p: np.ndarray) -> list:
 
 
 def _default_start(y: np.ndarray, names) -> dict[str, float]:
-    g2 = _kurtosis(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2 = _central_moment_stats(y)[1]
+        sd = float(np.std(y, ddof=1))
     delta0 = max(taylor_delta(g2), 1e-3)
     vf = variance_factor(min(delta0, 0.499)) or 1.0
-    sigma0 = max(float(np.std(y, ddof=1)) / vf, 1e-12)
+    sigma0 = max(sd / vf, 1e-12)
     start = {"mu_x": float(np.median(y)), "sigma_x": sigma0}
     start.update({name: delta0 for name in names if name.startswith("delta")})
     if "nu" in names:
@@ -543,6 +514,10 @@ def _default_start(y: np.ndarray, names) -> dict[str, float]:
         start["delta"] = max(delta0 / 2.0, 1e-3)
         start["sigma_x"] = sigma0 / math.sqrt(start["nu"] / (start["nu"] - 2.0))
     return start
+
+
+# Perturbed Nelder-Mead restarts after a search that does not converge.
+_MAX_RESTARTS = 2
 
 
 def _neg_loglik(y: np.ndarray, build, theta) -> float:
@@ -559,21 +534,24 @@ def mle_joint(
     family: str = "gaussian",
     tail: str = "h",
     start: dict[str, float] | None = None,
-    max_restarts: int = 2,
 ) -> FitResult:
     """Joint maximum likelihood over location, scale and tail parameters.
 
     Maximizes the total log-likelihood by Nelder-Mead on the reparametrized
     vector (mu, log sigma, log delta [, log delta_r][, log (nu-2)]); points
     with non-finite likelihood are rejected inside the search, and the
-    optimizer is restarted from a perturbed simplex when it fails to
-    converge.  Standard errors come from the central-difference Hessian of
+    optimizer is restarted (at most twice) from a perturbed simplex when it
+    fails to converge.  Standard errors come from the central-difference Hessian of
     the negative log-likelihood at the optimum (step ``max(1e-4,
     1e-4 |param|)``), pseudo-inverted with a condition-number guard; a
     tail estimate at 0 is held fixed there and gets a NaN standard error.
     """
     y = _check_series(data, min_n=10)
-    if np.std(y, ddof=1) == 0.0:
+    # A point near the float maximum overflows the sample moments; the
+    # search below then fails with a ConvergenceError that says so.
+    with np.errstate(over="ignore", invalid="ignore"):
+        degenerate = np.std(y, ddof=1) == 0.0
+    if degenerate:
         raise DataError("degenerate data: zero variance")
     try:
         names, build, read = _MODELS[(family, tail)]
@@ -598,7 +576,7 @@ def mle_joint(
 
     best = None
     iterations = 0
-    for attempt in range(max_restarts + 1):
+    for attempt in range(_MAX_RESTARTS + 1):
         res = optimize.minimize(
             neg_loglik,
             p0,

@@ -18,39 +18,23 @@ the largest representable arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
 
-__all__ = ["SolverConfig", "BRANCH_POINT", "lambert_w0", "lambert_w0_prime"]
+__all__ = ["BRANCH_POINT", "lambert_w0", "lambert_w0_prime"]
 
 #: Location of the branch point -1/e where W0 equals -1.
 BRANCH_POINT = -np.exp(-1.0)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Stopping rule for the Lambert W evaluation.
-
-    ``abs_tol`` bounds the residual of the defining identity relative to
-    ``max(1, |x|)``; it also sets the width of the clamp band below the
-    branch point inside which arguments are snapped to ``-1/e`` (round
-    trips through the tail transform can land epsilon outside the domain).
-    """
-
-    abs_tol: float = 1e-14
-    max_iter: int = 64
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise DomainError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-
-
-_DEFAULT = SolverConfig()
+# Stopping rule: the residual of the defining identity, relative to
+# max(1, |x|), must reach _ABS_TOL; the same width sets the clamp band below
+# the branch point inside which arguments are snapped to -1/e (round trips
+# through the tail transform can land epsilon outside the domain).  The
+# Halley loop and the log-scale Newton iteration stop after _MAX_ITER steps.
+_ABS_TOL = 1e-14
+_MAX_ITER = 64
 
 
 def _initial_guess(x: np.ndarray) -> np.ndarray:
@@ -80,13 +64,13 @@ def _initial_guess(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _fast_path(x: np.ndarray, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _fast_path(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """W0 by two fixed steps over the whole array, plus the residual check.
 
     Winitzki's start ``L (1 - log1p(L) / (2 + L))`` with ``L = log1p(x)``,
     one Fritsch step (Fritsch, Shafer & Crowley 1973) and one Halley step.
     No masks: every element takes the same arithmetic.  Returns ``w`` and
-    the mask of points whose residual meets ``abs_tol``; the others (NaN,
+    the mask of points whose residual meets ``_ABS_TOL``; the others (NaN,
     inf, 0, arguments near the branch point, and arguments so large that
     the residual is finer than one ulp of ``w``) are left to the loop.
     """
@@ -106,16 +90,16 @@ def _fast_path(x: np.ndarray, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
         np.maximum(w, -1.0, out=w)
 
         # x >= -1/e here, so max(1, |x|) is max(1, x).
-        ok = np.abs(w * np.exp(w) - x) <= abs_tol * np.maximum(x, 1.0)
+        ok = np.abs(w * np.exp(w) - x) <= _ABS_TOL * np.maximum(x, 1.0)
     return w, ok
 
 
-def _halley(z: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _halley(z: np.ndarray) -> np.ndarray:
     """Masked Halley iteration from :func:`_initial_guess`, for any ``z >= -1/e``.
 
-    A point stops when its residual meets ``abs_tol`` or its step falls
+    A point stops when its residual meets ``_ABS_TOL`` or its step falls
     below float resolution; NaN and inf pass through.  Raises
-    :class:`ConvergenceError` when ``max_iter`` runs out first.
+    :class:`ConvergenceError` when ``_MAX_ITER`` steps run out first.
     """
     nan_mask = np.isnan(z)
     inf_mask = np.isinf(z)
@@ -123,10 +107,10 @@ def _halley(z: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     w[inf_mask] = np.inf
     w[nan_mask] = np.nan
 
-    tol = cfg.abs_tol * np.maximum(1.0, np.abs(z))
+    tol = _ABS_TOL * np.maximum(1.0, np.abs(z))
     done = nan_mask | inf_mask
     eps = np.finfo(float).eps
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             done = done | (np.abs(w * np.exp(w) - z) <= tol)
             if done.all():
@@ -146,34 +130,31 @@ def _halley(z: np.ndarray, cfg: SolverConfig) -> np.ndarray:
             break
     else:
         raise ConvergenceError(
-            f"lambert_w0 did not reach tolerance {cfg.abs_tol} "
-            f"within {cfg.max_iter} iterations"
+            f"lambert_w0 did not reach tolerance {_ABS_TOL} "
+            f"within {_MAX_ITER} iterations"
         )
     return w
 
 
-def lambert_w0(x, config: SolverConfig | None = None):
+def lambert_w0(x):
     """Evaluate the principal branch W0 at ``x``.
 
-    When ``max_iter`` allows two steps, every point first takes the two
-    fixed steps of the fast path; points whose residual then misses
-    ``abs_tol`` are solved again from scratch by the masked Halley loop,
-    with the full ``max_iter`` budget.  With ``max_iter < 2`` every point
-    goes to the loop.
+    Every point first takes the two fixed steps of the fast path; points
+    whose residual then misses the tolerance (1e-14 relative to
+    ``max(1, |x|)``) are solved again from scratch by the masked Halley
+    loop, with a budget of 64 steps.
 
     Parameters
     ----------
     x : float or array_like
-        Argument(s), each ``>= -1/e``.  Values within ``abs_tol`` below the
-        branch point are clamped to it; values further below raise
+        Argument(s), each ``>= -1/e``.  Values within the tolerance below
+        the branch point are clamped to it; values further below raise
         :class:`DomainError`.  ``+inf`` maps to ``+inf``, NaN propagates.
-    config : SolverConfig, optional
-        Tolerance and iteration budget.
 
     Returns
     -------
     float or numpy.ndarray
-        ``w >= -1`` with ``|w * exp(w) - x| <= abs_tol * max(1, |x|)``, or,
+        ``w >= -1`` with ``|w * exp(w) - x| <= 1e-14 * max(1, |x|)``, or,
         where that residual is finer than float resolution, the point at
         which the Halley step falls below one ulp of ``w``.
 
@@ -182,47 +163,42 @@ def lambert_w0(x, config: SolverConfig | None = None):
     DomainError
         If any argument lies below the branch point beyond the clamp band.
     ConvergenceError
-        If the Halley loop exhausts ``max_iter`` (never returns a silently
+        If the Halley loop exhausts its budget (never returns a silently
         unconverged value).
     """
-    cfg = config if config is not None else _DEFAULT
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     z = np.atleast_1d(arr)
 
-    if (z < BRANCH_POINT - cfg.abs_tol).any():
+    if (z < BRANCH_POINT - _ABS_TOL).any():
         bad = float(np.nanmin(z))
         raise DomainError(
             f"lambert_w0 argument {bad!r} below the branch point -1/e"
         )
     z = np.maximum(z, BRANCH_POINT)
 
-    if cfg.max_iter < 2:
-        w = _halley(z, cfg)
-    else:
-        w, ok = _fast_path(z, cfg.abs_tol)
-        if not ok.all():
-            redo = ~ok
-            w[redo] = _halley(z[redo], cfg)
+    w, ok = _fast_path(z)
+    if not ok.all():
+        redo = ~ok
+        w[redo] = _halley(z[redo])
 
     return float(w[0]) if scalar else w
 
 
-def _w0_from_log(log_x, config: SolverConfig | None = None):
+def _w0_from_log(log_x):
     """W0(exp(log_x)) for large ``log_x``, without forming ``exp(log_x)``.
 
     Solves ``w + log(w) = log_x`` by Newton steps.  Intended for arguments
     whose direct representation would overflow (``log_x`` of a few hundred
     and up); callers pass e.g. ``log(delta) + 2*log(|z|)``.
     """
-    cfg = config if config is not None else _DEFAULT
     lx = np.asarray(log_x, dtype=float)
     scalar = lx.ndim == 0
     lx = np.atleast_1d(lx)
     w = lx - np.log(lx)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         g = w + np.log(w) - lx
-        if np.all(np.abs(g) <= cfg.abs_tol * np.maximum(1.0, np.abs(lx))):
+        if np.all(np.abs(g) <= _ABS_TOL * np.maximum(1.0, np.abs(lx))):
             break
         w = w - g * w / (w + 1.0)
     else:
@@ -230,7 +206,7 @@ def _w0_from_log(log_x, config: SolverConfig | None = None):
     return float(w[0]) if scalar else w
 
 
-def lambert_w0_prime(x, config: SolverConfig | None = None):
+def lambert_w0_prime(x):
     """Derivative of W0, ``W(x) / (x * (1 + W(x)))``.
 
     Equals 1 at ``x = 0`` (the limit) and is singular at the branch point,
@@ -242,7 +218,7 @@ def lambert_w0_prime(x, config: SolverConfig | None = None):
     valid = ~np.isnan(z)
     if np.any(z[valid] <= BRANCH_POINT):
         raise DomainError("lambert_w0_prime is singular at and below -1/e")
-    w = np.atleast_1d(lambert_w0(z, config))
+    w = np.atleast_1d(lambert_w0(z))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(z == 0.0, 1.0, w / (z * (1.0 + w)))
     return float(out[0]) if scalar else out

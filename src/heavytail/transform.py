@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .lambertw import SolverConfig, _w0_from_log, lambert_w0
+from .lambertw import _w0_from_log, lambert_w0
 
 __all__ = [
     "TailParams",
@@ -101,7 +101,7 @@ def _ret(value: np.ndarray, scalar: bool):
 _OVERFLOW_ARG = 1e300
 
 
-def w_of_delta_z_sq(z, delta, config: SolverConfig | None = None):
+def w_of_delta_z_sq(z, delta):
     """W(delta * z^2), overflow-safe in z.
 
     This combination appears in every inverse-side formula; for huge ``z``
@@ -114,10 +114,10 @@ def w_of_delta_z_sq(z, delta, config: SolverConfig | None = None):
         return _ret(np.zeros_like(z), scalar)
     with np.errstate(over="ignore"):
         arg = delta * z * z
-    return _ret(np.asarray(_w_of_arg(arg, z, delta, config)), scalar)
+    return _ret(np.asarray(_w_of_arg(arg, z, delta)), scalar)
 
 
-def _w_of_arg(arg, z, delta: float, config: SolverConfig | None):
+def _w_of_arg(arg, z, delta: float):
     """W(arg) for ``arg = delta * z**2`` with ``delta > 0``.
 
     Where ``arg`` exceeds ``_OVERFLOW_ARG`` (or overflowed to inf), W is
@@ -125,22 +125,22 @@ def _w_of_arg(arg, z, delta: float, config: SolverConfig | None):
     """
     huge = arg > _OVERFLOW_ARG
     if not huge.any():
-        return lambert_w0(arg, config)
+        return lambert_w0(arg)
     out = np.empty_like(arg)
     safe = ~huge
     if safe.any():
-        out[safe] = lambert_w0(arg[safe], config)
+        out[safe] = lambert_w0(arg[safe])
     with np.errstate(divide="ignore"):
         log_arg = np.log(delta) + 2.0 * np.log(np.abs(z[huge]))
     finite = np.isfinite(log_arg)
     vals = np.full(log_arg.shape, np.inf)
     if finite.any():
-        vals[finite] = _w0_from_log(log_arg[finite], config)
+        vals[finite] = _w0_from_log(log_arg[finite])
     out[huge] = vals
     return out
 
 
-def _w_and_w_delta(z, delta, config: SolverConfig | None = None):
+def _w_and_w_delta(z, delta):
     """``(W(delta z^2), w_delta(z, delta))`` from one W evaluation.
 
     The inverse is ``z * sqrt(W(arg)/arg)`` with ``arg = delta * z**2``,
@@ -157,7 +157,7 @@ def _w_and_w_delta(z, delta, config: SolverConfig | None = None):
     z1 = np.atleast_1d(z)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         arg = delta * z1 * z1
-        wv = _w_of_arg(arg, z1, delta, config)
+        wv = _w_of_arg(arg, z1, delta)
         ratio = wv / arg
     u = z1 * np.sqrt(ratio)
     if not (ratio > 0.0).all():
@@ -186,14 +186,14 @@ def _h(u, delta):
         return u * np.exp(0.5 * delta * u * u)
 
 
-def w_delta(z, delta, config: SolverConfig | None = None):
+def w_delta(z, delta):
     """Inverse tail transform ``sgn(z) * sqrt(W(delta z^2) / delta)``.
 
     Exact inverse of :func:`h_delta`; sign preserving, with
     ``|w_delta(z, delta)| <= |z|`` and equality only for ``delta = 0`` or
     ``z = 0``.  Evaluated by :func:`_w_and_w_delta`.
     """
-    return _w_and_w_delta(z, delta, config)[1]
+    return _w_and_w_delta(z, delta)[1]
 
 
 def _dispatch_sides(func, v, tau: TailParams):
@@ -235,11 +235,12 @@ def h_tau(x, tau: TailParams):
     # The forward map is cheap: one pass with a per-point tail parameter
     # costs less than splitting the points by side.
     delta = np.where(u <= 0.0, *tau.delta) if tau.is_double else tau.delta
-    z = _h(u, delta)
-    return _ret(np.asarray(z * tau.sigma_x + tau.mu_x), scalar)
+    with np.errstate(over="ignore"):
+        z = _h(u, delta) * tau.sigma_x + tau.mu_x
+    return _ret(np.asarray(z), scalar)
 
 
-def w_tau(y, tau: TailParams, config: SolverConfig | None = None):
+def w_tau(y, tau: TailParams):
     """Location-scale inverse transform (the "Gaussianizing" map).
 
     Exact inverse of :func:`h_tau`: monotone increasing in ``y`` and fixing
@@ -247,11 +248,11 @@ def w_tau(y, tau: TailParams, config: SolverConfig | None = None):
     """
     y, scalar = _as_float_array(y)
     z = (y - tau.mu_x) / tau.sigma_x
-    u = _dispatch_sides(lambda v, d: w_delta(v, d, config), z, tau)
+    u = _dispatch_sides(w_delta, z, tau)
     return _ret(np.asarray(u * tau.sigma_x + tau.mu_x), scalar)
 
 
-def w_delta_dz(z, delta, config: SolverConfig | None = None):
+def w_delta_dz(z, delta):
     """d/dz of :func:`w_delta`: ``exp(-W(delta z^2)/2) / (1 + W(delta z^2))``.
 
     Strictly positive, equal to 1 at ``z = 0`` and identically 1 for
@@ -259,25 +260,25 @@ def w_delta_dz(z, delta, config: SolverConfig | None = None):
     transformed-data likelihood.
     """
     z, scalar = _as_float_array(z)
-    wv = np.atleast_1d(w_of_delta_z_sq(z, delta, config))
+    wv = np.atleast_1d(w_of_delta_z_sq(z, delta))
     out = (np.exp(-0.5 * wv) / (1.0 + wv)).reshape(np.shape(z))
     return _ret(out, scalar)
 
 
-def w_delta_sq_ddelta(z, delta, config: SolverConfig | None = None):
+def w_delta_sq_ddelta(z, delta):
     """d/d(delta) of ``w_delta(z)^2``: ``-w_delta(z)^4 / (1 + W(delta z^2))``.
 
     Always <= 0: increasing the tail parameter shrinks the back-transformed
     value toward zero.  At ``delta = 0`` this is the limit ``-z^4``.
     """
-    wv, wd = _w_and_w_delta(z, delta, config)
+    wv, wd = _w_and_w_delta(z, delta)
     return -(wd**4) / (1.0 + wv)
 
 
-def w_delta_ddelta(z, delta, config: SolverConfig | None = None):
+def w_delta_ddelta(z, delta):
     """d/d(delta) of :func:`w_delta`: ``-w_delta(z)^3 / (2 (1 + W(delta z^2)))``.
 
     Sign opposite to ``z``; the ``delta = 0`` limit is ``-z^3 / 2``.
     """
-    wv, wd = _w_and_w_delta(z, delta, config)
+    wv, wd = _w_and_w_delta(z, delta)
     return -0.5 * wd**3 / (1.0 + wv)

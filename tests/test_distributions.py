@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import integrate
 from scipy import stats as st
@@ -525,9 +525,9 @@ class TestOneWPerPoint:
         seen = []
         original = transform.lambert_w0
 
-        def counting(x, config=None):
+        def counting(x):
             seen.append(np.size(x))
-            return original(x, config)
+            return original(x)
 
         monkeypatch.setattr(transform, "lambert_w0", counting)
         return seen
@@ -555,16 +555,15 @@ class TestOneWPerPoint:
     delta=hst.one_of(hst.just(0.0), hst.floats(1e-6, 3.0)),
     seed=hst.integers(0, 2**32 - 1),
 )
+# h_tau's rescale of a far-tail point overflows here.
+@example(delta=1.766086482116188, seed=1_250_174_959)
 def test_equal_tails_bit_identical_to_h(delta, seed):
     h = LambertWDist(Gaussian(0.4, 1.7), delta)
     hh = LambertWDist(Gaussian(0.4, 1.7), (delta, delta))
     y = np.concatenate([rlambertw(200, h, seed=seed), [0.4, -1e200, 1e200]])
     p = np.linspace(0.01, 0.99, 21)
-    # At delta = 0 the Gaussian density of +-1e200 underflows through an
-    # overflowing square; the comparison is about the values.
-    with np.errstate(over="ignore"):
-        for method, arg in (("pdf", y), ("logpdf", y), ("cdf", y), ("quantile", p)):
-            assert_bitwise(getattr(hh, method)(arg), getattr(h, method)(arg))
+    for method, arg in (("pdf", y), ("logpdf", y), ("cdf", y), ("quantile", p)):
+        assert_bitwise(getattr(hh, method)(arg), getattr(h, method)(arg))
     assert_bitwise(w_tau(y, hh.tau), w_tau(y, h.tau))
     assert_bitwise(h_tau(y[:200], hh.tau), h_tau(y[:200], h.tau))
     assert loglik(y[:200], hh) == loglik(y[:200], h)

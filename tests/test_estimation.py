@@ -11,7 +11,6 @@ from heavytail import (
     DataError,
     DomainError,
     Gaussian,
-    IGMMConfig,
     LambertWDist,
     StudentT,
     TailParams,
@@ -31,6 +30,7 @@ from heavytail import (
     w_delta,
     w_tau,
 )
+from heavytail import estimation
 from heavytail.estimation import _MODELS, _NU_CAP, _pack, _unpack
 
 
@@ -216,10 +216,11 @@ class TestDeltaGMM:
         errs = np.asarray(errs)
         assert np.all(np.abs(errs) <= 0.1)
 
-    def test_upper_bound_tag(self):
+    def test_upper_bound_tag(self, monkeypatch):
         z = np.concatenate([np.full(50, 0.1), np.full(50, -0.1), [50.0, -50.0]])
         assert kurt(z) > 3.0
-        res = delta_gmm(z, delta_bounds=(0.0, 0.01))
+        monkeypatch.setattr(estimation, "_DELTA_BOUNDS", (0.0, 0.01))
+        res = delta_gmm(z)
         assert res.at_upper_bound and res.delta == 0.01
 
 
@@ -238,27 +239,26 @@ class TestIGMM:
         assert abs(r.tau.delta - 1 / 3) <= 0.1
 
     def test_stopping_rule_kurtosis(self):
-        cfg = IGMMConfig()
         y = make_sample(0.4, 2000, seed=57)
-        r = igmm(y, cfg)
+        r = igmm(y)
         x = w_tau(y, r.tau)
-        assert abs(kurt(x) - 3.0) <= 10 * cfg.tol
+        assert abs(kurt(x) - 3.0) <= 10 * estimation._IGMM_TOL
 
     def test_fixed_point(self):
-        cfg = IGMMConfig()
         y = make_sample(0.25, 1500, seed=58)
-        r = igmm(y, cfg)
+        r = igmm(y)
         mu, sigma, delta = r.tau.mu_x, r.tau.sigma_x, r.tau.delta
         # one more update step from the returned estimate moves it <= tol
         z = (y - mu) / sigma
-        d2 = delta_gmm(z, 3.0, cfg.delta_bounds).delta
+        d2 = delta_gmm(z).delta
         x = w_delta(z, d2) * sigma + mu
         moved = np.array([np.mean(x) - mu, np.std(x, ddof=1) - sigma, d2 - delta])
-        assert np.linalg.norm(moved) <= cfg.tol
+        assert np.linalg.norm(moved) <= estimation._IGMM_TOL
 
-    def test_non_convergence_flag(self):
+    def test_non_convergence_flag(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_IGMM_MAX_ITERATIONS", 1)
         y = make_sample(0.4, 500, seed=59)
-        r = igmm(y, IGMMConfig(max_iterations=1))
+        r = igmm(y)
         assert not r.converged
         assert r.iterations == 1
 
@@ -267,12 +267,6 @@ class TestIGMM:
             igmm(np.arange(5.0))
         with pytest.raises(DataError):
             igmm(np.ones(50))
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            IGMMConfig(tol=0.0)
-        with pytest.raises(DomainError):
-            IGMMConfig(delta_bounds=(3.0, 1.0))
 
 
 class TestIGMMDoubleTail:
@@ -442,9 +436,8 @@ class TestMleJoint:
         # argument.
         y = make_sample(0.2, 200, seed=1)
         y[0] = 1e200
-        with np.errstate(all="ignore"):
-            with pytest.raises(ConvergenceError, match="left the parameter space"):
-                mle_joint(y, family=family)
+        with pytest.raises(ConvergenceError, match="left the parameter space"):
+            mle_joint(y, family=family)
 
 
 class TestSampleMoments:
