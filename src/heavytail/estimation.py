@@ -14,8 +14,12 @@ of the gradient.
 Estimators provided here:
 
 * :func:`mle_delta_only`   -- tail parameter only, via the gradient root.
-* :func:`mle_joint`        -- (mu, sigma, delta[, delta_r][, nu]) by
-  Nelder-Mead on log-reparametrized coordinates.
+* :func:`mle_joint`        -- (mu, sigma, delta[, delta_r][, nu]).  Gaussian
+  input has a closed-form score and is searched by L-BFGS-B in the box
+  delta >= 0, which reaches the boundary delta = 0 exactly; its standard
+  errors come from differences of the score.  Student-t input is searched
+  by Nelder-Mead on log-reparametrized coordinates, with standard errors
+  from a likelihood Hessian.
 * :func:`igmm` / :func:`igmm_double_tail` -- iterative generalized method
   of moments: alternate a kurtosis-matching tail update with location and
   scale updates from the back-transformed sample until the parameter
@@ -31,19 +35,26 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import (
+    _LOG_SQRT_2PI,
     Gaussian,
     LambertWDist,
     StudentT,
     variance_factor,
 )
 from .exceptions import ConvergenceError, DataError, DomainError
-from .transform import TailParams, _dispatch_sides, w_delta, w_of_delta_z_sq
+from .transform import (
+    TailParams,
+    _dispatch_sides,
+    _w_and_w_delta,
+    w_delta,
+    w_of_delta_z_sq,
+)
 
 __all__ = [
     "LoglikParts",
@@ -96,10 +107,12 @@ class FitResult:
 
     ``loglik_total`` always equals ``loglik_input + loglik_penalty``;
     the penalty part is nonpositive and zero only when every fitted tail
-    parameter is zero.  ``std_errors`` comes from the inverse numeric
-    Hessian (NaN for a tail parameter estimated at 0) and is ``None`` for
-    moment-based fits.  ``boundary_hit`` flags estimates pinned at
-    ``delta = 0`` or at the upper search bound.
+    parameter is zero.  ``std_errors`` comes from the inverse observed
+    information, taken from differences of the analytic score (Gaussian
+    input) or of the likelihood (Student-t input); it is NaN for a tail
+    parameter estimated at 0 and ``None`` for moment-based fits.
+    ``boundary_hit`` flags estimates pinned at ``delta = 0`` or at the
+    upper search bound.
     """
 
     tau: TailParams
@@ -383,12 +396,19 @@ def _igmm(data, step, double_tail: bool) -> FitResult:
     ``step(z, delta) -> GMMDelta``.
     """
     y = _check_series(data, min_n=10)
-    if np.std(y, ddof=1) == 0.0:
-        raise DataError("degenerate data: zero variance")
-
-    delta0 = min(taylor_delta(_central_moment_stats(y)[1]), _DELTA_BOUNDS[1])
+    # A point near the float maximum overflows the start moments.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(y, ddof=1))
+        if sd == 0.0:
+            raise DataError("degenerate data: zero variance")
+        if not math.isfinite(sd):
+            raise DataError(
+                f"the sample scale of the data is not finite (sd = {sd}); "
+                "rescale the data"
+            )
+        delta0 = min(taylor_delta(_central_moment_stats(y)[1]), _DELTA_BOUNDS[1])
     vf = variance_factor(min(delta0, 0.499)) or 1.0
-    mu, sigma = float(np.median(y)), float(np.std(y, ddof=1)) / vf
+    mu, sigma = float(np.median(y)), sd / vf
     delta = (delta0, delta0) if double_tail else delta0
     tau_vec = np.hstack([mu, sigma, delta])
     prev = np.zeros_like(tau_vec)
@@ -475,9 +495,9 @@ _MODELS = {
     ),
 }
 
-# Per-name maps between theta and the unconstrained optimizer vector
-# (default: log scale), and the lower bounds seen by the Hessian stencil
-# (default: 0).  nu > 2 is searched as log(nu - 2), capped above.
+# Per-name maps between theta and the unconstrained Nelder-Mead vector
+# (default: log scale), and the lower bounds seen by the standard-error
+# stencils (default: 0).  nu > 2 is searched as log(nu - 2), capped above.
 _TO_OPTIMIZER = {"mu_x": lambda v: v, "nu": lambda v: math.log(v - 2.0)}
 _FROM_OPTIMIZER = {
     "mu_x": lambda p: p,
@@ -516,6 +536,56 @@ def _default_start(y: np.ndarray, names) -> dict[str, float]:
     return start
 
 
+def _gaussian_loglik_score(y: np.ndarray, theta) -> tuple[float, np.ndarray]:
+    """Gaussian-input log-likelihood and its score at natural ``theta``.
+
+    ``theta`` is (mu, sigma, delta) or (mu, sigma, delta_left,
+    delta_right); a point that is no valid model raises
+    :class:`DomainError`.  W is evaluated once per point, in the same pass
+    as the likelihood.  With ``W = W(delta z^2)`` and ``u^2 = z^2 exp(-W)``
+    each point contributes ``-u^2/2 - W/2 - log1p(W) - log sigma - log
+    sqrt(2 pi)``, whose derivatives are
+
+        d/dz     = -z exp(-W) (1 + delta (1 + 2/(1 + W))) / (1 + W),
+        d/ddelta = u^2 (u^2 - 1 - 2/(1 + W)) / (2 (1 + W)),
+
+    the latter ``z^4/2 - 3 z^2/2`` at delta = 0 (:func:`grad_delta`).
+    Location and scale follow by the chain rule through
+    ``z = (y - mu) / sigma``; with two tails each point's tail derivative
+    adds to the score of its own side.
+    """
+    tau = TailParams(theta[0], theta[1], theta[2] if len(theta) == 3 else tuple(theta[2:]))
+    sigma = tau.sigma_x
+    z = (y - tau.mu_x) / sigma
+    wv, u = _dispatch_sides(_w_and_w_delta, z, tau)
+    left = z <= 0.0
+    delta = np.where(left, *tau.delta) if tau.is_double else tau.delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        one_plus = 1.0 + wv
+        u_sq = u * u
+        total = float(np.sum(-0.5 * u_sq - 0.5 * wv - np.log1p(wv)))
+        total -= y.size * (math.log(sigma) + _LOG_SQRT_2PI)
+        factor = (1.0 + delta * (1.0 + 2.0 / one_plus)) / one_plus
+        # z exp(-W) is evaluated as u exp(-W/2), which cannot overflow.
+        d_z = -u * np.exp(-0.5 * wv) * factor
+        d_delta = u_sq * (u_sq - 1.0 - 2.0 / one_plus) / (2.0 * one_plus)
+        # d/dsigma = sum(d_z * -z) / sigma - n / sigma, with z d_z = -u^2 factor
+        score = [-np.sum(d_z) / sigma, (np.sum(u_sq * factor) - y.size) / sigma]
+    if tau.is_double:
+        score += [np.sum(d_delta[left]), np.sum(d_delta[~left])]
+    else:
+        score.append(np.sum(d_delta))
+    return total, np.array(score, dtype=float)
+
+
+# Models with an analytic score: searched by L-BFGS-B, with standard errors
+# from the score.  The other models are searched by Nelder-Mead, with
+# standard errors from a likelihood Hessian.
+_SCORES = {
+    ("gaussian", "h"): _gaussian_loglik_score,
+    ("gaussian", "hh"): _gaussian_loglik_score,
+}
+
 # Perturbed Nelder-Mead restarts after a search that does not converge.
 _MAX_RESTARTS = 2
 
@@ -529,36 +599,64 @@ def _neg_loglik(y: np.ndarray, build, theta) -> float:
     return -total if math.isfinite(total) else math.inf
 
 
-def mle_joint(
-    data,
-    family: str = "gaussian",
-    tail: str = "h",
-    start: dict[str, float] | None = None,
-) -> FitResult:
-    """Joint maximum likelihood over location, scale and tail parameters.
+def _left_parameter_space(family: str, which: str, point) -> ConvergenceError:
+    return ConvergenceError(
+        "the likelihood search left the parameter space on this data: "
+        f"its {which} point {point} gives no valid {family} model"
+    )
 
-    Maximizes the total log-likelihood by Nelder-Mead on the reparametrized
-    vector (mu, log sigma, log delta [, log delta_r][, log (nu-2)]); points
-    with non-finite likelihood are rejected inside the search, and the
-    optimizer is restarted (at most twice) from a perturbed simplex when it
-    fails to converge.  Standard errors come from the central-difference Hessian of
-    the negative log-likelihood at the optimum (step ``max(1e-4,
-    1e-4 |param|)``), pseudo-inverted with a condition-number guard; a
-    tail estimate at 0 is held fixed there and gets a NaN standard error.
+
+def _score_search(y, names, build, score, start, family):
+    """L-BFGS-B on (mu, log sigma, delta[, delta_r]) in the box delta >= 0.
+
+    The box reaches delta = 0 exactly.  Returns the optimum's
+    :class:`LambertWDist`, the iteration count and the convergence flag.
     """
-    y = _check_series(data, min_n=10)
-    # A point near the float maximum overflows the sample moments; the
-    # search below then fails with a ConvergenceError that says so.
-    with np.errstate(over="ignore", invalid="ignore"):
-        degenerate = np.std(y, ddof=1) == 0.0
-    if degenerate:
-        raise DataError("degenerate data: zero variance")
-    try:
-        names, build, read = _MODELS[(family, tail)]
-    except KeyError:
-        raise DomainError(
-            f"unsupported joint MLE model: family={family!r}, tail={tail!r}"
-        ) from None
+
+    def objective(p: np.ndarray):
+        try:
+            theta = [p[0], math.exp(p[1]), *p[2:]]
+            total, s = score(y, theta)
+        except (DomainError, OverflowError):
+            return math.inf, np.zeros_like(p)
+        s[1] *= theta[1]
+        if not (math.isfinite(total) and np.all(np.isfinite(s))):
+            return math.inf, np.zeros_like(p)
+        return -total, -s
+
+    def pack(values: dict[str, float]) -> np.ndarray:
+        p = np.array([values[n] for n in names], dtype=float)
+        p[1] = math.log(p[1])
+        return p
+
+    p0 = pack(start if start is not None else _default_start(y, names))
+    if not math.isfinite(objective(p0)[0]):
+        p0 = pack(_default_start(y, names))
+        if not math.isfinite(objective(p0)[0]):
+            raise _left_parameter_space(family, "start", p0.tolist())
+
+    from scipy import optimize
+
+    res = optimize.minimize(
+        objective,
+        p0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(None, None)] * 2 + [(0.0, None)] * (len(names) - 2),
+        options={"ftol": 1e-12, "gtol": 1e-7},
+    )
+    if not math.isfinite(res.fun):
+        raise _left_parameter_space(family, "best", res.x.tolist())
+    return build([res.x[0], math.exp(res.x[1]), *res.x[2:]]), int(res.nit), bool(res.success)
+
+
+def _simplex_search(y, names, build, start, family):
+    """Nelder-Mead on the log-reparametrized vector, with perturbed restarts.
+
+    Vanishing tail estimates are then resolved against 0 by
+    :func:`_refine_boundary`.  Returns the optimum's :class:`LambertWDist`,
+    the iteration count and the convergence flag.
+    """
 
     def build_from_optimizer(p: np.ndarray) -> LambertWDist:
         return build(_unpack(names, p))
@@ -594,20 +692,37 @@ def mle_joint(
     try:
         dist = build_from_optimizer(best.x)
     except (DomainError, OverflowError):
-        raise ConvergenceError(
-            "the likelihood search left the parameter space on this data: "
-            f"its best point {best.x.tolist()} gives no valid {family} model"
+        raise _left_parameter_space(family, "best", best.x.tolist()) from None
+    converged = bool(best.success and math.isfinite(best.fun))
+    return _refine_boundary(y, dist), iterations, converged
+
+
+def _mle_fit(
+    data, family: str, tail: str, start: dict[str, float] | None = None
+) -> FitResult:
+    """The search of :func:`mle_joint`: its result without standard errors."""
+    y = _check_series(data, min_n=10)
+    # A point near the float maximum overflows the sample moments; the
+    # search below then fails with a ConvergenceError that says so.
+    with np.errstate(over="ignore", invalid="ignore"):
+        degenerate = np.std(y, ddof=1) == 0.0
+    if degenerate:
+        raise DataError("degenerate data: zero variance")
+    try:
+        names, build, read = _MODELS[(family, tail)]
+    except KeyError:
+        raise DomainError(
+            f"unsupported joint MLE model: family={family!r}, tail={tail!r}"
         ) from None
-    dist = _refine_boundary(y, dist)
+
+    score = _SCORES.get((family, tail))
+    if score is None:
+        dist, iterations, converged = _simplex_search(y, names, build, start, family)
+    else:
+        dist, iterations, converged = _score_search(y, names, build, score, start, family)
     parts = loglik(y, dist)
     natural = read(dist)
-    theta = np.array(natural)
-    se = _hessian_std_errors(
-        lambda t: _neg_loglik(y, build, t),
-        theta,
-        np.array([_LOWER_BOUNDS.get(n, 0.0) for n in names]),
-    )
-    tau = TailParams(theta[0], theta[1], dist.delta)
+    tau = TailParams(natural[0], natural[1], dist.delta)
     boundary = None
     if min(tau.delta_left, tau.delta_right) == 0.0:
         boundary = "delta_lower"
@@ -619,12 +734,56 @@ def mle_joint(
         loglik_input=parts.input_part,
         loglik_penalty=parts.penalty_part,
         iterations=iterations,
-        converged=bool(best.success and math.isfinite(best.fun)),
+        converged=converged,
         input=dist.input,
-        std_errors=dict(zip(names, se)),
         boundary_hit=boundary,
         extra={n: v for n, v in zip(names, natural) if n not in _TAU_NAMES},
     )
+
+
+def _with_std_errors(y: np.ndarray, fit: FitResult) -> FitResult:
+    """``fit``, a result of :func:`_mle_fit` on ``y``, with standard errors."""
+    model = (fit.input.name, "hh" if fit.tau.is_double else "h")
+    names, build, _ = _MODELS[model]
+    theta = np.array([fit.params[n] for n in names])
+    lower = np.array([_LOWER_BOUNDS.get(n, 0.0) for n in names])
+    score = _SCORES.get(model)
+    if score is None:
+        se = _hessian_std_errors(lambda t: _neg_loglik(y, build, t), theta, lower)
+    else:
+        se = _score_std_errors(lambda t: score(y, t)[1], theta, lower)
+    return replace(fit, std_errors=dict(zip(names, se)))
+
+
+def mle_joint(
+    data,
+    family: str = "gaussian",
+    tail: str = "h",
+    start: dict[str, float] | None = None,
+) -> FitResult:
+    """Joint maximum likelihood over location, scale and tail parameters.
+
+    Gaussian input (``tail="h"`` or ``"hh"``) has a closed-form score.
+    Its negative log-likelihood is minimized by L-BFGS-B on (mu, log sigma,
+    delta[, delta_r]) in the box delta >= 0, which reaches delta = 0
+    exactly.  The standard errors come from central differences of the
+    score (step ``max(1e-4, 1e-4 |param|)``, one-sided for a tail within
+    one step of 0).
+
+    Student-t input is searched by Nelder-Mead on (mu, log sigma, log
+    delta, log (nu-2)), restarted at most twice from a perturbed simplex
+    when it fails to converge; a tail estimate below 1e-3 is then set to 0
+    if that loses no likelihood.  Its standard errors come from the
+    central-difference Hessian of the negative log-likelihood.
+
+    Either way the Hessian is pseudo-inverted with a condition-number
+    guard, and a tail estimate at 0 is held fixed and gets a NaN standard
+    error.  A start point that gives no valid model is replaced by the
+    moment-based default; :class:`ConvergenceError` is raised when that
+    start or the search's best point is not a valid model either.
+    """
+    y = _check_series(data, min_n=10)
+    return _with_std_errors(y, _mle_fit(y, family, tail, start))
 
 
 def fit_model(data, family: str, tail: str, method: str) -> FitResult:
@@ -731,6 +890,48 @@ def _hessian_std_errors(f, theta: np.ndarray, lower: np.ndarray) -> list[float]:
             hess[i, j] = hess[j, i] = num / (
                 (b[i] - a[i]) * (b[j] - a[j]) * h[i] * h[j]
             )
+    return _invert_information(hess, free, len(theta))
+
+
+def _score_std_errors(score, theta: np.ndarray, lower: np.ndarray) -> list[float]:
+    """Standard errors from differences of an analytic score.
+
+    ``score(theta)`` is the gradient of the log-likelihood in natural
+    ``theta``.  The rules are those of :func:`_hessian_std_errors`: a
+    coordinate on its lower bound is held fixed and gets NaN, and the
+    step is ``max(1e-4, 1e-4 |theta_i|)``.  Each free coordinate costs two
+    score calls, by central differences, or by a second-order forward
+    difference when it lies within a step of its bound.  The Hessian is
+    symmetrized before it is inverted.
+    """
+    free = np.flatnonzero(theta > lower)
+    h = np.maximum(1e-4, 1e-4 * np.abs(theta))
+    s0 = None
+
+    def at(k: int, step: float) -> np.ndarray:
+        t = theta.copy()
+        t[k] += step
+        return score(t)
+
+    cols = []
+    for k in free:
+        if theta[k] - h[k] > lower[k]:
+            cols.append((at(k, h[k]) - at(k, -h[k])) / (2.0 * h[k]))
+        else:
+            if s0 is None:
+                s0 = score(theta)
+            cols.append((4.0 * at(k, h[k]) - at(k, 2.0 * h[k]) - 3.0 * s0) / (2.0 * h[k]))
+    hess = -np.array(cols)[:, free]
+    return _invert_information(0.5 * (hess + hess.T), free, len(theta))
+
+
+def _invert_information(hess: np.ndarray, free: np.ndarray, size: int) -> list[float]:
+    """Standard errors of the ``free`` coordinates from a Hessian of -loglik.
+
+    The Hessian is pseudo-inverted (rcond guard); nonpositive variances,
+    a non-finite Hessian and the held coordinates give NaN.
+    """
+    out = [math.nan] * size
     if not np.all(np.isfinite(hess)):
         return out
     cov = np.linalg.pinv(hess, rcond=1e-10)

@@ -35,6 +35,7 @@ from heavytail import (
     w_delta,
     w_tau,
 )
+from heavytail.estimation import _gaussian_loglik_score
 from util import normalization_by_substitution, pdf_student_t_input
 
 FAMILIES = {
@@ -533,7 +534,7 @@ class TestOneWPerPoint:
         return seen
 
     @pytest.mark.parametrize("delta", [1 / 3, (0.1, 0.5)], ids=["h", "hh"])
-    @pytest.mark.parametrize("call", ["pdf", "logpdf", "cdf", "w_tau", "loglik"])
+    @pytest.mark.parametrize("call", ["pdf", "logpdf", "cdf", "w_tau", "loglik", "score"])
     def test_n_elements(self, w_elements, delta, call):
         dist = LambertWDist(Gaussian(0.3, 1.2), delta)
         y = rlambertw(500, dist, seed=4)
@@ -544,6 +545,7 @@ class TestOneWPerPoint:
             "cdf": lambda: dist.cdf(y),
             "w_tau": lambda: w_tau(y, dist.tau),
             "loglik": lambda: loglik(y, dist),
+            "score": lambda: _gaussian_loglik_score(y, dist.tau.as_array()),
         }
         w_elements.clear()
         calls[call]()

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from heavytail import (
     ConvergenceError,
@@ -31,7 +33,13 @@ from heavytail import (
     w_tau,
 )
 from heavytail import estimation
-from heavytail.estimation import _MODELS, _NU_CAP, _pack, _unpack
+from heavytail.estimation import (
+    _MODELS,
+    _NU_CAP,
+    _gaussian_loglik_score,
+    _pack,
+    _unpack,
+)
 
 
 def make_sample(delta, n, seed, mu=0.0, sigma=1.0):
@@ -130,6 +138,77 @@ class TestGradDelta:
     def test_negative_delta_rejected(self):
         with pytest.raises(DomainError):
             grad_delta(-0.1, [1.0, 2.0])
+
+
+# Weights of the five-point central and forward first-derivative stencils.
+_CENTRAL = ((-2, -1, 1, 2), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0)
+_FORWARD = ((0, 1, 2, 3, 4), np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0)
+
+
+def loglik_differences(y, theta):
+    """Finite-difference gradient of ``loglik`` at natural Gaussian-input theta.
+
+    A tail coordinate's step is 1e-4 times its scale of variation,
+    ``max(delta, 1 / max z^2)`` over the points of its side, capped at 1:
+    near delta = 0 the j-th derivative grows like sum(z^(2j+2)).  A tail
+    within two steps of 0 takes the forward stencil.
+    """
+    def total(t):
+        delta = t[2] if len(t) == 3 else (t[2], t[3])
+        return loglik(y, LambertWDist(Gaussian(t[0], t[1]), delta)).total
+
+    z = (y - theta[0]) / theta[1]
+    sides = [z <= 0.0, z > 0.0] if len(theta) == 4 else [np.full(z.shape, True)]
+    out = []
+    for k, value in enumerate(theta):
+        h = 1e-4 * max(1.0, abs(value))
+        offsets, weights = _CENTRAL
+        if k >= 2:
+            z_sq_max = max(float(np.max(z * z, where=sides[k - 2], initial=0.0)), 1.0)
+            h = 1e-4 * min(1.0, max(value, 1.0 / z_sq_max))
+            if value < 2 * h:
+                offsets, weights = _FORWARD
+        values = []
+        for o in offsets:
+            t = list(theta)
+            t[k] += o * h
+            values.append(total(t))
+        out.append(float(np.dot(weights, values)) / h)
+    return np.array(out)
+
+
+class TestScore:
+    """The Gaussian-input score that drives the h and hh joint MLE."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        double=hst.booleans(),
+        delta=hst.floats(0.0, 2.0),
+        delta_right=hst.floats(0.0, 2.0),
+        mu=hst.floats(-1.0, 1.0),
+        sigma=hst.floats(0.5, 3.0),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @example(double=False, delta=0.0, delta_right=0.0, mu=0.2, sigma=1.3, seed=0)
+    @example(double=True, delta=0.0, delta_right=0.4, mu=0.2, sigma=1.3, seed=0)
+    def test_matches_loglik_differences(self, double, delta, delta_right, mu, sigma, seed):
+        y = make_sample((0.1, 0.5), 300, seed=seed, mu=0.2, sigma=1.3)
+        theta = [mu, sigma, delta] + ([delta_right] if double else [])
+        total, score = _gaussian_loglik_score(y, theta)
+        fd = loglik_differences(y, theta)
+        assert np.max(np.abs(score - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+        delta_arg = (delta, delta_right) if double else delta
+        ref = loglik(y, LambertWDist(Gaussian(mu, sigma), delta_arg)).total
+        assert total == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-8, 0.1, 1 / 3, 1.0, 2.0])
+    def test_tail_coordinate_is_grad_delta(self, delta):
+        z = make_sample(0.2, 500, seed=14)
+        score = _gaussian_loglik_score(z, [0.0, 1.0, delta])[1]
+        assert score[2] == pytest.approx(grad_delta(delta, z), rel=1e-10)
+        # with two equal tails the sides add up to the same derivative
+        pair = _gaussian_loglik_score(z, [0.0, 1.0, delta, delta])[1]
+        assert pair[2] + pair[3] == pytest.approx(score[2], rel=1e-10)
 
 
 class TestMleDeltaOnly:
@@ -267,6 +346,15 @@ class TestIGMM:
             igmm(np.arange(5.0))
         with pytest.raises(DataError):
             igmm(np.ones(50))
+
+    @pytest.mark.parametrize("fit", [igmm, igmm_double_tail], ids=["h", "hh"])
+    def test_non_finite_sample_scale(self, fit):
+        # One point at 1e200 overflows the sample variance: one DataError
+        # that says so, and no RuntimeWarning on the way.
+        y = make_sample(0.2, 200, seed=1)
+        y[0] = 1e200
+        with pytest.raises(DataError, match="sample scale .* not finite"):
+            fit(y)
 
 
 class TestIGMMDoubleTail:
@@ -423,6 +511,16 @@ class TestMleJoint:
         assert math.isnan(r.std_errors["delta_left"])
         for name in ("mu_x", "sigma_x", "delta_right"):
             assert 0.0 < r.std_errors[name] < 0.2, name
+
+    def test_hh_no_false_zero_tail(self):
+        # The Nelder-Mead search stopped with delta_right below 1e-3 and the
+        # boundary snap then set it to 0, at loglik -1445.8011.
+        y = rlambertw(1000, LambertWDist(Gaussian(0, 1), 0.0), seed=3)
+        r = mle_joint(y, tail="hh")
+        assert r.loglik_total >= -1445.7328 - 1e-6
+        assert r.tau.delta_right > 0.0
+        assert r.boundary_hit is None
+        assert r.converged
 
     def test_start_override(self):
         y = make_sample(0.1, 400, seed=77)

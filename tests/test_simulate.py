@@ -14,6 +14,7 @@ from heavytail import (
     LambertWDist,
     StudyPlan,
     cauchy_demo,
+    mle_joint,
     rlambertw,
     run_study,
     sample_moments,
@@ -118,6 +119,20 @@ class TestRunStudy:
     def test_deterministic_tables(self, tmp_path):
         t1 = run_study(small_plan())
         t2 = run_study(small_plan())
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        t1.to_csv(p1)
+        t2.to_csv(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_joint_mle_cells_match_mle_joint(self, tmp_path, monkeypatch):
+        # The study calls the search without standard errors; its tables
+        # are byte-identical to ones built with the public mle_joint.
+        plan = small_plan(replications=4, estimators=("lambertw_mle",))
+        t1 = run_study(plan)
+        monkeypatch.setattr(
+            simulate, "_mle_fit", lambda y, family, tail: mle_joint(y, family, tail)
+        )
+        t2 = run_study(plan)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         t1.to_csv(p1)
         t2.to_csv(p2)
@@ -277,7 +292,7 @@ class TestCauchyDemo:
         def fail(*args, **kwargs):
             raise ConvergenceError("no optimum")
 
-        monkeypatch.setattr(simulate, "mle_joint", fail)
+        monkeypatch.setattr(simulate, "_mle_fit", fail)
         demo = cauchy_demo(20, seed=1)
         assert demo.final_fit is None
         assert np.all(np.isnan(demo.delta_estimates))
@@ -286,7 +301,7 @@ class TestCauchyDemo:
         def broken(*args, **kwargs):
             raise TypeError("bad call")
 
-        monkeypatch.setattr(simulate, "mle_joint", broken)
+        monkeypatch.setattr(simulate, "_mle_fit", broken)
         with pytest.raises(TypeError):
             cauchy_demo(20, seed=1)
 
