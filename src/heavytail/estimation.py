@@ -21,15 +21,19 @@ Estimators provided here:
   by Nelder-Mead on log-reparametrized coordinates, with standard errors
   from a likelihood Hessian.
 * :func:`igmm` / :func:`igmm_double_tail` -- iterative generalized method
-  of moments: alternate a kurtosis-matching tail update with location and
+  of moments: alternate a moment-matching tail update with location and
   scale updates from the back-transformed sample until the parameter
-  vector stabilizes.
+  vector stabilizes.  The tail update uses the analytic derivative of the
+  back-transformed moments in the tails (one W per point): a safeguarded
+  Newton root of the kurtosis mismatch for one tail, an active-set
+  Gauss-Newton (Levenberg-Marquardt damped) on (skewness, kurtosis - 3) in
+  the box [0, 10]^2 for two.
 * :func:`taylor_delta`     -- rule-of-thumb tail start value from sample
   kurtosis.
 
-``scipy.optimize`` is imported inside the functions that call it, so
-importing the package (and the CLI commands that fit nothing) never loads
-it.
+``scipy.optimize`` is imported inside the functions that call it (the
+likelihood searches), so importing the package, the CLI commands that fit
+nothing and the IGMM fits never load it.
 """
 
 from __future__ import annotations
@@ -150,16 +154,54 @@ def _check_series(data, min_n: int = 1) -> np.ndarray:
     return arr
 
 
-def _central_moment_stats(x: np.ndarray) -> tuple[float, float]:
-    """(skewness, kurtosis) as standardized central moments m3/m2^1.5, m4/m2^2."""
+def _central_moments(x: np.ndarray):
+    """``c = x - mean(x)``, ``c^2`` and the central moments m2, m3, m4."""
     c = x - x.mean()
     c2 = c * c
     m2 = np.mean(c2)
     if m2 == 0.0:
         raise DataError("degenerate data: zero variance")
-    m3 = np.mean(c2 * c)
-    m4 = np.mean(c2 * c2)
+    return c, c2, m2, np.mean(c2 * c), np.mean(c2 * c2)
+
+
+def _central_moment_stats(x: np.ndarray) -> tuple[float, float]:
+    """(skewness, kurtosis) as standardized central moments m3/m2^1.5, m4/m2^2."""
+    _, _, m2, m3, m4 = _central_moments(x)
     return float(m3 / m2**1.5), float(m4 / (m2 * m2))
+
+
+def _moment_residual(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Moment residual of a back-transformed sample and its Jacobian in the tails.
+
+    ``parts`` is a sequence of ``(z_k, delta_k)``; the sample is the union
+    of the ``w_delta(z_k, delta_k)`` (moments do not depend on the order
+    of the points).  Returns ``r = (skewness, kurtosis - 3)`` and the
+    ``2 x len(parts)`` matrix of ``dr / ddelta_k``.  W is evaluated once per
+    point.  Each point moves with its own tail by ``du/ddelta = -u^3 / (2 (1
+    + W))`` (the :func:`~heavytail.transform.w_delta_ddelta` formula), and
+    the central moments by ``dm_k = k (mean(c^(k-1) du) - m_(k-1)
+    mean(du))`` with ``c = u - mean(u)`` and ``m_1 = 0``.
+    """
+    us, dus = [], []
+    for z_k, delta_k in parts:
+        wv, u_k = _w_and_w_delta(z_k, delta_k)
+        us.append(u_k)
+        dus.append(-0.5 * u_k * u_k * u_k / (1.0 + wv))
+    c, c2, m2, m3, m4 = _central_moments(np.concatenate(us))
+    c3 = c2 * c
+    n = c.size
+    jac = np.empty((2, len(dus)))
+    end = 0
+    for k, du in enumerate(dus):
+        side = slice(end, end + du.size)
+        end = side.stop
+        mean_du = np.sum(du) / n
+        dm2 = 2.0 * np.dot(c[side], du) / n
+        dm3 = 3.0 * (np.dot(c2[side], du) / n - m2 * mean_du)
+        dm4 = 4.0 * (np.dot(c3[side], du) / n - m3 * mean_du)
+        jac[0, k] = (dm3 - 1.5 * m3 * dm2 / m2) / m2**1.5
+        jac[1, k] = (dm4 - 2.0 * m4 * dm2 / m2) / (m2 * m2)
+    return np.array([m3 / m2**1.5, m4 / (m2 * m2) - 3.0]), jac
 
 
 def sample_moments(data) -> SampleMoments:
@@ -320,32 +362,70 @@ def taylor_delta(sample_kurtosis: float) -> float:
     return max((math.sqrt(disc) - 6.0) / 66.0, 0.0)
 
 
+# Inner moment-match steps: a tail stops when its step is at most
+# _STEP_XTOL + _STEP_RTOL |delta|, or after _STEP_MAX_ITERATIONS steps; the
+# two-tail step holds a tail within _BOUND_TOL of a bound on that bound.
+_STEP_XTOL = 1e-13
+_STEP_RTOL = 8.9e-16
+_BOUND_TOL = 1e-12
+_STEP_MAX_ITERATIONS = 100
+
+
 def delta_gmm(z_data) -> GMMDelta:
     """Tail parameter minimizing the kurtosis mismatch of back-transformed data.
 
     For standardized data ``z`` this finds ``delta`` in [0, 10] with
     ``kurtosis(w_delta(z, delta))`` equal to 3, the Gaussian value.
     Back-transforming shrinks kurtosis monotonically, so when the data
-    kurtosis exceeds the target the match is a root-finding problem (solved
-    by Brent bracketing to machine width); when it does not, the mismatch
-    is minimized at the lower bound and 0 is returned.  A match pinned at
-    the upper bound is flagged.
+    kurtosis exceeds the target the match is a root-finding problem; when
+    it does not, the mismatch is minimized at the lower bound and 0 is
+    returned.  A mismatch still nonnegative at the upper bound gives that
+    bound, flagged.  The root is found by Newton's method on the analytic
+    kurtosis slope, safeguarded by a bracket that shrinks every step
+    (bisection where a Newton step would leave it), from the rule-of-thumb
+    :func:`taylor_delta` start, until the step is at most
+    ``1e-13 + 8.9e-16 delta``.
     """
-    z = _check_series(z_data, min_n=4)
+    return _delta_gmm(_check_series(z_data, min_n=4), None)
+
+
+def _delta_gmm(z: np.ndarray, start: float | None) -> GMMDelta:
+    """:func:`delta_gmm` on checked ``z``, Newton started at ``start``.
+
+    ``None`` starts at :func:`taylor_delta` of the kurtosis of ``z``.
+    """
     lo, hi = _DELTA_BOUNDS
 
-    def mismatch(delta: float) -> float:
-        return _central_moment_stats(w_delta(z, delta))[1] - 3.0
+    def mismatch(delta: float) -> tuple[float, float]:
+        r, jac = _moment_residual([(z, delta)])
+        return float(r[1]), float(jac[1, 0])
 
-    f_lo = mismatch(lo)
-    if f_lo <= 0.0:
+    at_lo = mismatch(lo)
+    if at_lo[0] <= 0.0:
         return GMMDelta(float(lo), False)
-    if mismatch(hi) >= 0.0:
+    at_hi = mismatch(hi)
+    if at_hi[0] >= 0.0:
         return GMMDelta(float(hi), True)
-    from scipy import optimize
-
-    root = optimize.brentq(mismatch, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return GMMDelta(float(root), False)
+    x = taylor_delta(at_lo[0] + 3.0) if start is None else start
+    x = min(max(x, lo), hi)
+    f, slope = at_lo if x == lo else at_hi if x == hi else mismatch(x)
+    for _ in range(_STEP_MAX_ITERATIONS):
+        # The mismatch falls through its root, so [lo, hi] keeps it bracketed.
+        if f == 0.0:
+            break
+        if f > 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - f / slope if slope < 0.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= _STEP_XTOL + _STEP_RTOL * abs(x_new):
+            x = x_new
+            break
+        x = x_new
+        f, slope = mismatch(x)
+    return GMMDelta(float(x), False)
 
 
 def _delta2_gmm(z: np.ndarray, start: tuple[float, float]) -> GMMDelta:
@@ -353,39 +433,60 @@ def _delta2_gmm(z: np.ndarray, start: tuple[float, float]) -> GMMDelta:
 
     A single kurtosis condition cannot identify two tail parameters, so
     the left/right pair is chosen to reproduce both target moments of
-    Gaussian input (skewness 0 and kurtosis 3) in a least-squares sense.
-    Parametrized as delta = t^2 so the boundary delta = 0 stays reachable
-    by the simplex search.
+    Gaussian input (skewness 0 and kurtosis 3) in a least-squares sense:
+    it minimizes ``phi = |r|^2 / 2`` for the residual ``r = (skewness,
+    kurtosis - 3)`` of :func:`_moment_residual` over the box [0, 10]^2.
+
+    The search is an active-set projected Gauss-Newton with
+    Levenberg-Marquardt damping, warm-started at ``start``.  A tail within
+    1e-12 of a bound whose descent direction points out of the box is held
+    exactly on that bound.  The free tails take the damped least-squares
+    step ``min |J_free s + r|^2 + lam |D s|^2`` (``D`` the column norms of
+    ``J_free``), projected onto the box; a step that lowers ``phi`` is taken
+    and lowers ``lam``, one that does not raises it, so far from a moment
+    match the step shortens towards steepest descent.  It stops when no
+    tail moves by more than ``1e-13 + 8.9e-16 |delta|``, which is also
+    where repeated failures to lower ``phi`` end.  A tail the data do not
+    need is thus returned as exactly 0.
     """
     lo, hi = _DELTA_BOUNDS
     left = z <= 0.0
-    right = ~left
-    z_left, z_right = z[left], z[right]
-    u = np.empty_like(z)
-
-    def objective(t: np.ndarray) -> float:
-        dl = min(max(t[0] * t[0], lo), hi)
-        dr = min(max(t[1] * t[1], lo), hi)
-        u[left] = w_delta(z_left, dl)
-        u[right] = w_delta(z_right, dr)
-        try:
-            skew, kurt = _central_moment_stats(u)
-        except DataError:
-            return math.inf
-        return skew * skew + (kurt - 3.0) ** 2
-
-    from scipy import optimize
-
-    t0 = np.sqrt([start[0], start[1]])
-    res = optimize.minimize(
-        objective,
-        t0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 2000},
-    )
-    dl = float(min(max(res.x[0] ** 2, lo), hi))
-    dr = float(min(max(res.x[1] ** 2, lo), hi))
-    return GMMDelta((dl, dr), bool(max(dl, dr) >= hi))
+    sides = (z[left], z[~left])
+    d = np.clip(np.asarray(start, dtype=float), lo, hi)
+    r, jac = _moment_residual(list(zip(sides, d)))
+    lam, grow = 1e-6, 2.0
+    for _ in range(_STEP_MAX_ITERATIONS):
+        grad = jac.T @ r
+        hold_lo = (d <= lo + _BOUND_TOL) & (grad > 0.0)
+        hold_hi = (d >= hi - _BOUND_TOL) & (grad < 0.0)
+        free = ~(hold_lo | hold_hi)
+        d = np.where(hold_lo, lo, np.where(hold_hi, hi, d))
+        if not free.any():
+            break
+        j_free = jac[:, free]
+        damping = math.sqrt(lam) * np.diag(np.linalg.norm(j_free, axis=0))
+        step = np.zeros(2)
+        step[free] = np.linalg.lstsq(
+            np.vstack([j_free, damping]), np.concatenate([-r, np.zeros(free.sum())]),
+            rcond=None,
+        )[0]
+        trial = np.clip(d + step, lo, hi)
+        if np.all(np.abs(trial - d) <= _STEP_XTOL + _STEP_RTOL * np.abs(d)):
+            break
+        r_trial, jac_trial = _moment_residual(list(zip(sides, trial)))
+        phi, phi_trial = 0.5 * (r @ r), 0.5 * (r_trial @ r_trial)
+        model = r + jac @ (trial - d)
+        predicted = phi - 0.5 * (model @ model)
+        if phi_trial < phi and predicted > 0.0:
+            # Nielsen's update from the ratio of actual to predicted fall
+            gain = (phi - phi_trial) / predicted
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            grow = 2.0
+            d, r, jac = trial, r_trial, jac_trial
+        else:
+            lam *= grow
+            grow *= 2.0
+    return GMMDelta(tuple(d.tolist()), bool(d.max() >= hi))
 
 
 def _igmm(data, step, double_tail: bool) -> FitResult:
@@ -393,7 +494,7 @@ def _igmm(data, step, double_tail: bool) -> FitResult:
 
     Starts from the median, the kurtosis-matched tail and the deflated
     scale; each iteration updates the tail by
-    ``step(z, delta) -> GMMDelta``.
+    ``step(z, delta) -> GMMDelta``, warm-started at the current tail.
     """
     y = _check_series(data, min_n=10)
     # A point near the float maximum overflows the start moments.
@@ -461,13 +562,18 @@ def igmm(data) -> FitResult:
     runs over [0, 10]; a tail estimate at 0 is flagged ``delta_lower``, one
     at the upper bound 10 ``delta_upper``.
     """
-    return _igmm(data, lambda z, _: delta_gmm(z), False)
+    return _igmm(data, _delta_gmm, False)
 
 
 def igmm_double_tail(data) -> FitResult:
     """Double-tail variant of :func:`igmm` with a 2-D inner moment match.
 
-    ``delta_lower`` is flagged when either tail estimate is 0.
+    Each iteration chooses (delta_left, delta_right) in [0, 10]^2 to bring
+    the skewness and kurtosis of the back-transformed sample to 0 and 3,
+    by an active-set projected Gauss-Newton with Levenberg-Marquardt
+    damping, warm-started at the current tails.  Where the data skew one way only, that match is a least-squares
+    one with the other tail held exactly at 0.  ``delta_lower`` is flagged
+    when either tail estimate is 0, ``delta_upper`` when either is at 10.
     """
     return _igmm(data, _delta2_gmm, True)
 

@@ -36,7 +36,7 @@ IMPORT_GRAPH = """\
 import sys
 import heavytail
 import heavytail.cli
-from heavytail.cli import main
+from heavytail.cli import main, read_series
 
 def loaded():
     return sorted(m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules)
@@ -48,6 +48,12 @@ assert main(["simulate", "--tau", "0,1,0.2", "--n", "200", "--seed", "3",
 assert main(["transform", path, "--tau", "0,1,0.2", "--direction", "inverse",
              "--out", path + ".x"]) == 0
 assert loaded() == [], ("simulate, transform", loaded())
+assert main(["gaussianize", path, "--fit", "--method", "igmm",
+             "--out", path + ".g"]) == 0
+y = read_series(path)
+heavytail.igmm(y)
+heavytail.Gaussianizer("igmm", "hh").fit(y)
+assert loaded() == [], ("igmm", loaded())
 assert main(["fit", path]) == 0
 assert loaded() == ["scipy.optimize"], ("fit", loaded())
 """
@@ -339,7 +345,8 @@ class TestReplicate:
 
 class TestImportGraph:
     def test_scipy_stats_and_optimize_load_lazily(self, tmp_path):
-        # scipy.stats is never imported; scipy.optimize only on the first fit.
+        # scipy.stats is never imported; scipy.optimize only on the first
+        # likelihood fit, never on an IGMM fit.
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_GRAPH, str(tmp_path / "y.txt")],
             capture_output=True,

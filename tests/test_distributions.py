@@ -35,7 +35,7 @@ from heavytail import (
     w_delta,
     w_tau,
 )
-from heavytail.estimation import _gaussian_loglik_score
+from heavytail.estimation import _gaussian_loglik_score, _moment_residual
 from util import normalization_by_substitution, pdf_student_t_input
 
 FAMILIES = {
@@ -534,11 +534,16 @@ class TestOneWPerPoint:
         return seen
 
     @pytest.mark.parametrize("delta", [1 / 3, (0.1, 0.5)], ids=["h", "hh"])
-    @pytest.mark.parametrize("call", ["pdf", "logpdf", "cdf", "w_tau", "loglik", "score"])
+    @pytest.mark.parametrize(
+        "call", ["pdf", "logpdf", "cdf", "w_tau", "loglik", "score", "moments"]
+    )
     def test_n_elements(self, w_elements, delta, call):
         dist = LambertWDist(Gaussian(0.3, 1.2), delta)
         y = rlambertw(500, dist, seed=4)
         assert (y <= 0.3).any() and (y > 0.3).any()
+        # the IGMM tail steps' residual and Jacobian, one part per side
+        z = (y - 0.3) / 1.2
+        sides = [(z[z <= 0.0], dist.tau.delta_left), (z[z > 0.0], dist.tau.delta_right)]
         calls = {
             "pdf": lambda: dist.pdf(y),
             "logpdf": lambda: dist.logpdf(y),
@@ -546,6 +551,7 @@ class TestOneWPerPoint:
             "w_tau": lambda: w_tau(y, dist.tau),
             "loglik": lambda: loglik(y, dist),
             "score": lambda: _gaussian_loglik_score(y, dist.tau.as_array()),
+            "moments": lambda: _moment_residual(sides),
         }
         w_elements.clear()
         calls[call]()

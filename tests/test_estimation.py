@@ -36,7 +36,10 @@ from heavytail import estimation
 from heavytail.estimation import (
     _MODELS,
     _NU_CAP,
+    _central_moment_stats,
+    _delta2_gmm,
     _gaussian_loglik_score,
+    _moment_residual,
     _pack,
     _unpack,
 )
@@ -211,6 +214,71 @@ class TestScore:
         assert pair[2] + pair[3] == pytest.approx(score[2], rel=1e-10)
 
 
+def sides(z, delta_left, delta_right):
+    """The ``_moment_residual`` parts of a two-tail back-transform of ``z``."""
+    left = z <= 0.0
+    return [(z[left], delta_left), (z[~left], delta_right)]
+
+
+def moment_differences(parts):
+    """Finite-difference Jacobian of the ``_moment_residual`` residual.
+
+    Each tail's step follows :func:`loglik_differences`: 1e-4 times
+    ``max(delta, 1 / max z^2)`` over the points of its side, capped at 1,
+    with the forward stencil within two steps of 0.
+    """
+    cols = []
+    for k, (z_k, delta) in enumerate(parts):
+        z_sq_max = max(float(np.max(z_k * z_k, initial=0.0)), 1.0)
+        h = 1e-4 * min(1.0, max(delta, 1.0 / z_sq_max))
+        offsets, weights = _FORWARD if delta < 2 * h else _CENTRAL
+        values = []
+        for o in offsets:
+            moved = list(parts)
+            moved[k] = (z_k, delta + o * h)
+            values.append(_moment_residual(moved)[0])
+        cols.append(np.dot(weights, values) / h)
+    return np.array(cols).T
+
+
+def standardized_sample(delta, n, seed):
+    y = make_sample(delta, n, seed=seed)
+    return (y - np.median(y)) / np.std(y, ddof=1)
+
+
+class TestMomentResidual:
+    """The moment residual and Jacobian that drive the IGMM tail steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        delta_left=hst.floats(0.0, 2.0),
+        delta_right=hst.floats(0.0, 2.0),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @example(delta_left=0.0, delta_right=0.0, seed=0)
+    @example(delta_left=0.0, delta_right=0.4, seed=0)
+    @example(delta_left=0.4, delta_right=0.0, seed=0)
+    def test_jacobian_matches_differences(self, delta_left, delta_right, seed):
+        z = standardized_sample((0.1, 0.5), 300, seed)
+        parts = sides(z, delta_left, delta_right)
+        r, jac = _moment_residual(parts)
+        fd = moment_differences(parts)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+        # the residual is that of the back-transformed sample in its order
+        u = np.where(z <= 0.0, w_delta(z, delta_left), w_delta(z, delta_right))
+        skew, kurtosis = _central_moment_stats(u)
+        np.testing.assert_allclose(r, [skew, kurtosis - 3.0], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 1 / 3, 1.0])
+    def test_equal_tails_add_up(self, delta):
+        z = standardized_sample(0.2, 500, seed=15)
+        r1, jac1 = _moment_residual([(z, delta)])
+        r2, jac2 = _moment_residual(sides(z, delta, delta))
+        np.testing.assert_allclose(r2, r1, rtol=1e-12, atol=1e-14)
+        assert jac1[1, 0] == pytest.approx(jac2[1, 0] + jac2[1, 1], rel=1e-10)
+        assert jac1[0, 0] == pytest.approx(jac2[0, 0] + jac2[0, 1], rel=1e-10, abs=1e-12)
+
+
 class TestMleDeltaOnly:
     def test_boundary_condition(self):
         r = mle_delta_only([1.0, 1.0, 1.0, 1.0])
@@ -302,6 +370,35 @@ class TestDeltaGMM:
         res = delta_gmm(z)
         assert res.at_upper_bound and res.delta == 0.01
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        delta=hst.floats(0.0, 2.0),
+        n=hst.sampled_from([60, 400, 1000]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @example(delta=0.0, n=400, seed=4)
+    def test_root_matches_brentq(self, delta, n, seed):
+        from scipy import optimize
+
+        z = standardized_sample(delta, n, seed)
+
+        def mismatch(d):
+            return _central_moment_stats(w_delta(z, d))[1] - 3.0
+
+        res = delta_gmm(z)
+        if mismatch(0.0) <= 0.0:
+            assert res == (0.0, False)
+            return
+        if mismatch(10.0) >= 0.0:
+            assert res == (10.0, True)
+            return
+        root = optimize.brentq(mismatch, 0.0, 10.0, xtol=1e-13, rtol=8.9e-16)
+        assert not res.at_upper_bound
+        assert abs(res.delta - root) <= 1e-12
+        # the warm-started Newton of igmm finds the same root
+        for start in (0.0, 0.5 * root, 2.0 * root, 10.0):
+            assert abs(estimation._delta_gmm(z, start).delta - root) <= 1e-12
+
 
 class TestIGMM:
     def test_gaussian_data(self):
@@ -358,6 +455,55 @@ class TestIGMM:
 
 
 class TestIGMMDoubleTail:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        delta_left=hst.floats(0.0, 1.0),
+        delta_right=hst.floats(0.0, 1.0),
+        n=hst.sampled_from([60, 400, 1000]),
+        start=hst.tuples(hst.floats(0.0, 3.0), hst.floats(0.0, 3.0)),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @example(delta_left=0.0, delta_right=0.3, n=1000, start=(0.0, 0.0), seed=0)
+    @example(delta_left=0.3, delta_right=0.0, n=60, start=(1e-17, 0.3), seed=1)
+    @example(delta_left=0.0, delta_right=0.0, n=1000, start=(0.0, 0.0), seed=1001)
+    # Undamped Gauss-Newton failed these: a zigzag with one tail on the upper
+    # bound and a large residual, and a stall with a tail 1e-9 above 0.
+    @example(delta_left=0.375, delta_right=0.99609375, n=400, start=(0.0, 0.0), seed=37901)
+    @example(delta_left=0.68359375, delta_right=0.6875, n=1000, start=(0.0, 0.0), seed=781)
+    @example(delta_left=0.0, delta_right=1.0, n=60, start=(1.0, 2.0), seed=203438620)
+    def test_inner_step_optimal(self, delta_left, delta_right, n, start, seed):
+        # Either the moments match (to 1e-10, or to within a Gauss-Newton
+        # step below the stopping tolerance, where the Jacobian is steep),
+        # or the point is a constrained minimum of |r|^2 / 2: a free tail
+        # has zero gradient, and a tail on a bound has a gradient that is
+        # zero or points out of the box.
+        z = standardized_sample((delta_left, delta_right), n, seed)
+        d = _delta2_gmm(z, start).delta
+        r, jac = _moment_residual(sides(z, *d))
+        norm_r = np.linalg.norm(r)
+        to_match = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        if norm_r <= 1e-10 or np.all(np.abs(to_match) <= 1e-12 * np.maximum(1.0, d)):
+            return
+        lo, hi = estimation._DELTA_BOUNDS
+        assert lo in d or hi in d, d
+        grad = jac.T @ r
+        for k in range(2):
+            small = 1e-5 * np.linalg.norm(jac[:, k]) * norm_r
+            if d[k] == lo:
+                assert grad[k] >= -small
+            elif d[k] == hi:
+                assert grad[k] <= small
+            else:
+                assert abs(grad[k]) <= small
+
+    def test_gaussian_sample_gives_exact_zero_tails(self):
+        # The Nelder-Mead step left both tails at about 1e-17 here, so the
+        # fit was not flagged.
+        y = rlambertw(1000, LambertWDist(Gaussian(0, 1), 0.0), seed=1001)
+        r = igmm_double_tail(y)
+        assert r.tau.delta == (0.0, 0.0)
+        assert r.boundary_hit == "delta_lower"
+
     def test_symmetric_data(self):
         y = make_sample(0.2, 10**4, seed=61)
         r = igmm_double_tail(y)
