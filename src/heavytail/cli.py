@@ -11,6 +11,7 @@ Every command is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -292,13 +293,7 @@ def cmd_replicate(args) -> int:
     else:
         plan = StudyPlan()
     if args.seed is not None:
-        plan = StudyPlan(
-            sample_sizes=plan.sample_sizes,
-            delta_values=plan.delta_values,
-            replications=plan.replications,
-            estimators=plan.estimators,
-            seed=args.seed,
-        )
+        plan = dataclasses.replace(plan, seed=args.seed)
     table = run_study(plan)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,11 +23,11 @@ Estimators provided here:
 * :func:`igmm` / :func:`igmm_double_tail` -- iterative generalized method
   of moments: alternate a moment-matching tail update with location and
   scale updates from the back-transformed sample until the parameter
-  vector stabilizes.  The tail update uses the analytic derivative of the
-  back-transformed moments in the tails (one W per point): a safeguarded
-  Newton root of the kurtosis mismatch for one tail, an active-set
-  Gauss-Newton (Levenberg-Marquardt damped) on (skewness, kurtosis - 3) in
-  the box [0, 10]^2 for two.
+  vector stabilizes.  Both share one tail update: an active-set
+  Gauss-Newton (Levenberg-Marquardt damped) in the box [0, 10] per tail, on
+  the analytic derivative of the back-transformed moments in the tails (one
+  W per point).  One tail matches the kurtosis, two tails the skewness and
+  the kurtosis.
 * :func:`taylor_delta`     -- rule-of-thumb tail start value from sample
   kurtosis.
 
@@ -39,6 +39,7 @@ nothing and the IGMM fits never load it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -362,9 +363,9 @@ def taylor_delta(sample_kurtosis: float) -> float:
     return max((math.sqrt(disc) - 6.0) / 66.0, 0.0)
 
 
-# Inner moment-match steps: a tail stops when its step is at most
-# _STEP_XTOL + _STEP_RTOL |delta|, or after _STEP_MAX_ITERATIONS steps; the
-# two-tail step holds a tail within _BOUND_TOL of a bound on that bound.
+# The inner moment-match step: a tail stops when its step is at most
+# _STEP_XTOL + _STEP_RTOL |delta|, or after _STEP_MAX_ITERATIONS steps, and
+# a tail within _BOUND_TOL of a bound is held on that bound.
 _STEP_XTOL = 1e-13
 _STEP_RTOL = 8.9e-16
 _BOUND_TOL = 1e-12
@@ -380,121 +381,112 @@ def delta_gmm(z_data) -> GMMDelta:
     kurtosis exceeds the target the match is a root-finding problem; when
     it does not, the mismatch is minimized at the lower bound and 0 is
     returned.  A mismatch still nonnegative at the upper bound gives that
-    bound, flagged.  The root is found by Newton's method on the analytic
-    kurtosis slope, safeguarded by a bracket that shrinks every step
-    (bisection where a Newton step would leave it), from the rule-of-thumb
-    :func:`taylor_delta` start, until the step is at most
-    ``1e-13 + 8.9e-16 delta``.
+    bound, flagged.  The search is the one-tail case of the IGMM tail step
+    (:func:`_gmm_step`) from the rule-of-thumb :func:`taylor_delta` start;
+    it stops when the step is at most ``1e-13 + 8.9e-16 delta``.
     """
-    return _delta_gmm(_check_series(z_data, min_n=4), None)
+    z = _check_series(z_data, min_n=4)
+    return _gmm_step(z, taylor_delta(_central_moment_stats(z)[1]))
 
 
-def _delta_gmm(z: np.ndarray, start: float | None) -> GMMDelta:
-    """:func:`delta_gmm` on checked ``z``, Newton started at ``start``.
-
-    ``None`` starts at :func:`taylor_delta` of the kurtosis of ``z``.
-    """
-    lo, hi = _DELTA_BOUNDS
-
-    def mismatch(delta: float) -> tuple[float, float]:
-        r, jac = _moment_residual([(z, delta)])
-        return float(r[1]), float(jac[1, 0])
-
-    at_lo = mismatch(lo)
-    if at_lo[0] <= 0.0:
-        return GMMDelta(float(lo), False)
-    at_hi = mismatch(hi)
-    if at_hi[0] >= 0.0:
-        return GMMDelta(float(hi), True)
-    x = taylor_delta(at_lo[0] + 3.0) if start is None else start
-    x = min(max(x, lo), hi)
-    f, slope = at_lo if x == lo else at_hi if x == hi else mismatch(x)
-    for _ in range(_STEP_MAX_ITERATIONS):
-        # The mismatch falls through its root, so [lo, hi] keeps it bracketed.
-        if f == 0.0:
-            break
-        if f > 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = x - f / slope if slope < 0.0 else math.nan
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= _STEP_XTOL + _STEP_RTOL * abs(x_new):
-            x = x_new
-            break
-        x = x_new
-        f, slope = mismatch(x)
-    return GMMDelta(float(x), False)
+def _dot(x, y) -> float:
+    return sum(map(operator.mul, x, y))
 
 
-def _delta2_gmm(z: np.ndarray, start: tuple[float, float]) -> GMMDelta:
-    """Two-tail inner step: match skewness and kurtosis of the input.
+def _gmm_step(z: np.ndarray, start: float | tuple[float, float]) -> GMMDelta:
+    """The IGMM tail step: match the moments of the back-transformed ``z``.
 
-    A single kurtosis condition cannot identify two tail parameters, so
-    the left/right pair is chosen to reproduce both target moments of
-    Gaussian input (skewness 0 and kurtosis 3) in a least-squares sense:
-    it minimizes ``phi = |r|^2 / 2`` for the residual ``r = (skewness,
-    kurtosis - 3)`` of :func:`_moment_residual` over the box [0, 10]^2.
+    A float ``start`` is one tail, which brings the kurtosis to 3.  A
+    (left, right) pair is two tails, which one kurtosis condition cannot
+    identify; they bring the skewness to 0 and the kurtosis to 3 in a
+    least-squares sense.  Either way the step minimizes ``phi = |r|^2 / 2``
+    over [0, 10] per tail, for those rows ``r`` of the residual ``(skewness,
+    kurtosis - 3)`` of :func:`_moment_residual`, by an active-set projected
+    Gauss-Newton with Levenberg-Marquardt damping, warm-started at ``start``.
 
-    The search is an active-set projected Gauss-Newton with
-    Levenberg-Marquardt damping, warm-started at ``start``.  A tail within
-    1e-12 of a bound whose descent direction points out of the box is held
-    exactly on that bound.  The free tails take the damped least-squares
-    step ``min |J_free s + r|^2 + lam |D s|^2`` (``D`` the column norms of
-    ``J_free``), projected onto the box; a step that lowers ``phi`` is taken
-    and lowers ``lam``, one that does not raises it, so far from a moment
-    match the step shortens towards steepest descent.  It stops when no
-    tail moves by more than ``1e-13 + 8.9e-16 |delta|``, which is also
-    where repeated failures to lower ``phi`` end.  A tail the data do not
-    need is thus returned as exactly 0.
+    A tail within 1e-12 of a bound whose descent direction points out of
+    the box is held exactly on that bound, which gives :func:`delta_gmm`
+    its end-point rules without evaluating the bounds.  The free tails take
+    the step ``s`` of ``(J'J + lam diag(J'J)) s = -J'r`` (1x1 or 2x2, solved
+    in closed form), projected onto the box; a step that lowers ``phi`` is
+    taken and lowers ``lam``, one that does not raises it, so far from a
+    match the step shortens towards steepest descent.  It stops when no tail
+    moves by more than ``1e-13 + 8.9e-16 |delta|``, which is also where
+    repeated failures to lower ``phi`` end, so a tail the data do not need
+    comes back as exactly 0.
     """
     lo, hi = _DELTA_BOUNDS
-    left = z <= 0.0
-    sides = (z[left], z[~left])
-    d = np.clip(np.asarray(start, dtype=float), lo, hi)
-    r, jac = _moment_residual(list(zip(sides, d)))
-    lam, grow = 1e-6, 2.0
+    double = isinstance(start, tuple)
+    if double:
+        left = z <= 0.0
+        sides, rows = (z[left], z[~left]), slice(0, 2)
+    else:
+        sides, rows, start = (z,), slice(1, 2), (start,)
+
+    def residual(d: list[float]) -> tuple[list[float], list[list[float]]]:
+        # The residual rows and the Jacobian's columns, as Python floats
+        r, jac = _moment_residual(list(zip(sides, d)))
+        return r[rows].tolist(), jac[rows].T.tolist()
+
+    d = [min(max(float(x), lo), hi) for x in start]
+    r, cols = residual(d)
+    lam, grow, rejected = 1e-6, 2.0, None
     for _ in range(_STEP_MAX_ITERATIONS):
-        grad = jac.T @ r
-        hold_lo = (d <= lo + _BOUND_TOL) & (grad > 0.0)
-        hold_hi = (d >= hi - _BOUND_TOL) & (grad < 0.0)
-        free = ~(hold_lo | hold_hi)
-        d = np.where(hold_lo, lo, np.where(hold_hi, hi, d))
-        if not free.any():
+        grad = [_dot(c, r) for c in cols]
+        free = []
+        for k, g in enumerate(grad):
+            if d[k] <= lo + _BOUND_TOL and g > 0.0:
+                d[k] = lo
+            elif d[k] >= hi - _BOUND_TOL and g < 0.0:
+                d[k] = hi
+            else:
+                free.append(k)
+        if not free:
             break
-        j_free = jac[:, free]
-        damping = math.sqrt(lam) * np.diag(np.linalg.norm(j_free, axis=0))
-        step = np.zeros(2)
-        step[free] = np.linalg.lstsq(
-            np.vstack([j_free, damping]), np.concatenate([-r, np.zeros(free.sum())]),
-            rcond=None,
-        )[0]
-        trial = np.clip(d + step, lo, hi)
-        if np.all(np.abs(trial - d) <= _STEP_XTOL + _STEP_RTOL * np.abs(d)):
+        step = [0.0] * len(d)
+        diag = [_dot(c, c) for c in cols]
+        if len(free) == 2:
+            (j00, j10), (j01, j11) = cols
+            a01 = _dot(*cols)
+            # det(J'J) = det(J)^2, so the determinant is a sum of nonnegative terms.
+            det = diag[0] * diag[1] * lam * (2.0 + lam) + (j00 * j11 - j01 * j10) ** 2
+            if det > 0.0:
+                step = [-((1.0 + lam) * diag[1] * grad[0] - a01 * grad[1]) / det,
+                        -((1.0 + lam) * diag[0] * grad[1] - a01 * grad[0]) / det]
+        elif diag[free[0]] > 0.0:
+            step[free[0]] = -grad[free[0]] / ((1.0 + lam) * diag[free[0]])
+        trial = [min(max(dk + sk, lo), hi) for dk, sk in zip(d, step)]
+        if all(abs(t - dk) <= _STEP_XTOL + _STEP_RTOL * abs(dk) for t, dk in zip(trial, d)):
             break
-        r_trial, jac_trial = _moment_residual(list(zip(sides, trial)))
-        phi, phi_trial = 0.5 * (r @ r), 0.5 * (r_trial @ r_trial)
-        model = r + jac @ (trial - d)
-        predicted = phi - 0.5 * (model @ model)
-        if phi_trial < phi and predicted > 0.0:
+        accepted = False
+        # A trial point rejected from this point (a step clipped to the box
+        # by every lam so far) is not evaluated again.
+        if trial != rejected:
+            r_trial, cols_trial = residual(trial)
+            phi, phi_trial = 0.5 * _dot(r, r), 0.5 * _dot(r_trial, r_trial)
+            moves = [t - dk for t, dk in zip(trial, d)]
+            model = [r_i + _dot(row, moves) for r_i, row in zip(r, zip(*cols))]
+            predicted = phi - 0.5 * _dot(model, model)
+            accepted = phi_trial < phi and predicted > 0.0
+        if accepted:
             # Nielsen's update from the ratio of actual to predicted fall
             gain = (phi - phi_trial) / predicted
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             grow = 2.0
-            d, r, jac = trial, r_trial, jac_trial
+            d, r, cols, rejected = trial, r_trial, cols_trial, None
         else:
             lam *= grow
             grow *= 2.0
-    return GMMDelta(tuple(d.tolist()), bool(d.max() >= hi))
+            rejected = trial
+    return GMMDelta(tuple(d) if double else d[0], max(d) >= hi)
 
 
-def _igmm(data, step, double_tail: bool) -> FitResult:
+def _igmm(data, double_tail: bool) -> FitResult:
     """The IGMM loop shared by :func:`igmm` and :func:`igmm_double_tail`.
 
     Starts from the median, the kurtosis-matched tail and the deflated
-    scale; each iteration updates the tail by
-    ``step(z, delta) -> GMMDelta``, warm-started at the current tail.
+    scale; each iteration updates the tail (one, or a left/right pair) by
+    :func:`_gmm_step`, warm-started at the current tail.
     """
     y = _check_series(data, min_n=10)
     # A point near the float maximum overflows the start moments.
@@ -522,7 +514,7 @@ def _igmm(data, step, double_tail: bool) -> FitResult:
             break
         iterations += 1
         z = (y - mu) / sigma
-        delta, at_bound = step(z, delta)
+        delta, at_bound = _gmm_step(z, delta)
         x = _dispatch_sides(w_delta, z, TailParams(0.0, 1.0, delta)) * sigma + mu
         mu = float(np.mean(x))
         sigma = float(np.std(x, ddof=1))
@@ -555,14 +547,15 @@ def igmm(data) -> FitResult:
     """Iterative generalized method of moments for (mu_x, sigma_x, delta).
 
     Alternates: standardize with the current location/scale, match the
-    input kurtosis by :func:`delta_gmm`, back-transform, and refresh
+    input kurtosis as :func:`delta_gmm` does (warm-started at the current
+    tail), back-transform, and refresh
     location/scale from the back-transformed sample (mean and unbiased
     standard deviation), until the Euclidean change of the parameter
     vector drops to 1.22e-4, or for at most 100 updates.  The tail search
     runs over [0, 10]; a tail estimate at 0 is flagged ``delta_lower``, one
     at the upper bound 10 ``delta_upper``.
     """
-    return _igmm(data, _delta_gmm, False)
+    return _igmm(data, False)
 
 
 def igmm_double_tail(data) -> FitResult:
@@ -570,12 +563,13 @@ def igmm_double_tail(data) -> FitResult:
 
     Each iteration chooses (delta_left, delta_right) in [0, 10]^2 to bring
     the skewness and kurtosis of the back-transformed sample to 0 and 3,
-    by an active-set projected Gauss-Newton with Levenberg-Marquardt
-    damping, warm-started at the current tails.  Where the data skew one way only, that match is a least-squares
-    one with the other tail held exactly at 0.  ``delta_lower`` is flagged
-    when either tail estimate is 0, ``delta_upper`` when either is at 10.
+    by the tail step of :func:`igmm` with both moment conditions,
+    warm-started at the current tails.  Where the data skew one way only,
+    that match is a least-squares one with the other tail held exactly at
+    0.  ``delta_lower`` is flagged when either tail estimate is 0,
+    ``delta_upper`` when either is at 10.
     """
-    return _igmm(data, _delta2_gmm, True)
+    return _igmm(data, True)
 
 
 _NU_CAP = 1e6

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimation import fit_model
-from .exceptions import DataError, DomainError, NotFittedError
+from .estimation import _check_series, fit_model
+from .exceptions import DomainError, NotFittedError
 from .transform import TailParams, h_tau, w_tau
 
 __all__ = ["Gaussianizer"]
@@ -81,9 +81,4 @@ class Gaussianizer:
     def _check_series(self, y, fitted: bool = False) -> np.ndarray:
         if fitted and not isinstance(getattr(self, "tau_", None), TailParams):
             raise NotFittedError("Gaussianizer must be fitted before transforming")
-        arr = np.asarray(y, dtype=float).ravel()
-        if arr.size == 0:
-            raise DataError("empty series")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("series must be finite")
-        return arr
+        return _check_series(y)

@@ -333,6 +333,19 @@ class TestReplicate:
         rows = json.loads((d1 / "replication_table.json").read_text())
         assert rows and rows[0]["N"] == 100
 
+    def test_seed_flag_overrides_plan_seed(self, tmp_path):
+        tables = []
+        for seed, flag in ((13, []), (0, ["--seed", "13"])):
+            plan = tmp_path / f"plan{seed}.json"
+            plan.write_text(json.dumps({
+                "sample_sizes": [50], "delta_values": [0.1], "replications": 2,
+                "estimators": ["median", "igmm"], "seed": seed,
+            }))
+            out = tmp_path / f"r{seed}"
+            assert run_cli("replicate", "--plan", str(plan), "--out", str(out), *flag) == 0
+            tables.append((out / "replication_table.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_unknown_estimator(self, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({

@@ -35,7 +35,7 @@ from heavytail import (
     w_delta,
     w_tau,
 )
-from heavytail.estimation import _gaussian_loglik_score, _moment_residual
+from heavytail.estimation import _gaussian_loglik_score, _gmm_step, _moment_residual
 from util import normalization_by_substitution, pdf_student_t_input
 
 FAMILIES = {
@@ -556,6 +556,21 @@ class TestOneWPerPoint:
         w_elements.clear()
         calls[call]()
         assert sum(w_elements) == y.size
+
+    @pytest.mark.parametrize("delta", [1 / 3, (0.1, 0.5)], ids=["h", "hh"])
+    def test_moment_step_near_its_root(self, w_elements, delta):
+        # The IGMM tail step warm-started at its own root evaluates the
+        # residual once, and never at the bounds of the tail search.
+        z = rlambertw(1000, LambertWDist(Gaussian(0.0, 1.0), delta), seed=4)
+        root = _gmm_step(z, delta).delta
+        w_elements.clear()
+        assert _gmm_step(z, root).delta == root
+        assert sum(w_elements) == z.size
+        # From 1 % off a moment match, Gauss-Newton converges quadratically.
+        off = tuple(1.01 * x for x in root) if isinstance(root, tuple) else 1.01 * root
+        w_elements.clear()
+        assert _gmm_step(z, off).delta == pytest.approx(root, rel=1e-12)
+        assert sum(w_elements) <= 4 * z.size
 
 
 @settings(max_examples=60, deadline=None)

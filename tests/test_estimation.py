@@ -37,8 +37,8 @@ from heavytail.estimation import (
     _MODELS,
     _NU_CAP,
     _central_moment_stats,
-    _delta2_gmm,
     _gaussian_loglik_score,
+    _gmm_step,
     _moment_residual,
     _pack,
     _unpack,
@@ -395,9 +395,9 @@ class TestDeltaGMM:
         root = optimize.brentq(mismatch, 0.0, 10.0, xtol=1e-13, rtol=8.9e-16)
         assert not res.at_upper_bound
         assert abs(res.delta - root) <= 1e-12
-        # the warm-started Newton of igmm finds the same root
+        # the tail step of igmm finds the same root from warm starts
         for start in (0.0, 0.5 * root, 2.0 * root, 10.0):
-            assert abs(estimation._delta_gmm(z, start).delta - root) <= 1e-12
+            assert abs(_gmm_step(z, start).delta - root) <= 1e-12
 
 
 class TestIGMM:
@@ -460,7 +460,9 @@ class TestIGMMDoubleTail:
         delta_left=hst.floats(0.0, 1.0),
         delta_right=hst.floats(0.0, 1.0),
         n=hst.sampled_from([60, 400, 1000]),
-        start=hst.tuples(hst.floats(0.0, 3.0), hst.floats(0.0, 3.0)),
+        start=hst.one_of(
+            hst.tuples(hst.floats(0.0, 3.0), hst.floats(0.0, 3.0)), hst.floats(0.0, 3.0)
+        ),
         seed=hst.integers(0, 2**32 - 1),
     )
     @example(delta_left=0.0, delta_right=0.3, n=1000, start=(0.0, 0.0), seed=0)
@@ -471,15 +473,27 @@ class TestIGMMDoubleTail:
     @example(delta_left=0.375, delta_right=0.99609375, n=400, start=(0.0, 0.0), seed=37901)
     @example(delta_left=0.68359375, delta_right=0.6875, n=1000, start=(0.0, 0.0), seed=781)
     @example(delta_left=0.0, delta_right=1.0, n=60, start=(1.0, 2.0), seed=203438620)
+    # One tail: held at 0, and a root reached from either side.
+    @example(delta_left=0.0, delta_right=0.0, n=1000, start=0.0, seed=1001)
+    @example(delta_left=0.0, delta_right=0.0, n=1000, start=3.0, seed=1001)
+    @example(delta_left=1.0, delta_right=1.0, n=60, start=0.0, seed=4)
+    @example(delta_left=0.5, delta_right=0.2, n=400, start=3.0, seed=4)
     def test_inner_step_optimal(self, delta_left, delta_right, n, start, seed):
         # Either the moments match (to 1e-10, or to within a Gauss-Newton
         # step below the stopping tolerance, where the Jacobian is steep),
         # or the point is a constrained minimum of |r|^2 / 2: a free tail
         # has zero gradient, and a tail on a bound has a gradient that is
-        # zero or points out of the box.
+        # zero or points out of the box.  Two tails match (skewness,
+        # kurtosis - 3), one tail the kurtosis only.
         z = standardized_sample((delta_left, delta_right), n, seed)
-        d = _delta2_gmm(z, start).delta
-        r, jac = _moment_residual(sides(z, *d))
+        d = _gmm_step(z, start).delta
+        if isinstance(start, tuple):
+            parts, rows = sides(z, *d), slice(0, 2)
+        else:
+            d = (d,)
+            parts, rows = [(z, d[0])], slice(1, 2)
+        r, jac = _moment_residual(parts)
+        r, jac = r[rows], jac[rows]
         norm_r = np.linalg.norm(r)
         to_match = np.linalg.lstsq(jac, -r, rcond=None)[0]
         if norm_r <= 1e-10 or np.all(np.abs(to_match) <= 1e-12 * np.maximum(1.0, d)):
@@ -487,7 +501,7 @@ class TestIGMMDoubleTail:
         lo, hi = estimation._DELTA_BOUNDS
         assert lo in d or hi in d, d
         grad = jac.T @ r
-        for k in range(2):
+        for k in range(len(d)):
             small = 1e-5 * np.linalg.norm(jac[:, k]) * norm_r
             if d[k] == lo:
                 assert grad[k] >= -small
