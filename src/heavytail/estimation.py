@@ -14,12 +14,11 @@ of the gradient.
 Estimators provided here:
 
 * :func:`mle_delta_only`   -- tail parameter only, via the gradient root.
-* :func:`mle_joint`        -- (mu, sigma, delta[, delta_r][, nu]).  Gaussian
-  input has a closed-form score and is searched by L-BFGS-B in the box
-  delta >= 0, which reaches the boundary delta = 0 exactly; its standard
-  errors come from differences of the score.  Student-t input is searched
-  by Nelder-Mead on log-reparametrized coordinates, with standard errors
-  from a likelihood Hessian.
+* :func:`mle_joint`        -- (mu, sigma, delta[, delta_r][, nu]).  Every
+  model has a closed-form score (one W per point) and is searched by
+  L-BFGS-B in the box delta >= 0, which reaches the boundary delta = 0
+  exactly; Student-t input, whose likelihood has several maxima in nu,
+  from four starts.  Standard errors come from differences of the score.
 * :func:`igmm` / :func:`igmm_double_tail` -- iterative generalized method
   of moments: alternate a moment-matching tail update with location and
   scale updates from the back-transformed sample until the parameter
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -50,6 +50,7 @@ from .distributions import (
     Gaussian,
     LambertWDist,
     StudentT,
+    _t_log_norm_dnu,
     variance_factor,
 )
 from .exceptions import ConvergenceError, DataError, DomainError
@@ -113,11 +114,10 @@ class FitResult:
     ``loglik_total`` always equals ``loglik_input + loglik_penalty``;
     the penalty part is nonpositive and zero only when every fitted tail
     parameter is zero.  ``std_errors`` comes from the inverse observed
-    information, taken from differences of the analytic score (Gaussian
-    input) or of the likelihood (Student-t input); it is NaN for a tail
-    parameter estimated at 0 and ``None`` for moment-based fits.
-    ``boundary_hit`` flags estimates pinned at ``delta = 0`` or at the
-    upper search bound.
+    information, taken from differences of the analytic score; it is NaN
+    for a tail parameter estimated at 0 or a nu on its cap, and ``None``
+    for moment-based fits.  ``boundary_hit`` flags estimates pinned at
+    ``delta = 0`` or at the upper search bound.
     """
 
     tau: TailParams
@@ -573,49 +573,29 @@ def igmm_double_tail(data) -> FitResult:
 
 
 _NU_CAP = 1e6
+_GTOL = 1e-7
 
-# Joint-MLE models keyed by (family, tail): the parameter names, a builder
-# from the natural-scale vector theta to a LambertWDist, and the reader of
-# theta back from a LambertWDist.  Adding a model is one entry here.
-_MODELS = {
-    ("gaussian", "h"): (
-        ("mu_x", "sigma_x", "delta"),
-        lambda t: LambertWDist(Gaussian(t[0], t[1]), t[2]),
-        lambda d: (d.input.mu, d.input.sigma, d.delta),
-    ),
-    ("gaussian", "hh"): (
-        ("mu_x", "sigma_x", "delta_left", "delta_right"),
-        lambda t: LambertWDist(Gaussian(t[0], t[1]), (t[2], t[3])),
-        lambda d: (d.input.mu, d.input.sigma, *d.delta),
-    ),
-    ("student-t", "h"): (
-        ("mu_x", "sigma_x", "delta", "nu"),
-        lambda t: LambertWDist(StudentT(nu=t[3], mu=t[0], scale=t[1]), t[2]),
-        lambda d: (d.input.mu, d.input.scale, d.delta, d.input.nu),
-    ),
-}
-
-# Per-name maps between theta and the unconstrained Nelder-Mead vector
-# (default: log scale), and the lower bounds seen by the standard-error
-# stencils (default: 0).  nu > 2 is searched as log(nu - 2), capped above.
-_TO_OPTIMIZER = {"mu_x": lambda v: v, "nu": lambda v: math.log(v - 2.0)}
-_FROM_OPTIMIZER = {
-    "mu_x": lambda p: p,
-    # Clamped so that np.exp cannot overflow; exp(700) is far above the cap.
-    "nu": lambda p: 2.0 + min(float(np.exp(min(p, 700.0))), _NU_CAP),
-}
-_LOWER_BOUNDS = {"mu_x": -math.inf, "nu": 2.0}
+# L-BFGS-B searches log(theta - shift) for the names in _LOG_SHIFT and the
+# others as they are, in the box delta >= 0, log(nu - 2) <= log(_NU_CAP).
+# Mapped to theta, the box's ends bound the standard-error stencils.
+_LOG_SHIFT = {"sigma_x": 0.0, "nu": 2.0}
 _TAU_NAMES = ("mu_x", "sigma_x", "delta", "delta_left", "delta_right")
 
 
-def _pack(names, start: dict[str, float]) -> np.ndarray:
-    """Optimizer vector of the named start values."""
-    return np.array([_TO_OPTIMIZER.get(n, math.log)(start[n]) for n in names])
+def _to_search(names, theta) -> np.ndarray:
+    return np.array([math.log(v - _LOG_SHIFT[n]) if n in _LOG_SHIFT else v
+                     for n, v in zip(names, theta)])
 
 
-def _unpack(names, p: np.ndarray) -> list:
-    """Natural-scale theta of an optimizer vector."""
-    return [_FROM_OPTIMIZER.get(n, math.exp)(v) for n, v in zip(names, p)]
+def _to_theta(names, p) -> list[float]:
+    return [_LOG_SHIFT[n] + math.exp(v) if n in _LOG_SHIFT else float(v)
+            for n, v in zip(names, p)]
+
+
+def _box(names) -> list[tuple[float, float]]:
+    return [(0.0, math.inf) if n.startswith("delta")
+            else (-math.inf, math.log(_NU_CAP)) if n == "nu"
+            else (-math.inf, math.inf) for n in names]
 
 
 def _default_start(y: np.ndarray, names) -> dict[str, float]:
@@ -632,8 +612,19 @@ def _default_start(y: np.ndarray, names) -> dict[str, float]:
         nu0 = (4.0 * g2 - 6.0) / (g2 - 3.0) if g2 > 3.5 else 30.0
         start["nu"] = float(min(max(nu0, 2.5), 100.0))
         start["delta"] = max(delta0 / 2.0, 1e-3)
-        start["sigma_x"] = sigma0 / math.sqrt(start["nu"] / (start["nu"] - 2.0))
+        # The t scale from the interquartile range: heavy tails inflate
+        # the sd (to 2.4e12 on a t_5 series of 1000 points with delta =
+        # 1), and L-BFGS-B from such a start can run off to scale 1e-50,
+        # nu -> 2, where the likelihood of such data has no upper bound.
+        k = math.sqrt(start["nu"] / (start["nu"] - 2.0))
+        start["sigma_x"] = _iqr_scale(y, StudentT(start["nu"])) or sigma0 / k
     return start
+
+
+def _iqr_scale(y: np.ndarray, standard) -> float:
+    """The scale that gives ``standard`` the interquartile range of ``y``."""
+    q1, q3 = np.percentile(y, [25.0, 75.0])
+    return float(q3 - q1) / (2.0 * float(standard.quantile(0.75)))
 
 
 def _gaussian_loglik_score(y: np.ndarray, theta) -> tuple[float, np.ndarray]:
@@ -678,25 +669,84 @@ def _gaussian_loglik_score(y: np.ndarray, theta) -> tuple[float, np.ndarray]:
     return total, np.array(score, dtype=float)
 
 
-# Models with an analytic score: searched by L-BFGS-B, with standard errors
-# from the score.  The other models are searched by Nelder-Mead, with
-# standard errors from a likelihood Hessian.
-_SCORES = {
-    ("gaussian", "h"): _gaussian_loglik_score,
-    ("gaussian", "hh"): _gaussian_loglik_score,
+def _student_t_loglik_score(y: np.ndarray, theta) -> tuple[float, np.ndarray]:
+    """Student-t-input log-likelihood and its score at natural ``theta``.
+
+    ``theta`` is (mu, s, delta, nu) with ``s`` the t scale; a point that is
+    no valid model (nu <= 2 too) raises :class:`DomainError`.  The total is
+    :func:`loglik`'s bit for bit, from one W per point.  With ``sigma = s
+    sqrt(nu / (nu - 2))``, ``z = (y - mu) / sigma`` and ``u = w_delta(z)``,
+    the t variate ``t`` has ``t^2 / nu = u^2 / (nu - 2)``, and each point
+    adds ``-(nu + 1)/2 log1p(u^2 / (nu - 2)) - W/2 - log1p(W) - log s`` to
+    the log-normalizer.  With ``b = 1 + 2/(1 + W)``, ``rho = u^2 / (nu - 2
+    + u^2)`` and ``delta u^2 = W``, its derivatives are
+
+        d/dz     = exp(-W/2) u (-(nu + 1) / (nu - 2 + u^2) - delta b) / (1 + W),
+        z d/dz   = -((nu + 1) rho + b W) / (1 + W),
+        d/ddelta = u^2 ((nu + 1) rho - b) / (2 (1 + W)),
+
+    from ``du/dz = exp(-W/2) / (1 + W)``, ``dW/dz = 2 delta u du/dz``,
+    ``du/ddelta = -u^3 / (2 (1 + W))`` and ``dW/ddelta = u^2 / (1 + W)``.
+    nu enters through the log-normalizer, through ``u^2 / (nu - 2)`` at
+    fixed u, and through z, as ``dz/dnu = z / (nu (nu - 2))``.
+    """
+    mu, s, delta, nu = theta
+    dist = LambertWDist(StudentT(nu=nu, mu=mu, scale=s), delta)
+    sigma = dist.tau.sigma_x
+    z = (y - dist.tau.mu_x) / sigma
+    wv, u = _w_and_w_delta(z, delta)
+    n, nu2, nu1 = y.size, nu - 2.0, nu + 1.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        input_part = float(np.sum(dist.input.logpdf(u * sigma + dist.tau.mu_x)))
+        penalty_part = float(np.sum(-0.5 * wv - np.log1p(wv)))
+        one_plus = 1.0 + wv
+        b = 1.0 + 2.0 / one_plus
+        u_sq = u * u
+        # rho is 0 at u = 0 and 1 where u^2 overflows.
+        rho = 1.0 / (1.0 + nu2 / u_sq)
+        d_z = np.exp(-0.5 * wv) / one_plus * (-nu1 * u / (nu2 + u_sq) - delta * b * u)
+        z_d_z = -(nu1 * rho + b * wv) / one_plus
+        d_delta = u_sq * (nu1 * rho - b) / (2.0 * one_plus)
+        d_nu = nu1 * rho / (2.0 * nu2) - 0.5 * np.log1p(u_sq / nu2)
+        sum_z_d_z = float(np.sum(z_d_z))
+        score = [
+            -np.sum(d_z) / sigma,
+            -(sum_z_d_z + n) / s,
+            np.sum(d_delta),
+            n * _t_log_norm_dnu(nu) + np.sum(d_nu) + sum_z_d_z / (nu * nu2),
+        ]
+    return input_part + penalty_part, np.array(score, dtype=float)
+
+
+class _Model(NamedTuple):
+    names: tuple[str, ...]
+    build: Callable  # natural theta -> LambertWDist
+    read: Callable  # LambertWDist -> natural theta
+    score: Callable  # (y, theta) -> (loglik, its gradient in theta)
+
+
+# Joint-MLE models keyed by (family, tail).  Adding a model is one entry
+# here (and a new parameter name may need its map in _LOG_SHIFT and _box).
+_MODELS = {
+    ("gaussian", "h"): _Model(
+        ("mu_x", "sigma_x", "delta"),
+        lambda t: LambertWDist(Gaussian(t[0], t[1]), t[2]),
+        lambda d: (d.input.mu, d.input.sigma, d.delta),
+        _gaussian_loglik_score,
+    ),
+    ("gaussian", "hh"): _Model(
+        ("mu_x", "sigma_x", "delta_left", "delta_right"),
+        lambda t: LambertWDist(Gaussian(t[0], t[1]), (t[2], t[3])),
+        lambda d: (d.input.mu, d.input.sigma, *d.delta),
+        _gaussian_loglik_score,
+    ),
+    ("student-t", "h"): _Model(
+        ("mu_x", "sigma_x", "delta", "nu"),
+        lambda t: LambertWDist(StudentT(nu=t[3], mu=t[0], scale=t[1]), t[2]),
+        lambda d: (d.input.mu, d.input.scale, d.delta, d.input.nu),
+        _student_t_loglik_score,
+    ),
 }
-
-# Perturbed Nelder-Mead restarts after a search that does not converge.
-_MAX_RESTARTS = 2
-
-
-def _neg_loglik(y: np.ndarray, build, theta) -> float:
-    """-loglik at ``build(theta)``; +inf where the model cannot be built."""
-    try:
-        total = loglik(y, build(theta)).total
-    except (DomainError, OverflowError):
-        return math.inf
-    return -total if math.isfinite(total) else math.inf
 
 
 def _left_parameter_space(family: str, which: str, point) -> ConvergenceError:
@@ -706,95 +756,76 @@ def _left_parameter_space(family: str, which: str, point) -> ConvergenceError:
     )
 
 
-def _score_search(y, names, build, score, start, family):
-    """L-BFGS-B on (mu, log sigma, delta[, delta_r]) in the box delta >= 0.
+def _objective(p: np.ndarray, y: np.ndarray, model: _Model):
+    """-loglik and its gradient at search coordinates ``p``.
 
-    The box reaches delta = 0 exactly.  Returns the optimum's
-    :class:`LambertWDist`, the iteration count and the convergence flag.
+    A point that is no valid model, such as nu == 2.0 where ``exp``
+    underflows, or whose likelihood or score is not finite, gives +inf.
     """
+    try:
+        total, s = model.score(y, _to_theta(model.names, p))
+    except (DomainError, OverflowError):
+        return math.inf, np.zeros_like(p)
+    s *= [math.exp(v) if n in _LOG_SHIFT else 1.0 for n, v in zip(model.names, p)]
+    if not (math.isfinite(total) and np.all(np.isfinite(s))):
+        return math.inf, np.zeros_like(p)
+    return -total, -s
 
-    def objective(p: np.ndarray):
-        try:
-            theta = [p[0], math.exp(p[1]), *p[2:]]
-            total, s = score(y, theta)
-        except (DomainError, OverflowError):
-            return math.inf, np.zeros_like(p)
-        s[1] *= theta[1]
-        if not (math.isfinite(total) and np.all(np.isfinite(s))):
-            return math.inf, np.zeros_like(p)
-        return -total, -s
 
+def _score_search(y, model: _Model, starts, family: str):
+    """L-BFGS-B on the search coordinates of ``model`` from each start.
+
+    A start of ``None`` is the moment-based :func:`_default_start`, which
+    also replaces a first start that gives no valid model; a later such
+    start is skipped.  The run that ends lowest wins.  Returns its natural
+    theta, the iterations summed over the runs and whether it converged
+    (:func:`_converged`).
+    """
     def pack(values: dict[str, float]) -> np.ndarray:
-        p = np.array([values[n] for n in names], dtype=float)
-        p[1] = math.log(p[1])
-        return p
-
-    p0 = pack(start if start is not None else _default_start(y, names))
-    if not math.isfinite(objective(p0)[0]):
-        p0 = pack(_default_start(y, names))
-        if not math.isfinite(objective(p0)[0]):
-            raise _left_parameter_space(family, "start", p0.tolist())
+        return _to_search(model.names, [values[n] for n in model.names])
 
     from scipy import optimize
 
-    res = optimize.minimize(
-        objective,
-        p0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(None, None)] * 2 + [(0.0, None)] * (len(names) - 2),
-        options={"ftol": 1e-12, "gtol": 1e-7},
-    )
-    if not math.isfinite(res.fun):
-        raise _left_parameter_space(family, "best", res.x.tolist())
-    return build([res.x[0], math.exp(res.x[1]), *res.x[2:]]), int(res.nit), bool(res.success)
-
-
-def _simplex_search(y, names, build, start, family):
-    """Nelder-Mead on the log-reparametrized vector, with perturbed restarts.
-
-    Vanishing tail estimates are then resolved against 0 by
-    :func:`_refine_boundary`.  Returns the optimum's :class:`LambertWDist`,
-    the iteration count and the convergence flag.
-    """
-
-    def build_from_optimizer(p: np.ndarray) -> LambertWDist:
-        return build(_unpack(names, p))
-
-    def neg_loglik(p: np.ndarray) -> float:
-        if not np.all(np.isfinite(p)):
-            return math.inf
-        return _neg_loglik(y, build_from_optimizer, p)
-
-    p0 = _pack(names, start if start is not None else _default_start(y, names))
-    if not math.isfinite(neg_loglik(p0)):
-        p0 = _pack(names, _default_start(y, names))
-
-    from scipy import optimize
-
-    best = None
-    iterations = 0
-    for attempt in range(_MAX_RESTARTS + 1):
+    best, iterations = None, 0
+    for k, start in enumerate(starts):
+        p0 = pack(start if start is not None else _default_start(y, model.names))
+        if not math.isfinite(_objective(p0, y, model)[0]):
+            if k > 0:
+                continue
+            p0 = pack(_default_start(y, model.names))
+            if not math.isfinite(_objective(p0, y, model)[0]):
+                raise _left_parameter_space(family, "start", p0.tolist())
         res = optimize.minimize(
-            neg_loglik,
+            _objective,
             p0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-9, "maxiter": 5000, "maxfev": 5000},
+            args=(y, model),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=_box(model.names),
+            options={"ftol": 1e-12, "gtol": _GTOL},
         )
         iterations += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res
-        if res.success and math.isfinite(res.fun):
-            break
-        # Perturbed restart from the best point seen so far.
-        p0 = best.x + 0.05 * (attempt + 1) * np.arange(1, len(names) + 1)
+    if not math.isfinite(best.fun):
+        raise _left_parameter_space(family, "best", best.x.tolist())
+    return _to_theta(model.names, best.x), iterations, _converged(best, model.names)
 
-    try:
-        dist = build_from_optimizer(best.x)
-    except (DomainError, OverflowError):
-        raise _left_parameter_space(family, "best", best.x.tolist()) from None
-    converged = bool(best.success and math.isfinite(best.fun))
-    return _refine_boundary(y, dist), iterations, converged
+
+def _converged(res, names) -> bool:
+    """L-BFGS-B's success, or a line-search stop where the function is flat.
+
+    L-BFGS-B reports a failed line search as an abnormal stop; it counts
+    as converged when the projected gradient there is at most ``gtol
+    max(1, |loglik|)``, where rounding of the likelihood hides a descent.
+    """
+    if res.success:
+        return True
+    if not res.message.startswith("ABNORMAL"):
+        return False
+    lo, hi = np.array(_box(names)).T
+    held = ((res.x <= lo) & (res.jac > 0)) | ((res.x >= hi) & (res.jac < 0))
+    return bool(np.max(np.abs(np.where(held, 0.0, res.jac))) <= _GTOL * max(1.0, abs(res.fun)))
 
 
 def _mle_fit(
@@ -809,19 +840,35 @@ def _mle_fit(
     if degenerate:
         raise DataError("degenerate data: zero variance")
     try:
-        names, build, read = _MODELS[(family, tail)]
+        model = _MODELS[(family, tail)]
     except KeyError:
         raise DomainError(
             f"unsupported joint MLE model: family={family!r}, tail={tail!r}"
         ) from None
 
-    score = _SCORES.get((family, tail))
-    if score is None:
-        dist, iterations, converged = _simplex_search(y, names, build, start, family)
-    else:
-        dist, iterations, converged = _score_search(y, names, build, score, start, family)
+    starts, iterations = [start], 0
+    if "nu" in model.names:
+        # Also start at the Gaussian-h optimum's location, tail and input
+        # sd, at nu = 3, 10 and the cap; that search starts from the
+        # interquartile scale too.
+        try:
+            gauss_start = _default_start(y, ("mu_x", "sigma_x", "delta"))
+            gauss_start["sigma_x"] = _iqr_scale(y, Gaussian()) or gauss_start["sigma_x"]
+            (mu, sd, delta), iterations, _ = _score_search(
+                y, _MODELS[("gaussian", "h")], [gauss_start], "gaussian"
+            )
+        except ConvergenceError:
+            pass  # the moment-based start reports the failure
+        else:
+            starts += [
+                {"mu_x": mu, "sigma_x": sd * math.sqrt((nu - 2.0) / nu),
+                 "delta": delta, "nu": nu}
+                for nu in (3.0, 10.0, _NU_CAP)
+            ]
+    theta, searched, converged = _score_search(y, model, starts, family)
+    dist = model.build(theta)
     parts = loglik(y, dist)
-    natural = read(dist)
+    natural = model.read(dist)
     tau = TailParams(natural[0], natural[1], dist.delta)
     boundary = None
     if min(tau.delta_left, tau.delta_right) == 0.0:
@@ -833,26 +880,21 @@ def _mle_fit(
         loglik_total=parts.total,
         loglik_input=parts.input_part,
         loglik_penalty=parts.penalty_part,
-        iterations=iterations,
+        iterations=iterations + searched,
         converged=converged,
         input=dist.input,
         boundary_hit=boundary,
-        extra={n: v for n, v in zip(names, natural) if n not in _TAU_NAMES},
+        extra={n: v for n, v in zip(model.names, natural) if n not in _TAU_NAMES},
     )
 
 
 def _with_std_errors(y: np.ndarray, fit: FitResult) -> FitResult:
     """``fit``, a result of :func:`_mle_fit` on ``y``, with standard errors."""
-    model = (fit.input.name, "hh" if fit.tau.is_double else "h")
-    names, build, _ = _MODELS[model]
-    theta = np.array([fit.params[n] for n in names])
-    lower = np.array([_LOWER_BOUNDS.get(n, 0.0) for n in names])
-    score = _SCORES.get(model)
-    if score is None:
-        se = _hessian_std_errors(lambda t: _neg_loglik(y, build, t), theta, lower)
-    else:
-        se = _score_std_errors(lambda t: score(y, t)[1], theta, lower)
-    return replace(fit, std_errors=dict(zip(names, se)))
+    model = _MODELS[(fit.input.name, "hh" if fit.tau.is_double else "h")]
+    theta = np.array([fit.params[n] for n in model.names])
+    lower, upper = (np.array(_to_theta(model.names, e)) for e in zip(*_box(model.names)))
+    se = _score_std_errors(lambda t: model.score(y, t)[1], theta, lower, upper)
+    return replace(fit, std_errors=dict(zip(model.names, se)))
 
 
 def mle_joint(
@@ -863,22 +905,23 @@ def mle_joint(
 ) -> FitResult:
     """Joint maximum likelihood over location, scale and tail parameters.
 
-    Gaussian input (``tail="h"`` or ``"hh"``) has a closed-form score.
-    Its negative log-likelihood is minimized by L-BFGS-B on (mu, log sigma,
-    delta[, delta_r]) in the box delta >= 0, which reaches delta = 0
-    exactly.  The standard errors come from central differences of the
-    score (step ``max(1e-4, 1e-4 |param|)``, one-sided for a tail within
-    one step of 0).
+    Every model has a closed-form score.  Its negative log-likelihood is
+    minimized by L-BFGS-B (``ftol`` 1e-12, ``gtol`` 1e-7) on (mu, log
+    sigma, delta[, delta_r][, log(nu - 2)]) in the box delta >= 0, which
+    reaches delta = 0 exactly, and nu <= 2 + 1e6.  ``converged`` is
+    L-BFGS-B's success flag.  The standard errors come from central
+    differences of the score (step ``max(1e-4, 1e-4 |param|)``, one-sided
+    within one step of a lower bound); the Hessian is pseudo-inverted
+    with a condition-number guard, and a tail estimate at 0 or a nu on its
+    cap is held fixed and gets a NaN standard error.
 
-    Student-t input is searched by Nelder-Mead on (mu, log sigma, log
-    delta, log (nu-2)), restarted at most twice from a perturbed simplex
-    when it fails to converge; a tail estimate below 1e-3 is then set to 0
-    if that loses no likelihood.  Its standard errors come from the
-    central-difference Hessian of the negative log-likelihood.
+    Student-t input has more than one local maximum in nu (a heavy t with
+    a small tail against the Gaussian limit), so it is searched from the
+    moment-based start (or ``start``) and from the Gaussian ``tail="h"``
+    optimum at nu = 3, 10 and 1e6, and the best end is kept.  Its
+    ``iterations`` sum over these searches and the Gaussian one.
 
-    Either way the Hessian is pseudo-inverted with a condition-number
-    guard, and a tail estimate at 0 is held fixed and gets a NaN standard
-    error.  A start point that gives no valid model is replaced by the
+    A start point that gives no valid model is replaced by the
     moment-based default; :class:`ConvergenceError` is raised when that
     start or the search's best point is not a valid model either.
     """
@@ -895,116 +938,22 @@ def fit_model(data, family: str, tail: str, method: str) -> FitResult:
     return mle_joint(data, family=family, tail=tail)
 
 
-_BOUNDARY_SNAP = 1e-3
-
-
-def _refine_boundary(y, dist: LambertWDist) -> LambertWDist:
-    """Resolve vanishing tail estimates against the exact boundary value 0.
-
-    The log-reparametrized search can only approach delta = 0, while the
-    boundary dichotomy of the tail MLE makes 0 the exact estimate there.
-    For every tail component parked below a small threshold, the
-    likelihood is re-evaluated with that component zeroed and the boundary
-    value is kept whenever it does not lose likelihood.
-    """
-    deltas = dist.delta if isinstance(dist.delta, tuple) else (dist.delta,)
-    if min(deltas) > _BOUNDARY_SNAP:
-        return dist
-
-    candidates = [()]
-    for d in deltas:
-        options = (d, 0.0) if d <= _BOUNDARY_SNAP else (d,)
-        candidates = [prev + (opt,) for prev in candidates for opt in options]
-
-    def as_delta(c):
-        return c if isinstance(dist.delta, tuple) else c[0]
-
-    scored = [
-        (loglik(y, LambertWDist(dist.input, as_delta(c))).total, c)
-        for c in candidates
-    ]
-    best_total = max(s for s, _ in scored)
-    # among near-ties prefer the candidate with the most exact zeros
-    best = max(
-        (c for s, c in scored if s >= best_total - 1e-9),
-        key=lambda c: sum(1 for d in c if d == 0.0),
-    )
-    return LambertWDist(dist.input, as_delta(best))
-
-
-def _hessian_std_errors(f, theta: np.ndarray, lower: np.ndarray) -> list[float]:
-    """Standard errors from a numeric Hessian, boundary-aware.
-
-    A coordinate on its lower bound (a tail estimate snapped to 0) gets a
-    NaN standard error and is held fixed; the Hessian is taken over the
-    other coordinates only.  Central differences with step
-    ``max(1e-4, 1e-4 |theta_i|)``; when a parameter sits too close to its
-    lower bound, the stencil for that coordinate shifts forward.  The
-    Hessian is pseudo-inverted (rcond guard) and nonpositive variances are
-    reported as NaN.
-    """
-    out = [math.nan] * len(theta)
-    free = np.flatnonzero(theta > lower)
-    n = free.size
-    h = np.maximum(1e-4, 1e-4 * np.abs(theta[free]))
-    a = np.where(theta[free] - h > lower[free], -1.0, 0.0)
-    b = np.ones(n)
-
-    def ev(offsets):
-        step = np.zeros_like(theta)
-        step[free] = offsets * h
-        return f(theta + step)
-
-    hess = np.zeros((n, n))
-    f0 = ev(np.zeros(n))
-    if not math.isfinite(f0):
-        return out
-    for i in range(n):
-        o = np.zeros(n)
-        if a[i] == -1.0:
-            o[i] = 1.0
-            fp = ev(o)
-            o[i] = -1.0
-            fm = ev(o)
-            hess[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
-        else:
-            o[i] = 1.0
-            f1 = ev(o)
-            o[i] = 2.0
-            f2 = ev(o)
-            hess[i, i] = (f0 - 2.0 * f1 + f2) / h[i] ** 2
-        for j in range(i + 1, n):
-            vals = {}
-            for si in (a[i], b[i]):
-                for sj in (a[j], b[j]):
-                    o = np.zeros(n)
-                    o[i] = si
-                    o[j] = sj
-                    vals[(si, sj)] = ev(o)
-            num = (
-                vals[(b[i], b[j])]
-                - vals[(b[i], a[j])]
-                - vals[(a[i], b[j])]
-                + vals[(a[i], a[j])]
-            )
-            hess[i, j] = hess[j, i] = num / (
-                (b[i] - a[i]) * (b[j] - a[j]) * h[i] * h[j]
-            )
-    return _invert_information(hess, free, len(theta))
-
-
-def _score_std_errors(score, theta: np.ndarray, lower: np.ndarray) -> list[float]:
+def _score_std_errors(
+    score, theta: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> list[float]:
     """Standard errors from differences of an analytic score.
 
     ``score(theta)`` is the gradient of the log-likelihood in natural
-    ``theta``.  The rules are those of :func:`_hessian_std_errors`: a
-    coordinate on its lower bound is held fixed and gets NaN, and the
-    step is ``max(1e-4, 1e-4 |theta_i|)``.  Each free coordinate costs two
-    score calls, by central differences, or by a second-order forward
-    difference when it lies within a step of its bound.  The Hessian is
-    symmetrized before it is inverted.
+    ``theta``.  A coordinate on its lower or upper bound (a tail estimate
+    at 0, a nu on its cap) is held fixed and gets NaN; the Hessian is taken
+    over the other coordinates only.  The step is ``max(1e-4, 1e-4
+    |theta_i|)``.  Each free coordinate costs two score calls, by central
+    differences, or by a second-order forward difference when it lies
+    within a step of its lower bound.  The Hessian is symmetrized and
+    pseudo-inverted (rcond guard); nonpositive variances and a non-finite
+    Hessian give NaN.
     """
-    free = np.flatnonzero(theta > lower)
+    free = np.flatnonzero((theta > lower) & (theta < upper))
     h = np.maximum(1e-4, 1e-4 * np.abs(theta))
     s0 = None
 
@@ -1022,20 +971,9 @@ def _score_std_errors(score, theta: np.ndarray, lower: np.ndarray) -> list[float
                 s0 = score(theta)
             cols.append((4.0 * at(k, h[k]) - at(k, 2.0 * h[k]) - 3.0 * s0) / (2.0 * h[k]))
     hess = -np.array(cols)[:, free]
-    return _invert_information(0.5 * (hess + hess.T), free, len(theta))
-
-
-def _invert_information(hess: np.ndarray, free: np.ndarray, size: int) -> list[float]:
-    """Standard errors of the ``free`` coordinates from a Hessian of -loglik.
-
-    The Hessian is pseudo-inverted (rcond guard); nonpositive variances,
-    a non-finite Hessian and the held coordinates give NaN.
-    """
-    out = [math.nan] * size
-    if not np.all(np.isfinite(hess)):
-        return out
-    cov = np.linalg.pinv(hess, rcond=1e-10)
-    for i, k in enumerate(free):
-        v = cov[i, i]
-        out[k] = float(math.sqrt(v)) if v > 0 else math.nan
+    out = [math.nan] * len(theta)
+    if np.all(np.isfinite(hess)):
+        cov = np.linalg.pinv(0.5 * (hess + hess.T), rcond=1e-10)
+        for i, k in enumerate(free):
+            out[k] = float(math.sqrt(cov[i, i])) if cov[i, i] > 0 else math.nan
     return out

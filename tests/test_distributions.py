@@ -35,6 +35,7 @@ from heavytail import (
     w_delta,
     w_tau,
 )
+from heavytail.distributions import _t_log_norm_dnu
 from heavytail.estimation import _gaussian_loglik_score, _gmm_step, _moment_residual
 from util import normalization_by_substitution, pdf_student_t_input
 
@@ -516,6 +517,39 @@ class TestStudentTFarTail:
         log_norm = (math.lgamma(4.0) - math.lgamma(3.5)
                     - 0.5 * math.log(7.0 * math.pi) - math.log(0.5))
         assert_bitwise(d.logpdf(x), log_norm - 4.0 * np.log1p(t * t / 7.0))
+
+
+# (nu, log Gamma((nu+1)/2) - log Gamma(nu/2) - log(nu pi)/2, and its nu
+# derivative (psi((nu+1)/2) - psi(nu/2))/2 - 1/(2 nu)), from mpmath at 80
+# digits, rounded to the nearest float.
+T_LOG_NORM_REFERENCE = [
+    (2.5, -1.01663959346045, 0.03746299346156329),
+    (5.0, -0.9686195890547241, 0.009813847226611976),
+    (30.0, -0.9272703253788457, 0.0002776237981191988),
+    (1e3, -0.9191885331630061, 2.4999987500025e-07),
+    (1e6, -0.9189387832046727, 2.49999999999875e-13),
+    (1e8, -0.9189385357046728, 2.5e-17),
+    (1e12, -0.9189385332049227, 2.5e-25),
+]
+
+
+class TestStudentTNormalizer:
+    """The t log-normalizer stays exact where the lgamma difference cancels."""
+
+    @pytest.mark.parametrize("nu, log_norm, _", T_LOG_NORM_REFERENCE)
+    def test_log_normalizer(self, nu, log_norm, _):
+        # The lgamma difference was 5.5e-10 off at nu = 1e6, 1.0e-8 at 1e8.
+        assert abs(StudentT(nu).logpdf(0.0) - log_norm) <= 1e-14
+
+    @pytest.mark.parametrize("nu, _, dnu", T_LOG_NORM_REFERENCE)
+    def test_nu_derivative(self, nu, _, dnu):
+        # The digamma difference was 3.7e-4 off, relative, at nu = 1e6.
+        assert _t_log_norm_dnu(nu) == pytest.approx(dnu, rel=1e-13)
+
+    def test_series_meets_lgamma(self):
+        # Both sides of the switch at nu = 30 agree with each other.
+        below = StudentT(np.nextafter(30.0, 0.0)).logpdf(0.0)
+        assert abs(below - StudentT(30.0).logpdf(0.0)) <= 1e-14
 
 
 class TestOneWPerPoint:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,8 +41,12 @@ from heavytail.estimation import (
     _gaussian_loglik_score,
     _gmm_step,
     _moment_residual,
-    _pack,
-    _unpack,
+    _objective,
+    _box,
+    _converged,
+    _student_t_loglik_score,
+    _to_search,
+    _to_theta,
 )
 
 
@@ -148,36 +153,46 @@ _CENTRAL = ((-2, -1, 1, 2), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0)
 _FORWARD = ((0, 1, 2, 3, 4), np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0)
 
 
-def loglik_differences(y, theta):
-    """Finite-difference gradient of ``loglik`` at natural Gaussian-input theta.
+def loglik_differences(y, theta, family="gaussian"):
+    """Finite-difference gradient of ``loglik`` at natural theta.
 
-    A tail coordinate's step is 1e-4 times its scale of variation,
-    ``max(delta, 1 / max z^2)`` over the points of its side, capped at 1:
-    near delta = 0 the j-th derivative grows like sum(z^(2j+2)).  A tail
-    within two steps of 0 takes the forward stencil.
+    Returns the gradient and a bound on its rounding noise, ``1e-13
+    |loglik| / step`` per coordinate.  A tail coordinate's step is 1e-4
+    times its scale of variation, ``max(delta, 1 / max z^2)`` over the
+    points of its side, capped at 1: near delta = 0 the j-th derivative
+    grows like sum(z^(2j+2)).  A tail within two steps of 0 takes the
+    forward stencil.  nu varies on the scale of nu - 2, and its step is
+    1e-2 (nu - 2): the likelihood is flat in nu near the cap, and a
+    smaller step would leave mostly rounding noise.
     """
-    def total(t):
-        delta = t[2] if len(t) == 3 else (t[2], t[3])
-        return loglik(y, LambertWDist(Gaussian(t[0], t[1]), delta)).total
+    tail = "hh" if family == "gaussian" and len(theta) == 4 else "h"
+    names, build = _MODELS[(family, tail)][:2]
 
-    z = (y - theta[0]) / theta[1]
-    sides = [z <= 0.0, z > 0.0] if len(theta) == 4 else [np.full(z.shape, True)]
-    out = []
-    for k, value in enumerate(theta):
+    def total(t):
+        return loglik(y, build(t)).total
+
+    tau = build(theta).tau
+    z = (y - tau.mu_x) / tau.sigma_x
+    sides = [z <= 0.0, z > 0.0] if tau.is_double else [np.full(z.shape, True)]
+    out, steps = [], []
+    for k, (name, value) in enumerate(zip(names, theta)):
         h = 1e-4 * max(1.0, abs(value))
         offsets, weights = _CENTRAL
-        if k >= 2:
+        if name.startswith("delta"):
             z_sq_max = max(float(np.max(z * z, where=sides[k - 2], initial=0.0)), 1.0)
             h = 1e-4 * min(1.0, max(value, 1.0 / z_sq_max))
             if value < 2 * h:
                 offsets, weights = _FORWARD
+        elif name == "nu":
+            h = 1e-2 * (value - 2.0)
         values = []
         for o in offsets:
             t = list(theta)
             t[k] += o * h
             values.append(total(t))
         out.append(float(np.dot(weights, values)) / h)
-    return np.array(out)
+        steps.append(h)
+    return np.array(out), 1e-13 * abs(total(theta)) / np.array(steps)
 
 
 class TestScore:
@@ -198,7 +213,7 @@ class TestScore:
         y = make_sample((0.1, 0.5), 300, seed=seed, mu=0.2, sigma=1.3)
         theta = [mu, sigma, delta] + ([delta_right] if double else [])
         total, score = _gaussian_loglik_score(y, theta)
-        fd = loglik_differences(y, theta)
+        fd, _ = loglik_differences(y, theta)
         assert np.max(np.abs(score - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
         delta_arg = (delta, delta_right) if double else delta
         ref = loglik(y, LambertWDist(Gaussian(mu, sigma), delta_arg)).total
@@ -212,6 +227,46 @@ class TestScore:
         # with two equal tails the sides add up to the same derivative
         pair = _gaussian_loglik_score(z, [0.0, 1.0, delta, delta])[1]
         assert pair[2] + pair[3] == pytest.approx(score[2], rel=1e-10)
+
+
+# The nu of a search that ends on the box bound log(nu - 2) = log(_NU_CAP).
+NU_ON_CAP = _to_theta(("nu",), [_box(("nu",))[0][1]])[0]
+
+
+class TestStudentTScore:
+    """The Student-t-input score that drives the student-t joint MLE."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        delta=hst.floats(0.0, 2.0),
+        log_nu=hst.floats(math.log(0.01), math.log(_NU_CAP)),
+        mu=hst.floats(-1.0, 1.0),
+        scale=hst.floats(0.5, 3.0),
+        far=hst.booleans(),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @example(delta=0.0, log_nu=math.log(0.01), mu=0.2, scale=1.3, far=True, seed=0)
+    @example(delta=0.0, log_nu=math.log(_NU_CAP), mu=0.2, scale=1.3, far=True, seed=0)
+    @example(delta=0.7, log_nu=math.log(_NU_CAP), mu=0.2, scale=1.3, far=False, seed=0)
+    @example(delta=0.4, log_nu=math.log(0.01), mu=-0.3, scale=0.8, far=True, seed=1)
+    def test_matches_loglik_differences(self, delta, log_nu, mu, scale, far, seed):
+        y = make_sample((0.1, 0.5), 300, seed=seed, mu=0.2, sigma=1.3)
+        if far:
+            y[:3] = [1e8, -1e4, 40.0]
+        theta = [mu, scale, delta, *_to_theta(("nu",), [log_nu])]
+        total, score = _student_t_loglik_score(y, theta)
+        fd, noise = loglik_differences(y, theta, family="student-t")
+        assert np.all(np.abs(score - fd) <= 1e-5 * np.abs(fd) + noise), (score, fd)
+        assert total == loglik(y, _MODELS[("student-t", "h")].build(theta)).total
+
+    def test_objective_at_nu_two(self):
+        # exp(-800) underflows to 0, so nu == 2.0 exactly: no model, +inf.
+        y = make_sample(0.1, 100, seed=2)
+        model = _MODELS[("student-t", "h")]
+        value, grad = _objective(np.array([0.0, 0.0, 0.1, -800.0]), y, model)
+        assert value == math.inf and not np.any(grad)
+        with pytest.raises(DomainError):
+            _student_t_loglik_score(y, [0.0, 1.0, 0.1, 2.0])
 
 
 def sides(z, delta_left, delta_right):
@@ -634,19 +689,87 @@ class TestMleJoint:
 
     @pytest.mark.parametrize("model", sorted(_MODELS), ids="-".join)
     def test_model_table_round_trip(self, model):
-        # start -> optimizer vector -> LambertWDist -> theta gives the start back
-        names, build, read = _MODELS[model]
+        # start -> search coordinates -> theta -> LambertWDist -> theta
+        # gives the start back
+        names, build, read, _ = _MODELS[model]
         start = {"mu_x": 0.3, "sigma_x": 1.7, "delta": 0.2,
                  "delta_left": 0.1, "delta_right": 0.25, "nu": 6.0}
-        theta = read(build(_unpack(names, _pack(names, start))))
+        p = _to_search(names, [start[n] for n in names])
+        theta = read(build(_to_theta(names, p)))
         assert len(theta) == len(names)
         np.testing.assert_allclose(theta, [start[n] for n in names], rtol=1e-12)
 
     def test_nu_map_does_not_overflow(self):
-        # a huge optimizer step in log(nu - 2) lands on the cap, silently
+        # The box ends map to nu = 2 and nu = 2 + _NU_CAP; past the upper
+        # end exp overflows, and the objective gives +inf without a warning.
+        assert _to_theta(("nu",), [_box(("nu",))[0][0]]) == [2.0]
+        assert NU_ON_CAP == pytest.approx(2.0 + _NU_CAP, rel=1e-15)
+        y = make_sample(0.1, 100, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _unpack(("nu",), np.array([800.0])) == [2.0 + _NU_CAP]
+            value, _ = _objective(
+                np.array([0.0, 0.0, 0.1, 800.0]), y, _MODELS[("student-t", "h")]
+            )
+        assert value == math.inf
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_std_errors_with_nu_on_cap(self, seed):
+        # Gaussian data: nu ends on its cap, where it is held fixed and gets
+        # NaN, as a tail on 0 does (it got 2.3e-14 and 2.0e-14).
+        y = rlambertw(1000, LambertWDist(Gaussian(0, 1), 0.0), seed=seed)
+        r = mle_joint(y, family="student-t")
+        assert r.extra["nu"] == NU_ON_CAP
+        assert math.isnan(r.std_errors["nu"])
+        for name in ("mu_x", "sigma_x"):
+            assert 0.0 < r.std_errors[name] < 0.1, name
+
+    # Series rlambertw(n, LambertWDist(Gaussian(0, 1), d), seed=s) and the
+    # loglik_total that the Nelder-Mead search reached on them.
+    @pytest.mark.parametrize(
+        "n, d, seed, floor",
+        [
+            (1000, 1 / 3, 3, -1874.9769676681171),
+            (400, 1 / 3, 3, -740.5715493969483),
+            (400, 1 / 3, 4, -730.4971731238444),
+            (400, 0.0, 2, -555.6220944327542),
+        ],
+    )
+    def test_student_t_likelihood_floor(self, n, d, seed, floor):
+        y = rlambertw(n, LambertWDist(Gaussian(0, 1), d), seed=seed)
+        r = mle_joint(y, family="student-t")
+        assert r.loglik_total >= floor - 1e-6
+        assert r.converged
+
+    @pytest.mark.parametrize(
+        "seed, floor", [(102, -2775.2522711126667), (107, -2504.154797261194)]
+    )
+    def test_student_t_heavy_input(self, seed, floor):
+        # A t_5 input with delta = 1: the sample sd is about 1e12.  From a
+        # start at that scale the search ran off to scale 1e-51, nu -> 2,
+        # where the likelihood grows without bound (loglik +3039 at seed
+        # 102).  The floor is the Nelder-Mead value at the interior maximum.
+        y = rlambertw(1000, LambertWDist(StudentT(5.0), 1.0), seed=seed)
+        r = mle_joint(y, family="student-t")
+        assert r.loglik_total >= floor - 1e-6
+        assert 0.5 < r.tau.sigma_x < 2.0 and 3.0 < r.extra["nu"] < 10.0
+        assert r.converged
+
+    def test_converged_rule(self):
+        # A failed line search counts as converged only where the projected
+        # gradient is within gtol max(1, |loglik|) of 0.
+        names = ("mu_x", "sigma_x", "delta")
+
+        def stop(jac, x=(0.0, 0.0, 0.5), fun=-300.0, message="ABNORMAL: "):
+            return SimpleNamespace(success=False, message=message, fun=fun,
+                                   x=np.array(x), jac=np.array(jac))
+
+        assert _converged(stop([1e-6, -2e-5, 2.9e-5]), names)
+        assert not _converged(stop([1e-6, -2e-5, 3.1e-5]), names)
+        # an outward gradient on the bound delta = 0 is projected away
+        assert _converged(stop([1e-6, 0.0, 5.0], x=(0.0, 0.0, 0.0)), names)
+        assert not _converged(stop([1e-6, 0.0, -5.0], x=(0.0, 0.0, 0.0)), names)
+        limit = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+        assert not _converged(stop([0.0, 0.0, 0.0], message=limit), names)
 
     def test_std_errors_at_zero_tail(self):
         # delta snaps to 0: the tail gets NaN, and location and scale get
