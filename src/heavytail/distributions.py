@@ -356,6 +356,24 @@ def _t_log_norm_dnu(nu: float) -> float:
     return 0.5 * r * s
 
 
+def _t_log_norm_d2nu(nu: float) -> float:
+    """Second nu derivative of :func:`_t_log_norm`.
+
+    ``(psi'((nu+1)/2) - psi'(nu/2)) / 4 + 1/(2 nu^2)`` below nu = 30, with
+    the trigamma ``psi'(x)`` as the Hurwitz zeta ``zeta(2, x)``, and
+    ``S''(nu/2) / 4`` from the series above, where the trigamma difference
+    cancels.
+    """
+    if nu < _T_SERIES_NU:
+        return (0.25 * float(sp.zeta(2.0, 0.5 * (nu + 1.0)) - sp.zeta(2.0, 0.5 * nu))
+                + 0.5 / (nu * nu))
+    x = 0.5 * nu
+    r, s = 1.0 / (x * x), 0.0
+    for k in reversed(range(len(_T_SERIES))):
+        s = s * r + (2 * k + 1) * (2 * k + 2) * _T_SERIES[k]
+    return 0.25 * r * s / x
+
+
 @dataclass(frozen=True)
 class StudentT(_Family):
     """Location-scale Student t input.

@@ -15,24 +15,24 @@ Estimators provided here:
 
 * :func:`mle_delta_only`   -- tail parameter only, via the gradient root.
 * :func:`mle_joint`        -- (mu, sigma, delta[, delta_r][, nu]).  Every
-  model has a closed-form score (one W per point) and is searched by
-  L-BFGS-B in the box delta >= 0, which reaches the boundary delta = 0
-  exactly; Student-t input, whose likelihood has several maxima in nu,
-  from four starts.  Standard errors come from differences of the score.
+  model has a closed-form score and Hessian (one W per point) and is
+  searched by projected Newton steps with Levenberg-Marquardt damping in
+  the box delta >= 0, which reaches the boundary delta = 0 exactly, until
+  the Newton decrement is small relative to the log-likelihood; Student-t
+  input, whose likelihood has several maxima in nu, from four starts.
+  Standard errors come from the Hessian at the end of the search.
 * :func:`igmm` / :func:`igmm_double_tail` -- iterative generalized method
   of moments: alternate a moment-matching tail update with location and
   scale updates from the back-transformed sample until the parameter
-  vector stabilizes.  Both share one tail update: an active-set
-  Gauss-Newton (Levenberg-Marquardt damped) in the box [0, 10] per tail, on
-  the analytic derivative of the back-transformed moments in the tails (one
-  W per point).  One tail matches the kurtosis, two tails the skewness and
+  vector stabilizes.  Both share one tail update: the same damped Newton
+  step, on the Gauss-Newton Hessian, in the box [0, 10] per tail, on the
+  analytic derivative of the back-transformed moments in the tails (one W
+  per point).  One tail matches the kurtosis, two tails the skewness and
   the kurtosis.
 * :func:`taylor_delta`     -- rule-of-thumb tail start value from sample
   kurtosis.
 
-``scipy.optimize`` is imported inside the functions that call it (the
-likelihood searches), so importing the package, the CLI commands that fit
-nothing and the IGMM fits never load it.
+Every search is in the package: no path imports ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +50,7 @@ from .distributions import (
     Gaussian,
     LambertWDist,
     StudentT,
+    _t_log_norm_d2nu,
     _t_log_norm_dnu,
     variance_factor,
 )
@@ -58,7 +59,6 @@ from .transform import (
     TailParams,
     _dispatch_sides,
     _w_and_w_delta,
-    w_delta,
     w_of_delta_z_sq,
 )
 
@@ -114,10 +114,11 @@ class FitResult:
     ``loglik_total`` always equals ``loglik_input + loglik_penalty``;
     the penalty part is nonpositive and zero only when every fitted tail
     parameter is zero.  ``std_errors`` comes from the inverse observed
-    information, taken from differences of the analytic score; it is NaN
-    for a tail parameter estimated at 0 or a nu on its cap, and ``None``
-    for moment-based fits.  ``boundary_hit`` flags estimates pinned at
-    ``delta = 0`` or at the upper search bound.
+    information, the exact Hessian of the log-likelihood at the estimate
+    scaled by its diagonal; it is NaN for a tail parameter estimated at 0
+    or a nu on its cap, and ``None`` for moment-based fits.
+    ``boundary_hit`` flags estimates pinned at ``delta = 0`` or at the upper
+    search bound.
     """
 
     tau: TailParams
@@ -171,15 +172,16 @@ def _central_moment_stats(x: np.ndarray) -> tuple[float, float]:
     return float(m3 / m2**1.5), float(m4 / (m2 * m2))
 
 
-def _moment_residual(parts) -> tuple[np.ndarray, np.ndarray]:
+def _moment_residual(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moment residual of a back-transformed sample and its Jacobian in the tails.
 
     ``parts`` is a sequence of ``(z_k, delta_k)``; the sample is the union
     of the ``w_delta(z_k, delta_k)`` (moments do not depend on the order
-    of the points).  Returns ``r = (skewness, kurtosis - 3)`` and the
-    ``2 x len(parts)`` matrix of ``dr / ddelta_k``.  W is evaluated once per
-    point.  Each point moves with its own tail by ``du/ddelta = -u^3 / (2 (1
-    + W))`` (the :func:`~heavytail.transform.w_delta_ddelta` formula), and
+    of the points).  Returns ``r = (skewness, kurtosis - 3)``, the
+    ``2 x len(parts)`` matrix of ``dr / ddelta_k`` and the sample, the
+    parts in their order.  W is evaluated once per point.  Each point moves
+    with its own tail by ``du/ddelta = -u^3 / (2 (1 + W))`` (the
+    :func:`~heavytail.transform.w_delta_ddelta` formula), and
     the central moments by ``dm_k = k (mean(c^(k-1) du) - m_(k-1)
     mean(du))`` with ``c = u - mean(u)`` and ``m_1 = 0``.
     """
@@ -188,7 +190,8 @@ def _moment_residual(parts) -> tuple[np.ndarray, np.ndarray]:
         wv, u_k = _w_and_w_delta(z_k, delta_k)
         us.append(u_k)
         dus.append(-0.5 * u_k * u_k * u_k / (1.0 + wv))
-    c, c2, m2, m3, m4 = _central_moments(np.concatenate(us))
+    sample = np.concatenate(us)
+    c, c2, m2, m3, m4 = _central_moments(sample)
     c3 = c2 * c
     n = c.size
     jac = np.empty((2, len(dus)))
@@ -202,7 +205,7 @@ def _moment_residual(parts) -> tuple[np.ndarray, np.ndarray]:
         dm4 = 4.0 * (np.dot(c3[side], du) / n - m3 * mean_du)
         jac[0, k] = (dm3 - 1.5 * m3 * dm2 / m2) / m2**1.5
         jac[1, k] = (dm4 - 2.0 * m4 * dm2 / m2) / (m2 * m2)
-    return np.array([m3 / m2**1.5, m4 / (m2 * m2) - 3.0]), jac
+    return np.array([m3 / m2**1.5, m4 / (m2 * m2) - 3.0]), jac, sample
 
 
 def sample_moments(data) -> SampleMoments:
@@ -279,6 +282,14 @@ def grad_delta(delta: float, z_data) -> float:
 
 
 _DELTA_BRACKET_LIMIT = 1e8
+# The Newton searches (the tail-only root, the IGMM tail step, the joint
+# MLE) stop when a step is at most _STEP_XTOL + _STEP_RTOL |x|, or after
+# _STEP_MAX_ITERATIONS steps; a coordinate within _BOUND_TOL of a bound of
+# its box is held on that bound.
+_STEP_XTOL = 1e-13
+_STEP_RTOL = 8.9e-16
+_BOUND_TOL = 1e-12
+_STEP_MAX_ITERATIONS = 100
 
 
 def mle_delta_only(z_data) -> FitResult:
@@ -287,7 +298,9 @@ def mle_delta_only(z_data) -> FitResult:
     Implements the boundary dichotomy: if ``sum(z^4)/sum(z^2) <= 3`` the
     estimate is exactly 0 (flagged ``delta_lower``); otherwise the unique
     positive root of :func:`grad_delta` is bracketed by geometric growth
-    and refined by Brent's method.
+    and refined by safeguarded Newton steps on its closed-form derivative
+    (a bisection of the bracket where a step would leave it), until a step
+    is at most ``1e-13 + 8.9e-16 delta``.
     """
     z = _check_series(z_data, min_n=2)
     zsq = z * z
@@ -309,15 +322,25 @@ def mle_delta_only(z_data) -> FitResult:
                     "tail-parameter bracket left the representable search "
                     "region; data too extreme for a finite estimate"
                 )
-        from scipy import optimize
-
-        delta_hat, info = optimize.brentq(
-            grad_delta, 0.0, hi, args=(z,), xtol=1e-12, full_output=True
-        )
-        delta_hat = float(delta_hat)
-        boundary = None
-        iterations = int(info.iterations)
-        if not info.converged:
+        # grad_delta is positive at lo (at 0, since the ratio exceeds 3)
+        lo = 0.5 * hi if hi > 0.5 else 0.0
+        delta_hat, boundary = 0.5 * (lo + hi), None
+        for iterations in range(1, _STEP_MAX_ITERATIONS + 1):
+            slope, curvature = _delta_slope(delta_hat, z)
+            if slope == 0.0:
+                break
+            if slope > 0.0:
+                lo = delta_hat
+            else:
+                hi = delta_hat
+            step = -slope / curvature if curvature < 0.0 else math.inf
+            if abs(step) <= _STEP_XTOL + _STEP_RTOL * delta_hat:
+                delta_hat += step
+                break
+            if not lo < delta_hat + step < hi:
+                step = 0.5 * (lo + hi) - delta_hat
+            delta_hat += step
+        else:
             raise ConvergenceError("gradient root refinement did not converge")
 
     parts = loglik(z, LambertWDist(Gaussian(0.0, 1.0), delta_hat))
@@ -336,14 +359,25 @@ def mle_delta_only(z_data) -> FitResult:
     )
 
 
+def _delta_slope(delta: float, z: np.ndarray) -> tuple[float, float]:
+    """:func:`grad_delta` and its derivative in delta, from one W pass.
+
+    They are the tail entries of the Gaussian score and Hessian at (mu,
+    sigma, delta) = (0, 1, delta), summed from the same per-point terms
+    (:func:`_tail_terms` with ``Phi = -q/2``).
+    """
+    wv, u = _w_and_w_delta(z, delta)
+    q = u * u
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_delta, f_dd = _tail_terms(q, 1.0 / (1.0 + wv), -q, 0.0)
+    return float(f_delta.sum()), float(f_dd.sum())
+
+
 def _delta_only_std_error(delta_hat: float, z: np.ndarray) -> float | None:
-    """1 / sqrt(observed information) from a finite difference of the gradient."""
+    """1 / sqrt(observed information), from the derivative of the gradient."""
     if delta_hat <= 0.0:
         return None
-    h = max(1e-5, 1e-5 * delta_hat)
-    if delta_hat - h <= 0.0:
-        h = 0.5 * delta_hat
-    second = (grad_delta(delta_hat + h, z) - grad_delta(delta_hat - h, z)) / (2 * h)
+    second = _delta_slope(delta_hat, z)[1]
     if second >= 0.0 or not math.isfinite(second):
         return None
     return float(1.0 / math.sqrt(-second))
@@ -363,15 +397,6 @@ def taylor_delta(sample_kurtosis: float) -> float:
     return max((math.sqrt(disc) - 6.0) / 66.0, 0.0)
 
 
-# The inner moment-match step: a tail stops when its step is at most
-# _STEP_XTOL + _STEP_RTOL |delta|, or after _STEP_MAX_ITERATIONS steps, and
-# a tail within _BOUND_TOL of a bound is held on that bound.
-_STEP_XTOL = 1e-13
-_STEP_RTOL = 8.9e-16
-_BOUND_TOL = 1e-12
-_STEP_MAX_ITERATIONS = 100
-
-
 def delta_gmm(z_data) -> GMMDelta:
     """Tail parameter minimizing the kurtosis mismatch of back-transformed data.
 
@@ -386,14 +411,160 @@ def delta_gmm(z_data) -> GMMDelta:
     it stops when the step is at most ``1e-13 + 8.9e-16 delta``.
     """
     z = _check_series(z_data, min_n=4)
-    return _gmm_step(z, taylor_delta(_central_moment_stats(z)[1]))
+    return GMMDelta(*_gmm_step(z, taylor_delta(_central_moment_stats(z)[1]))[:2])
 
 
 def _dot(x, y) -> float:
     return sum(map(operator.mul, x, y))
 
 
-def _gmm_step(z: np.ndarray, start: float | tuple[float, float]) -> GMMDelta:
+def _cholesky(a: list[list[float]]) -> list[list[float]] | None:
+    """The lower Cholesky factor of a small symmetric matrix.
+
+    None when the matrix is not positive definite.
+    """
+    low = [[0.0] * len(a) for _ in a]
+    for i, (ai, li) in enumerate(zip(a, low)):
+        for j in range(i + 1):
+            lj, s = low[j], ai[j]
+            for k in range(j):
+                s -= li[k] * lj[k]
+            if i > j:
+                li[j] = s / lj[j]
+            elif s > 0.0:
+                li[i] = math.sqrt(s)
+            else:
+                return None
+    return low
+
+
+def _forward(low: list[list[float]], b: list[float]) -> list[float]:
+    """``L^-1 b`` for a lower triangular ``L``."""
+    out = list(b)
+    for i, row in enumerate(low):
+        for k in range(i):
+            out[i] -= row[k] * out[k]
+        out[i] /= row[i]
+    return out
+
+
+def _backward(low: list[list[float]], b: list[float]) -> list[float]:
+    """``L'^-1 b`` for a lower triangular ``L``."""
+    out = list(b)
+    for i in reversed(range(len(out))):
+        for k in range(i + 1, len(out)):
+            out[i] -= low[k][i] * out[k]
+        out[i] /= low[i][i]
+    return out
+
+
+class _Search(NamedTuple):
+    x: list[float]
+    value: float
+    payload: object  # what the objective returned with the value at x
+    passes: int  # objective evaluations besides the one at the start
+    converged: bool
+
+
+def _box_newton(evaluate, x: list[float], lo, hi, tol: float) -> _Search:
+    """Minimize ``f`` over the box ``lo <= x <= hi`` by damped Newton steps.
+
+    ``evaluate(x)`` returns ``f(x)``, its gradient, its Hessian (or a
+    Gauss-Newton approximation of it) and a payload; ``f = inf`` marks a
+    point that is rejected.  A coordinate within 1e-12 of a bound whose
+    descent direction points out of the box is held exactly on that bound.
+    The free coordinates take the step ``s`` of ``(H + lam D) s = -g``, with
+    ``D`` the absolute diagonal of ``H`` (Marquardt), projected onto the
+    box; ``lam`` grows until ``H + lam D`` is positive definite.  A step
+    that lowers ``f`` is taken and lowers ``lam`` by Nielsen's rule from the
+    ratio of the actual to the predicted fall, one that does not raises it,
+    so far from a minimum the step shortens towards scaled steepest
+    descent.  A trial point rejected from this point (a step clipped to the
+    box by every ``lam`` so far) is not evaluated again.
+
+    It stops, converged, when no coordinate is free or the Newton decrement
+    ``g' H^-1 g`` of the free ones is at most ``tol max(1, |f|)``, and
+    unconverged when no coordinate moves by more than ``1e-13 + 8.9e-16
+    |x|`` (where repeated failures to lower ``f`` end too) or after 100
+    steps.  A coordinate held on a bound after the last evaluation is
+    evaluated there once more, so the returned payload is that of ``x``.
+    """
+    value, grad, hess, payload = evaluate(x)
+    if not math.isfinite(value):
+        return _Search(x, value, payload, 0, False)
+    grad, hess = grad.tolist(), hess.tolist()
+    at, passes, converged = x, 0, False
+    lam, grow, rejected = 1e-6, 2.0, None
+    for _ in range(_STEP_MAX_ITERATIONS):
+        held, free = [], []
+        for k, (xk, g) in enumerate(zip(x, grad)):
+            if xk <= lo[k] + _BOUND_TOL and g > 0.0:
+                xk = lo[k]
+            elif xk >= hi[k] - _BOUND_TOL and g < 0.0:
+                xk = hi[k]
+            else:
+                free.append(k)
+            held.append(xk)
+        x = held
+        if not free:
+            converged = True
+            break
+        g = [grad[k] for k in free]
+        h = [[hess[i][j] for j in free] for i in free]
+        low = _cholesky(h)
+        if low is not None:
+            w = _forward(low, g)
+            if _dot(w, w) <= tol * max(1.0, abs(value)):
+                converged = True
+                break
+        scale = [abs(row[i]) or 1.0 for i, row in enumerate(h)]
+        while True:
+            damped = [[v + lam * scale[i] if i == j else v for j, v in enumerate(row)]
+                      for i, row in enumerate(h)]
+            low = _cholesky(damped)
+            if low is not None or not lam < math.inf:
+                break
+            lam *= 4.0
+        if low is None:
+            break
+        step = _backward(low, _forward(low, [-gi for gi in g]))
+        trial = list(x)
+        for k, sk in zip(free, step):
+            trial[k] = min(max(x[k] + sk, lo[k]), hi[k])
+        if all(abs(t - xk) <= _STEP_XTOL + _STEP_RTOL * abs(xk) for t, xk in zip(trial, x)):
+            break
+        accepted = False
+        if trial != rejected:
+            passes += 1
+            out = evaluate(trial)
+            move = [trial[k] - x[k] for k in free]
+            predicted = -(_dot(g, move) + 0.5 * _dot(move, [_dot(row, move) for row in h]))
+            accepted = out[0] < value and predicted > 0.0
+        if accepted:
+            gain = (value - out[0]) / predicted
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            grow = 2.0
+            x = at = trial
+            value, grad, hess, payload = out
+            grad, hess = grad.tolist(), hess.tolist()
+            rejected = None
+        else:
+            lam *= grow
+            grow *= 2.0
+            rejected = trial
+    if x != at:
+        passes += 1
+        value, _, _, payload = evaluate(x)
+    return _Search(x, value, payload, passes, converged)
+
+
+class _TailStep(NamedTuple):
+    delta: float | tuple[float, float]
+    at_upper_bound: bool
+    sample: np.ndarray  # the back-transformed z at delta, left side first for two tails
+
+
+def _gmm_step(z: np.ndarray, start: float | tuple[float, float]) -> _TailStep:
     """The IGMM tail step: match the moments of the back-transformed ``z``.
 
     A float ``start`` is one tail, which brings the kurtosis to 3.  A
@@ -401,19 +572,17 @@ def _gmm_step(z: np.ndarray, start: float | tuple[float, float]) -> GMMDelta:
     identify; they bring the skewness to 0 and the kurtosis to 3 in a
     least-squares sense.  Either way the step minimizes ``phi = |r|^2 / 2``
     over [0, 10] per tail, for those rows ``r`` of the residual ``(skewness,
-    kurtosis - 3)`` of :func:`_moment_residual`, by an active-set projected
-    Gauss-Newton with Levenberg-Marquardt damping, warm-started at ``start``.
+    kurtosis - 3)`` of :func:`_moment_residual`, by :func:`_box_newton` on
+    the Gauss-Newton Hessian ``J'J``, warm-started at ``start``.
 
     A tail within 1e-12 of a bound whose descent direction points out of
     the box is held exactly on that bound, which gives :func:`delta_gmm`
-    its end-point rules without evaluating the bounds.  The free tails take
-    the step ``s`` of ``(J'J + lam diag(J'J)) s = -J'r`` (1x1 or 2x2, solved
-    in closed form), projected onto the box; a step that lowers ``phi`` is
-    taken and lowers ``lam``, one that does not raises it, so far from a
-    match the step shortens towards steepest descent.  It stops when no tail
-    moves by more than ``1e-13 + 8.9e-16 |delta|``, which is also where
+    its end-point rules without evaluating the bounds.  Far from a match
+    the damped step shortens towards steepest descent.  It stops when no
+    tail moves by more than ``1e-13 + 8.9e-16 |delta|``, which is also where
     repeated failures to lower ``phi`` end, so a tail the data do not need
-    comes back as exactly 0.
+    comes back as exactly 0.  The back-transformed sample of the last
+    residual evaluation comes back with the tails.
     """
     lo, hi = _DELTA_BOUNDS
     double = isinstance(start, tuple)
@@ -423,62 +592,14 @@ def _gmm_step(z: np.ndarray, start: float | tuple[float, float]) -> GMMDelta:
     else:
         sides, rows, start = (z,), slice(1, 2), (start,)
 
-    def residual(d: list[float]) -> tuple[list[float], list[list[float]]]:
-        # The residual rows and the Jacobian's columns, as Python floats
-        r, jac = _moment_residual(list(zip(sides, d)))
-        return r[rows].tolist(), jac[rows].T.tolist()
+    def evaluate(d: list[float]):
+        r, jac, sample = _moment_residual(list(zip(sides, d)))
+        r, jac = r[rows], jac[rows]
+        return 0.5 * float(r @ r), jac.T @ r, jac.T @ jac, sample
 
     d = [min(max(float(x), lo), hi) for x in start]
-    r, cols = residual(d)
-    lam, grow, rejected = 1e-6, 2.0, None
-    for _ in range(_STEP_MAX_ITERATIONS):
-        grad = [_dot(c, r) for c in cols]
-        free = []
-        for k, g in enumerate(grad):
-            if d[k] <= lo + _BOUND_TOL and g > 0.0:
-                d[k] = lo
-            elif d[k] >= hi - _BOUND_TOL and g < 0.0:
-                d[k] = hi
-            else:
-                free.append(k)
-        if not free:
-            break
-        step = [0.0] * len(d)
-        diag = [_dot(c, c) for c in cols]
-        if len(free) == 2:
-            (j00, j10), (j01, j11) = cols
-            a01 = _dot(*cols)
-            # det(J'J) = det(J)^2, so the determinant is a sum of nonnegative terms.
-            det = diag[0] * diag[1] * lam * (2.0 + lam) + (j00 * j11 - j01 * j10) ** 2
-            if det > 0.0:
-                step = [-((1.0 + lam) * diag[1] * grad[0] - a01 * grad[1]) / det,
-                        -((1.0 + lam) * diag[0] * grad[1] - a01 * grad[0]) / det]
-        elif diag[free[0]] > 0.0:
-            step[free[0]] = -grad[free[0]] / ((1.0 + lam) * diag[free[0]])
-        trial = [min(max(dk + sk, lo), hi) for dk, sk in zip(d, step)]
-        if all(abs(t - dk) <= _STEP_XTOL + _STEP_RTOL * abs(dk) for t, dk in zip(trial, d)):
-            break
-        accepted = False
-        # A trial point rejected from this point (a step clipped to the box
-        # by every lam so far) is not evaluated again.
-        if trial != rejected:
-            r_trial, cols_trial = residual(trial)
-            phi, phi_trial = 0.5 * _dot(r, r), 0.5 * _dot(r_trial, r_trial)
-            moves = [t - dk for t, dk in zip(trial, d)]
-            model = [r_i + _dot(row, moves) for r_i, row in zip(r, zip(*cols))]
-            predicted = phi - 0.5 * _dot(model, model)
-            accepted = phi_trial < phi and predicted > 0.0
-        if accepted:
-            # Nielsen's update from the ratio of actual to predicted fall
-            gain = (phi - phi_trial) / predicted
-            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            grow = 2.0
-            d, r, cols, rejected = trial, r_trial, cols_trial, None
-        else:
-            lam *= grow
-            grow *= 2.0
-            rejected = trial
-    return GMMDelta(tuple(d) if double else d[0], max(d) >= hi)
+    end = _box_newton(evaluate, d, [lo] * len(d), [hi] * len(d), 0.0)
+    return _TailStep(tuple(end.x) if double else end.x[0], max(end.x) >= hi, end.payload)
 
 
 def _igmm(data, double_tail: bool) -> FitResult:
@@ -486,7 +607,9 @@ def _igmm(data, double_tail: bool) -> FitResult:
 
     Starts from the median, the kurtosis-matched tail and the deflated
     scale; each iteration updates the tail (one, or a left/right pair) by
-    :func:`_gmm_step`, warm-started at the current tail.
+    :func:`_gmm_step`, warm-started at the current tail, and takes location
+    and scale from the back-transformed sample that the step's last
+    residual evaluation made, so no W pass is repeated.
     """
     y = _check_series(data, min_n=10)
     # A point near the float maximum overflows the start moments.
@@ -514,8 +637,8 @@ def _igmm(data, double_tail: bool) -> FitResult:
             break
         iterations += 1
         z = (y - mu) / sigma
-        delta, at_bound = _gmm_step(z, delta)
-        x = _dispatch_sides(w_delta, z, TailParams(0.0, 1.0, delta)) * sigma + mu
+        delta, at_bound, u = _gmm_step(z, delta)
+        x = u * sigma + mu
         mu = float(np.mean(x))
         sigma = float(np.std(x, ddof=1))
         prev = tau_vec
@@ -573,18 +696,19 @@ def igmm_double_tail(data) -> FitResult:
 
 
 _NU_CAP = 1e6
-_GTOL = 1e-7
+# The likelihood search stops when the Newton decrement of its free
+# coordinates is at most _DECREMENT_TOL max(1, |loglik|).
+_DECREMENT_TOL = 1e-12
 
-# L-BFGS-B searches log(theta - shift) for the names in _LOG_SHIFT and the
-# others as they are, in the box delta >= 0, log(nu - 2) <= log(_NU_CAP).
-# Mapped to theta, the box's ends bound the standard-error stencils.
+# The search runs on log(theta - shift) for the names in _LOG_SHIFT and on
+# the others as they are, in the box delta >= 0, log(nu - 2) <= log(_NU_CAP).
 _LOG_SHIFT = {"sigma_x": 0.0, "nu": 2.0}
 _TAU_NAMES = ("mu_x", "sigma_x", "delta", "delta_left", "delta_right")
 
 
-def _to_search(names, theta) -> np.ndarray:
-    return np.array([math.log(v - _LOG_SHIFT[n]) if n in _LOG_SHIFT else v
-                     for n, v in zip(names, theta)])
+def _to_search(names, theta) -> list[float]:
+    return [math.log(v - _LOG_SHIFT[n]) if n in _LOG_SHIFT else float(v)
+            for n, v in zip(names, theta)]
 
 
 def _to_theta(names, p) -> list[float]:
@@ -592,10 +716,11 @@ def _to_theta(names, p) -> list[float]:
             for n, v in zip(names, p)]
 
 
-def _box(names) -> list[tuple[float, float]]:
-    return [(0.0, math.inf) if n.startswith("delta")
-            else (-math.inf, math.log(_NU_CAP)) if n == "nu"
-            else (-math.inf, math.inf) for n in names]
+def _search_bounds(names) -> tuple[list[float], list[float]]:
+    """The lower and upper ends of the search box, per coordinate."""
+    lo = [0.0 if n.startswith("delta") else -math.inf for n in names]
+    hi = [math.log(_NU_CAP) if n == "nu" else math.inf for n in names]
+    return lo, hi
 
 
 def _default_start(y: np.ndarray, names) -> dict[str, float]:
@@ -605,19 +730,22 @@ def _default_start(y: np.ndarray, names) -> dict[str, float]:
     delta0 = max(taylor_delta(g2), 1e-3)
     vf = variance_factor(min(delta0, 0.499)) or 1.0
     sigma0 = max(sd / vf, 1e-12)
-    start = {"mu_x": float(np.median(y)), "sigma_x": sigma0}
+    start = {"mu_x": float(np.median(y))}
     start.update({name: delta0 for name in names if name.startswith("delta")})
+    standard = Gaussian()
     if "nu" in names:
         # Split the observed tail weight between delta and the t dof.
         nu0 = (4.0 * g2 - 6.0) / (g2 - 3.0) if g2 > 3.5 else 30.0
         start["nu"] = float(min(max(nu0, 2.5), 100.0))
         start["delta"] = max(delta0 / 2.0, 1e-3)
-        # The t scale from the interquartile range: heavy tails inflate
-        # the sd (to 2.4e12 on a t_5 series of 1000 points with delta =
-        # 1), and L-BFGS-B from such a start can run off to scale 1e-50,
-        # nu -> 2, where the likelihood of such data has no upper bound.
-        k = math.sqrt(start["nu"] / (start["nu"] - 2.0))
-        start["sigma_x"] = _iqr_scale(y, StudentT(start["nu"])) or sigma0 / k
+        standard = StudentT(start["nu"])
+        sigma0 /= math.sqrt(start["nu"] / (start["nu"] - 2.0))
+    # The scale from the interquartile range: heavy tails inflate the sd
+    # (to 2.4e12 on a t_5 series of 1000 points with delta = 1), a search
+    # from such a start has far to go, and it can run off to a scale near
+    # 0, where the Student-t likelihood of such data has no upper bound.
+    # The sd is kept when the IQR is 0.
+    start["sigma_x"] = _iqr_scale(y, standard) or sigma0
     return start
 
 
@@ -627,68 +755,153 @@ def _iqr_scale(y: np.ndarray, standard) -> float:
     return float(q3 - q1) / (2.0 * float(standard.quantile(0.75)))
 
 
-def _gaussian_loglik_score(y: np.ndarray, theta) -> tuple[float, np.ndarray]:
-    """Gaussian-input log-likelihood and its score at natural ``theta``.
+def _tail_terms(q, inv, a, d):
+    """Per-point ``f_delta`` and ``f_dd`` of :func:`_log_scale_derivatives`."""
+    qa = q * inv
+    f_delta = -0.5 * qa * (a + 1.0 + 2.0 * inv)
+    f_dd = qa * qa * (d * q + a * (1.0 + 0.5 * inv) + 0.5 + inv * (1.5 + 2.0 * inv))
+    return f_delta, f_dd
+
+
+def _log_scale_derivatives(u, wv, delta, sides, sigma, a, c2, d, nu_terms=None):
+    """Gradient and Hessian of ``sum_i f(z_i)`` in (mu, log sigma, tails[, nu]).
+
+    Each point contributes ``f = Phi(q) - W/2 - log1p(W)`` with ``q = u^2``,
+    ``u = w_delta(z)`` and ``W = W(delta z^2)``; ``a = 2 Phi'(q) q``, ``c2 =
+    2 Phi'(q)`` and ``d = Phi''(q) q`` are given per point (the Gaussian
+    has ``Phi = -q/2``).  With ``i = 1 / (1 + W)`` and ``e = exp(-W/2)``,
+    from ``dq/dz = 2 u e i``, ``dq/ddelta = -q^2 i``, ``dW/dz = delta
+    dq/dz``, ``dW/ddelta = q i`` and ``W i = 1 - i``:
+
+        f_z      = u e i P,         P = c2 - delta (1 + 2 i),
+        f_zz     = e^2 i (S - P),   S = 2 i^2 (P + 2 delta (1 - i)) + 4 d i,
+        f_zdelta = u e i X,         X = i^2 (1 - 4 i) - a i (1 + i) - 2 d q i,
+        f_delta  = -q i (a + 1 + 2 i) / 2,
+        f_dd     = (q i)^2 (d q + a (1 + i/2) + 1/2 + 3 i/2 + 2 i^2),
+
+    and as ``z e = u``, the z-weighted sums ``z f_z = q i P`` and ``z f_z +
+    z^2 f_zz = q i S`` stay finite.  ``sides`` is None for one tail, or one
+    0/1 weight array per tail.  ``nu_terms`` = (Phi_nu, 2 Phi'_nu q, 2
+    Phi'_nu, Phi_nunu) per point adds a last coordinate nu that enters
+    through Phi at fixed z.
+    """
+    inv = 1.0 / (1.0 + wv)
+    inv2 = inv * inv
+    q = u * u
+    qa = q * inv
+    e = np.exp(-0.5 * wv)
+    ue = u * e * inv
+    p = c2 - delta * (1.0 + 2.0 * inv)
+    s = 2.0 * inv2 * (p + 2.0 * delta * (1.0 - inv)) + 4.0 * d * inv
+    x = inv2 * (1.0 - 4.0 * inv) - a * inv * (1.0 + inv) - 2.0 * d * q * inv
+    f_delta, f_dd = _tail_terms(q, inv, a, d)
+    tails = 1 if sides is None else len(sides)
+    k = 2 + tails + (nu_terms is not None)
+    grad, hess = np.empty(k), np.zeros((k, k))
+    grad[0] = -(ue @ p) / sigma
+    grad[1] = -(qa @ p)
+    hess[0, 0] = (e * e * inv) @ (s - p) / (sigma * sigma)
+    hess[0, 1] = (ue @ s) / sigma
+    hess[1, 1] = qa @ s
+    if sides is None:
+        grad[2] = f_delta.sum()
+        hess[0, 2] = -(ue @ x) / sigma
+        hess[1, 2] = -(qa @ x)
+        hess[2, 2] = f_dd.sum()
+    else:
+        uex, qax = ue * x, qa * x
+        for j, side in enumerate(sides, start=2):
+            grad[j] = f_delta @ side
+            hess[0, j] = -(uex @ side) / sigma
+            hess[1, j] = -(qax @ side)
+            hess[j, j] = f_dd @ side
+    if nu_terms is not None:
+        phi_nu, r, t, phi_nunu = nu_terms
+        grad[-1] = phi_nu.sum()
+        hess[0, -1] = -(t @ ue) / sigma
+        hess[1, -1] = -(r @ inv)
+        hess[2, -1] = -0.5 * (r @ qa)
+        hess[-1, -1] = phi_nunu.sum()
+    hess += hess.T
+    hess.flat[:: k + 1] *= 0.5
+    return grad, hess
+
+
+def _natural(grad, hess, s, nu=None):
+    """Gradient and Hessian in (mu, s, ...) from those in (mu, log sigma, ...).
+
+    ``log sigma = log s``, or ``log s + log sqrt(nu / (nu - 2))`` when the
+    last coordinate is a Student-t ``nu``.
+    """
+    jac = np.eye(grad.size)
+    jac[1, 1] = 1.0 / s
+    if nu is not None:
+        jac[1, -1] = -1.0 / (nu * (nu - 2.0))
+    out = jac.T @ hess @ jac
+    out = 0.5 * (out + out.T)
+    out[1, 1] -= grad[1] / (s * s)
+    if nu is not None:
+        out[-1, -1] += grad[1] * (2.0 * nu - 2.0) / (nu * (nu - 2.0)) ** 2
+    return jac.T @ grad, out
+
+
+def _gaussian_loglik_score(y: np.ndarray, theta):
+    """Gaussian-input log-likelihood, its score and Hessian at natural ``theta``.
 
     ``theta`` is (mu, sigma, delta) or (mu, sigma, delta_left,
     delta_right); a point that is no valid model raises
     :class:`DomainError`.  W is evaluated once per point, in the same pass
     as the likelihood.  With ``W = W(delta z^2)`` and ``u^2 = z^2 exp(-W)``
     each point contributes ``-u^2/2 - W/2 - log1p(W) - log sigma - log
-    sqrt(2 pi)``, whose derivatives are
+    sqrt(2 pi)``, whose first derivatives are
 
         d/dz     = -z exp(-W) (1 + delta (1 + 2/(1 + W))) / (1 + W),
         d/ddelta = u^2 (u^2 - 1 - 2/(1 + W)) / (2 (1 + W)),
 
-    the latter ``z^4/2 - 3 z^2/2`` at delta = 0 (:func:`grad_delta`).
-    Location and scale follow by the chain rule through
-    ``z = (y - mu) / sigma``; with two tails each point's tail derivative
-    adds to the score of its own side.
+    the latter ``z^4/2 - 3 z^2/2`` at delta = 0 (:func:`grad_delta`); the
+    second derivatives are those of :func:`_log_scale_derivatives` with
+    ``Phi = -q/2``.  Location and scale follow by the chain rule through
+    ``z = (y - mu) / sigma``; with two tails each point's tail derivatives
+    add to its own side.
     """
     tau = TailParams(theta[0], theta[1], theta[2] if len(theta) == 3 else tuple(theta[2:]))
     sigma = tau.sigma_x
     z = (y - tau.mu_x) / sigma
     wv, u = _dispatch_sides(_w_and_w_delta, z, tau)
-    left = z <= 0.0
-    delta = np.where(left, *tau.delta) if tau.is_double else tau.delta
-    with np.errstate(over="ignore", invalid="ignore"):
-        one_plus = 1.0 + wv
-        u_sq = u * u
-        total = float(np.sum(-0.5 * u_sq - 0.5 * wv - np.log1p(wv)))
-        total -= y.size * (math.log(sigma) + _LOG_SQRT_2PI)
-        factor = (1.0 + delta * (1.0 + 2.0 / one_plus)) / one_plus
-        # z exp(-W) is evaluated as u exp(-W/2), which cannot overflow.
-        d_z = -u * np.exp(-0.5 * wv) * factor
-        d_delta = u_sq * (u_sq - 1.0 - 2.0 / one_plus) / (2.0 * one_plus)
-        # d/dsigma = sum(d_z * -z) / sigma - n / sigma, with z d_z = -u^2 factor
-        score = [-np.sum(d_z) / sigma, (np.sum(u_sq * factor) - y.size) / sigma]
     if tau.is_double:
-        score += [np.sum(d_delta[left]), np.sum(d_delta[~left])]
+        left = z <= 0.0
+        delta, sides = np.where(left, *tau.delta), (left * 1.0, ~left * 1.0)
     else:
-        score.append(np.sum(d_delta))
-    return total, np.array(score, dtype=float)
+        delta, sides = tau.delta, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = u * u
+        total = float(np.sum(-0.5 * q - 0.5 * wv - np.log1p(wv)))
+        total -= y.size * (math.log(sigma) + _LOG_SQRT_2PI)
+        grad, hess = _log_scale_derivatives(u, wv, delta, sides, sigma, -q, -1.0, 0.0)
+    grad[1] -= y.size
+    return (total, *_natural(grad, hess, sigma))
 
 
-def _student_t_loglik_score(y: np.ndarray, theta) -> tuple[float, np.ndarray]:
-    """Student-t-input log-likelihood and its score at natural ``theta``.
+def _student_t_loglik_score(y: np.ndarray, theta):
+    """Student-t-input log-likelihood, its score and Hessian at natural ``theta``.
 
     ``theta`` is (mu, s, delta, nu) with ``s`` the t scale; a point that is
     no valid model (nu <= 2 too) raises :class:`DomainError`.  The total is
     :func:`loglik`'s bit for bit, from one W per point.  With ``sigma = s
     sqrt(nu / (nu - 2))``, ``z = (y - mu) / sigma`` and ``u = w_delta(z)``,
     the t variate ``t`` has ``t^2 / nu = u^2 / (nu - 2)``, and each point
-    adds ``-(nu + 1)/2 log1p(u^2 / (nu - 2)) - W/2 - log1p(W) - log s`` to
-    the log-normalizer.  With ``b = 1 + 2/(1 + W)``, ``rho = u^2 / (nu - 2
-    + u^2)`` and ``delta u^2 = W``, its derivatives are
+    adds ``Phi = -(nu + 1)/2 log1p(u^2 / (nu - 2))``, ``- W/2 - log1p(W) -
+    log s`` to the log-normalizer.  With ``q = u^2`` and ``rho = q / (nu -
+    2 + q)``,
 
-        d/dz     = exp(-W/2) u (-(nu + 1) / (nu - 2 + u^2) - delta b) / (1 + W),
-        z d/dz   = -((nu + 1) rho + b W) / (1 + W),
-        d/ddelta = u^2 ((nu + 1) rho - b) / (2 (1 + W)),
+        2 Phi' q = -(nu + 1) rho,    Phi'' q = (nu + 1) rho / (2 (nu - 2 + q)),
+        Phi_nu   = (nu + 1) rho / (2 (nu - 2)) - log1p(q / (nu - 2)) / 2,
+        Phi'_nu  = (3 - q) / (2 (nu - 2 + q)^2),
+        Phi_nunu = rho ((nu + 1) rho - 6) / (2 (nu - 2)^2),
 
-    from ``du/dz = exp(-W/2) / (1 + W)``, ``dW/dz = 2 delta u du/dz``,
-    ``du/ddelta = -u^3 / (2 (1 + W))`` and ``dW/ddelta = u^2 / (1 + W)``.
-    nu enters through the log-normalizer, through ``u^2 / (nu - 2)`` at
-    fixed u, and through z, as ``dz/dnu = z / (nu (nu - 2))``.
+    which :func:`_log_scale_derivatives` turns into derivatives in (mu, log
+    sigma, delta, nu).  nu also enters through the log-normalizer and
+    through ``log sigma - log s = log sqrt(nu / (nu - 2))``.
     """
     mu, s, delta, nu = theta
     dist = LambertWDist(StudentT(nu=nu, mu=mu, scale=s), delta)
@@ -699,34 +912,33 @@ def _student_t_loglik_score(y: np.ndarray, theta) -> tuple[float, np.ndarray]:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         input_part = float(np.sum(dist.input.logpdf(u * sigma + dist.tau.mu_x)))
         penalty_part = float(np.sum(-0.5 * wv - np.log1p(wv)))
-        one_plus = 1.0 + wv
-        b = 1.0 + 2.0 / one_plus
-        u_sq = u * u
-        # rho is 0 at u = 0 and 1 where u^2 overflows.
-        rho = 1.0 / (1.0 + nu2 / u_sq)
-        d_z = np.exp(-0.5 * wv) / one_plus * (-nu1 * u / (nu2 + u_sq) - delta * b * u)
-        z_d_z = -(nu1 * rho + b * wv) / one_plus
-        d_delta = u_sq * (nu1 * rho - b) / (2.0 * one_plus)
-        d_nu = nu1 * rho / (2.0 * nu2) - 0.5 * np.log1p(u_sq / nu2)
-        sum_z_d_z = float(np.sum(z_d_z))
-        score = [
-            -np.sum(d_z) / sigma,
-            -(sum_z_d_z + n) / s,
-            np.sum(d_delta),
-            n * _t_log_norm_dnu(nu) + np.sum(d_nu) + sum_z_d_z / (nu * nu2),
-        ]
-    return input_part + penalty_part, np.array(score, dtype=float)
+        q = u * u
+        inv_q = 1.0 / (nu2 + q)
+        # rho is 0 at u = 0 and 1 where q overflows; omega = (3 - q) inv_q.
+        rho = 1.0 / (1.0 + nu2 / q)
+        omega = nu1 * inv_q - 1.0
+        nu_terms = (nu1 * rho / (2.0 * nu2) - 0.5 * np.log1p(q / nu2), omega * rho,
+                    omega * inv_q, rho * (nu1 * rho - 6.0) / (2.0 * nu2 * nu2))
+        grad, hess = _log_scale_derivatives(
+            u, wv, delta, None, sigma, -nu1 * rho, -nu1 * inv_q,
+            0.5 * nu1 * rho * inv_q, nu_terms)
+    # -n log s = -n log sigma + n log sqrt(nu / (nu - 2)), at fixed sigma
+    grad[1] -= n
+    grad[-1] += n * (_t_log_norm_dnu(nu) - 1.0 / (nu * nu2))
+    hess[-1, -1] += n * (_t_log_norm_d2nu(nu) + (2.0 * nu - 2.0) / (nu * nu2) ** 2)
+    return (input_part + penalty_part, *_natural(grad, hess, s, nu))
 
 
 class _Model(NamedTuple):
     names: tuple[str, ...]
     build: Callable  # natural theta -> LambertWDist
     read: Callable  # LambertWDist -> natural theta
-    score: Callable  # (y, theta) -> (loglik, its gradient in theta)
+    score: Callable  # (y, theta) -> (loglik, its gradient and Hessian in theta)
 
 
 # Joint-MLE models keyed by (family, tail).  Adding a model is one entry
-# here (and a new parameter name may need its map in _LOG_SHIFT and _box).
+# here (and a new parameter name may need its map in _LOG_SHIFT and
+# _search_bounds).
 _MODELS = {
     ("gaussian", "h"): _Model(
         ("mu_x", "sigma_x", "delta"),
@@ -749,89 +961,96 @@ _MODELS = {
 }
 
 
-def _left_parameter_space(family: str, which: str, point) -> ConvergenceError:
+def _left_parameter_space(family: str, point) -> ConvergenceError:
     return ConvergenceError(
         "the likelihood search left the parameter space on this data: "
-        f"its {which} point {point} gives no valid {family} model"
+        f"its start point {point} gives no valid {family} model"
     )
 
 
 def _objective(p: np.ndarray, y: np.ndarray, model: _Model):
-    """-loglik and its gradient at search coordinates ``p``.
+    """-loglik, its gradient and Hessian at search coordinates ``p``.
 
+    The fourth item is the Hessian of the log-likelihood in natural theta.
     A point that is no valid model, such as nu == 2.0 where ``exp``
-    underflows, or whose likelihood or score is not finite, gives +inf.
+    underflows, or whose likelihood or derivatives are not finite (a scale
+    whose square underflows), gives +inf.
     """
     try:
-        total, s = model.score(y, _to_theta(model.names, p))
+        theta = _to_theta(model.names, p)
+        # A scale that underflows or overflows gives non-finite derivatives
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            total, score, hess = model.score(y, theta)
     except (DomainError, OverflowError):
-        return math.inf, np.zeros_like(p)
-    s *= [math.exp(v) if n in _LOG_SHIFT else 1.0 for n, v in zip(model.names, p)]
-    if not (math.isfinite(total) and np.all(np.isfinite(s))):
-        return math.inf, np.zeros_like(p)
-    return -total, -s
+        return math.inf, None, None, None
+    if not (math.isfinite(total) and np.all(np.isfinite(hess)) and np.all(np.isfinite(score))):
+        return math.inf, None, None, None
+    # d theta / dp, which is also d^2 theta / dp^2 on the log coordinates
+    dtheta = np.array([t - _LOG_SHIFT[n] if n in _LOG_SHIFT else 1.0
+                       for n, t in zip(model.names, theta)])
+    grad = score * dtheta
+    curv = hess * dtheta[:, None] * dtheta
+    for k, n in enumerate(model.names):
+        if n in _LOG_SHIFT:
+            curv[k, k] += grad[k]
+    return -total, -grad, -curv, hess
 
 
 def _score_search(y, model: _Model, starts, family: str):
-    """L-BFGS-B on the search coordinates of ``model`` from each start.
+    """The damped Newton search (:func:`_box_newton`) of ``model`` from each start.
 
     A start of ``None`` is the moment-based :func:`_default_start`, which
     also replaces a first start that gives no valid model; a later such
-    start is skipped.  The run that ends lowest wins.  Returns its natural
-    theta, the iterations summed over the runs and whether it converged
-    (:func:`_converged`).
+    start is skipped.  The run that ends lowest wins.  Returns it and the
+    likelihood passes summed over the runs.
     """
-    def pack(values: dict[str, float]) -> np.ndarray:
+    def pack(values: dict[str, float]) -> list[float]:
         return _to_search(model.names, [values[n] for n in model.names])
 
-    from scipy import optimize
+    def objective(p):
+        return _objective(p, y, model)
 
-    best, iterations = None, 0
+    lo, hi = _search_bounds(model.names)
+    best, passes = None, 0
     for k, start in enumerate(starts):
         p0 = pack(start if start is not None else _default_start(y, model.names))
-        if not math.isfinite(_objective(p0, y, model)[0]):
-            if k > 0:
-                continue
+        run = _box_newton(objective, p0, lo, hi, _DECREMENT_TOL)
+        if not math.isfinite(run.value) and k == 0:
             p0 = pack(_default_start(y, model.names))
-            if not math.isfinite(_objective(p0, y, model)[0]):
-                raise _left_parameter_space(family, "start", p0.tolist())
-        res = optimize.minimize(
-            _objective,
-            p0,
-            args=(y, model),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=_box(model.names),
-            options={"ftol": 1e-12, "gtol": _GTOL},
-        )
-        iterations += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-    if not math.isfinite(best.fun):
-        raise _left_parameter_space(family, "best", best.x.tolist())
-    return _to_theta(model.names, best.x), iterations, _converged(best, model.names)
+            run = _box_newton(objective, p0, lo, hi, _DECREMENT_TOL)
+            if not math.isfinite(run.value):
+                raise _left_parameter_space(family, p0)
+        passes += run.passes
+        if best is None or run.value < best.value:
+            best = run
+    return best, passes
 
 
-def _converged(res, names) -> bool:
-    """L-BFGS-B's success, or a line-search stop where the function is flat.
+def _std_errors(hess: np.ndarray, free: list[bool]) -> list[float]:
+    """Standard errors from the log-likelihood Hessian in natural theta.
 
-    L-BFGS-B reports a failed line search as an abnormal stop; it counts
-    as converged when the projected gradient there is at most ``gtol
-    max(1, |loglik|)``, where rounding of the likelihood hides a descent.
+    Coordinates not in ``free`` (a tail estimate at 0, a nu on its cap) are
+    held fixed and get NaN.  The observed information of the others is
+    scaled to a unit diagonal (Jacobi) and pseudo-inverted with a
+    condition-number guard, so a parameter on a very different scale, such
+    as a large nu, keeps its variance; a nonpositive variance gives NaN.
     """
-    if res.success:
-        return True
-    if not res.message.startswith("ABNORMAL"):
-        return False
-    lo, hi = np.array(_box(names)).T
-    held = ((res.x <= lo) & (res.jac > 0)) | ((res.x >= hi) & (res.jac < 0))
-    return bool(np.max(np.abs(np.where(held, 0.0, res.jac))) <= _GTOL * max(1.0, abs(res.fun)))
+    out = [math.nan] * len(hess)
+    info = -hess[np.ix_(free, free)]
+    diag = np.diag(info)
+    if info.size and np.all(diag > 0.0):
+        root = np.sqrt(diag)
+        cov = np.linalg.pinv(info / np.outer(root, root), rcond=1e-10, hermitian=True)
+        var = np.diag(cov) / diag
+        for k, v in zip(np.flatnonzero(free), var):
+            out[k] = float(math.sqrt(v)) if v > 0 else math.nan
+    return out
 
 
 def _mle_fit(
     data, family: str, tail: str, start: dict[str, float] | None = None
 ) -> FitResult:
-    """The search of :func:`mle_joint`: its result without standard errors."""
+    """:func:`mle_joint` on checked data."""
     y = _check_series(data, min_n=10)
     # A point near the float maximum overflows the sample moments; the
     # search below then fails with a ConvergenceError that says so.
@@ -846,33 +1065,31 @@ def _mle_fit(
             f"unsupported joint MLE model: family={family!r}, tail={tail!r}"
         ) from None
 
-    starts, iterations = [start], 0
+    starts, passes = [start], 0
     if "nu" in model.names:
         # Also start at the Gaussian-h optimum's location, tail and input
-        # sd, at nu = 3, 10 and the cap; that search starts from the
-        # interquartile scale too.
+        # sd, at nu = 3, 10 and the cap.
         try:
-            gauss_start = _default_start(y, ("mu_x", "sigma_x", "delta"))
-            gauss_start["sigma_x"] = _iqr_scale(y, Gaussian()) or gauss_start["sigma_x"]
-            (mu, sd, delta), iterations, _ = _score_search(
-                y, _MODELS[("gaussian", "h")], [gauss_start], "gaussian"
-            )
+            gauss, passes = _score_search(y, _MODELS[("gaussian", "h")], [None], "gaussian")
         except ConvergenceError:
             pass  # the moment-based start reports the failure
         else:
+            mu, sd, delta = _to_theta(("mu_x", "sigma_x", "delta"), gauss.x)
             starts += [
                 {"mu_x": mu, "sigma_x": sd * math.sqrt((nu - 2.0) / nu),
                  "delta": delta, "nu": nu}
                 for nu in (3.0, 10.0, _NU_CAP)
             ]
-    theta, searched, converged = _score_search(y, model, starts, family)
-    dist = model.build(theta)
+    best, searched = _score_search(y, model, starts, family)
+    dist = model.build(_to_theta(model.names, best.x))
     parts = loglik(y, dist)
     natural = model.read(dist)
     tau = TailParams(natural[0], natural[1], dist.delta)
     boundary = None
     if min(tau.delta_left, tau.delta_right) == 0.0:
         boundary = "delta_lower"
+    lo, hi = _search_bounds(model.names)
+    se = _std_errors(best.payload, [a < x < b for a, x, b in zip(lo, best.x, hi)])
 
     return FitResult(
         tau=tau,
@@ -880,21 +1097,13 @@ def _mle_fit(
         loglik_total=parts.total,
         loglik_input=parts.input_part,
         loglik_penalty=parts.penalty_part,
-        iterations=iterations + searched,
-        converged=converged,
+        iterations=passes + searched,
+        converged=best.converged,
         input=dist.input,
+        std_errors=dict(zip(model.names, se)),
         boundary_hit=boundary,
         extra={n: v for n, v in zip(model.names, natural) if n not in _TAU_NAMES},
     )
-
-
-def _with_std_errors(y: np.ndarray, fit: FitResult) -> FitResult:
-    """``fit``, a result of :func:`_mle_fit` on ``y``, with standard errors."""
-    model = _MODELS[(fit.input.name, "hh" if fit.tau.is_double else "h")]
-    theta = np.array([fit.params[n] for n in model.names])
-    lower, upper = (np.array(_to_theta(model.names, e)) for e in zip(*_box(model.names)))
-    se = _score_std_errors(lambda t: model.score(y, t)[1], theta, lower, upper)
-    return replace(fit, std_errors=dict(zip(model.names, se)))
 
 
 def mle_joint(
@@ -905,15 +1114,23 @@ def mle_joint(
 ) -> FitResult:
     """Joint maximum likelihood over location, scale and tail parameters.
 
-    Every model has a closed-form score.  Its negative log-likelihood is
-    minimized by L-BFGS-B (``ftol`` 1e-12, ``gtol`` 1e-7) on (mu, log
-    sigma, delta[, delta_r][, log(nu - 2)]) in the box delta >= 0, which
-    reaches delta = 0 exactly, and nu <= 2 + 1e6.  ``converged`` is
-    L-BFGS-B's success flag.  The standard errors come from central
-    differences of the score (step ``max(1e-4, 1e-4 |param|)``, one-sided
-    within one step of a lower bound); the Hessian is pseudo-inverted
-    with a condition-number guard, and a tail estimate at 0 or a nu on its
-    cap is held fixed and gets a NaN standard error.
+    Every model has a closed-form score and Hessian, from one W pass per
+    point.  The log-likelihood is maximized by projected Newton steps with
+    Levenberg-Marquardt damping (:func:`_box_newton`) on (mu, log sigma,
+    delta[, delta_r][, log(nu - 2)]) in the box delta >= 0, which reaches
+    delta = 0 exactly, and nu <= 2 + 1e6; a coordinate on a bound that the
+    gradient pushes outwards is held there.  The search stops when the
+    Newton decrement of the free coordinates (twice the predicted gain of
+    a full Newton step) is at most ``1e-12 max(1, |loglik|)``, which is
+    unit-free, and ``converged`` says that it did; a search that runs out
+    of steps (100) or of progress above rounding is not converged.
+    ``iterations`` counts the Newton steps tried, one likelihood pass
+    (score and Hessian) each, besides the pass at each start.
+
+    The standard errors come from the exact Hessian at the end of the
+    search, scaled by its diagonal and pseudo-inverted with a
+    condition-number guard; a tail estimate at 0 or a nu on its cap is
+    held fixed and gets a NaN standard error.
 
     Student-t input has more than one local maximum in nu (a heavy t with
     a small tail against the Gaussian limit), so it is searched from the
@@ -923,10 +1140,9 @@ def mle_joint(
 
     A start point that gives no valid model is replaced by the
     moment-based default; :class:`ConvergenceError` is raised when that
-    start or the search's best point is not a valid model either.
+    start is no valid model either.
     """
-    y = _check_series(data, min_n=10)
-    return _with_std_errors(y, _mle_fit(y, family, tail, start))
+    return _mle_fit(data, family, tail, start)
 
 
 def fit_model(data, family: str, tail: str, method: str) -> FitResult:
@@ -936,44 +1152,3 @@ def fit_model(data, family: str, tail: str, method: str) -> FitResult:
             raise DomainError("igmm supports the gaussian input family only")
         return igmm(data) if tail == "h" else igmm_double_tail(data)
     return mle_joint(data, family=family, tail=tail)
-
-
-def _score_std_errors(
-    score, theta: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> list[float]:
-    """Standard errors from differences of an analytic score.
-
-    ``score(theta)`` is the gradient of the log-likelihood in natural
-    ``theta``.  A coordinate on its lower or upper bound (a tail estimate
-    at 0, a nu on its cap) is held fixed and gets NaN; the Hessian is taken
-    over the other coordinates only.  The step is ``max(1e-4, 1e-4
-    |theta_i|)``.  Each free coordinate costs two score calls, by central
-    differences, or by a second-order forward difference when it lies
-    within a step of its lower bound.  The Hessian is symmetrized and
-    pseudo-inverted (rcond guard); nonpositive variances and a non-finite
-    Hessian give NaN.
-    """
-    free = np.flatnonzero((theta > lower) & (theta < upper))
-    h = np.maximum(1e-4, 1e-4 * np.abs(theta))
-    s0 = None
-
-    def at(k: int, step: float) -> np.ndarray:
-        t = theta.copy()
-        t[k] += step
-        return score(t)
-
-    cols = []
-    for k in free:
-        if theta[k] - h[k] > lower[k]:
-            cols.append((at(k, h[k]) - at(k, -h[k])) / (2.0 * h[k]))
-        else:
-            if s0 is None:
-                s0 = score(theta)
-            cols.append((4.0 * at(k, h[k]) - at(k, 2.0 * h[k]) - 3.0 * s0) / (2.0 * h[k]))
-    hess = -np.array(cols)[:, free]
-    out = [math.nan] * len(theta)
-    if np.all(np.isfinite(hess)):
-        cov = np.linalg.pinv(0.5 * (hess + hess.T), rcond=1e-10)
-        for i, k in enumerate(free):
-            out[k] = float(math.sqrt(cov[i, i])) if cov[i, i] > 0 else math.nan
-    return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Gaussian, LambertWDist, variance_factor
-from .estimation import _mle_fit, _with_std_errors, igmm, mle_delta_only
+from .estimation import _mle_fit, igmm, mle_delta_only
 from .exceptions import DataError, DomainError, HeavytailError
 from .transform import w_tau
 
@@ -209,7 +209,6 @@ def _estimate_once(name: str, y: np.ndarray) -> dict[str, float]:
     if name == "igmm":
         r = igmm(y)
     elif name == "lambertw_mle":
-        # The study reads no standard errors: the search alone suffices.
         r = _mle_fit(y, family="gaussian", tail="h")
     else:  # pragma: no cover - guarded by StudyPlan validation
         raise DomainError(f"unknown estimator {name!r}")
@@ -391,7 +390,6 @@ def cauchy_demo(n: int, seed: int = 0, step: int = 1) -> CauchyDemo:
             fit = _mle_fit(prefix, family="gaussian", tail="h", start=start)
         except _FIT_ERRORS:
             continue
-        fit_data = prefix
         start = fit.params
         gauss[i] = np.mean(w_tau(prefix, fit.tau))
         deltas[i] = fit.tau.delta
@@ -401,5 +399,5 @@ def cauchy_demo(n: int, seed: int = 0, step: int = 1) -> CauchyDemo:
         gaussianized_mean=gauss,
         delta_estimates=deltas,
         sample=y,
-        final_fit=None if fit is None else _with_std_errors(fit_data, fit),
+        final_fit=fit,
     )

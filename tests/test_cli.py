@@ -30,8 +30,8 @@ sys.exit(obj())
 """
 
 
-# Which of the slow-to-import scipy subpackages each CLI step loads, checked
-# in a fresh interpreter; the first argument is a scratch file path.
+# The slow-to-import scipy subpackages are loaded by no CLI step and no fit,
+# checked in a fresh interpreter; the first argument is a temporary file path.
 IMPORT_GRAPH = """\
 import sys
 import heavytail
@@ -55,7 +55,11 @@ heavytail.igmm(y)
 heavytail.Gaussianizer("igmm", "hh").fit(y)
 assert loaded() == [], ("igmm", loaded())
 assert main(["fit", path]) == 0
-assert loaded() == ["scipy.optimize"], ("fit", loaded())
+assert loaded() == [], ("fit", loaded())
+assert main(["fit", path, "--tail", "hh"]) == 0
+heavytail.mle_joint(y, family="student-t")
+heavytail.mle_delta_only(y)
+assert loaded() == [], ("likelihood fits", loaded())
 """
 
 
@@ -357,9 +361,9 @@ class TestReplicate:
 
 
 class TestImportGraph:
-    def test_scipy_stats_and_optimize_load_lazily(self, tmp_path):
-        # scipy.stats is never imported; scipy.optimize only on the first
-        # likelihood fit, never on an IGMM fit.
+    def test_scipy_stats_and_optimize_never_load(self, tmp_path):
+        # Neither scipy.stats nor scipy.optimize is imported, by any command
+        # or fit: every search is in the package.
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_GRAPH, str(tmp_path / "y.txt")],
             capture_output=True,

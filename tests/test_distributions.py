@@ -35,7 +35,7 @@ from heavytail import (
     w_delta,
     w_tau,
 )
-from heavytail.distributions import _t_log_norm_dnu
+from heavytail.distributions import _t_log_norm_d2nu, _t_log_norm_dnu
 from heavytail.estimation import _gaussian_loglik_score, _gmm_step, _moment_residual
 from util import normalization_by_substitution, pdf_student_t_input
 
@@ -533,6 +533,19 @@ T_LOG_NORM_REFERENCE = [
 ]
 
 
+# The second nu derivative of the log-normalizer, (psi'((nu+1)/2) -
+# psi'(nu/2)) / 4 + 1 / (2 nu^2), from mpmath at 80 digits.
+T_LOG_NORM_D2_REFERENCE = [
+    (2.5, -0.028306821153320505),
+    (5.0, -0.0038559223130021071),
+    (30.0, -1.8498010546403344e-5),
+    (1e3, -4.9999950000149999e-10),
+    (1e6, -4.999999999995e-19),
+    (1e8, -4.9999999999999995e-25),
+    (1e12, -5.0e-37),
+]
+
+
 class TestStudentTNormalizer:
     """The t log-normalizer stays exact where the lgamma difference cancels."""
 
@@ -550,6 +563,14 @@ class TestStudentTNormalizer:
         # Both sides of the switch at nu = 30 agree with each other.
         below = StudentT(np.nextafter(30.0, 0.0)).logpdf(0.0)
         assert abs(below - StudentT(30.0).logpdf(0.0)) <= 1e-14
+
+    @pytest.mark.parametrize("nu, d2nu", T_LOG_NORM_D2_REFERENCE)
+    def test_second_nu_derivative(self, nu, d2nu):
+        # On trigamma below nu = 30 and on the series' derivative above it,
+        # where the trigamma difference cancels; both meet at 30.
+        assert _t_log_norm_d2nu(nu) == pytest.approx(d2nu, rel=1e-12)
+        below = _t_log_norm_d2nu(np.nextafter(30.0, 0.0))
+        assert below == pytest.approx(_t_log_norm_d2nu(30.0), rel=1e-12)
 
 
 class TestOneWPerPoint:

@@ -2,11 +2,10 @@
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from heavytail import (
@@ -37,13 +36,13 @@ from heavytail import estimation
 from heavytail.estimation import (
     _MODELS,
     _NU_CAP,
+    _box_newton,
     _central_moment_stats,
     _gaussian_loglik_score,
     _gmm_step,
     _moment_residual,
     _objective,
-    _box,
-    _converged,
+    _search_bounds,
     _student_t_loglik_score,
     _to_search,
     _to_theta,
@@ -153,29 +152,25 @@ _CENTRAL = ((-2, -1, 1, 2), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0)
 _FORWARD = ((0, 1, 2, 3, 4), np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0)
 
 
-def loglik_differences(y, theta, family="gaussian"):
-    """Finite-difference gradient of ``loglik`` at natural theta.
+def difference_stencils(y, theta, family="gaussian"):
+    """Per coordinate of natural theta: a difference step and its stencil.
 
-    Returns the gradient and a bound on its rounding noise, ``1e-13
-    |loglik| / step`` per coordinate.  A tail coordinate's step is 1e-4
-    times its scale of variation, ``max(delta, 1 / max z^2)`` over the
-    points of its side, capped at 1: near delta = 0 the j-th derivative
-    grows like sum(z^(2j+2)).  A tail within two steps of 0 takes the
-    forward stencil.  nu varies on the scale of nu - 2, and its step is
-    1e-2 (nu - 2): the likelihood is flat in nu near the cap, and a
-    smaller step would leave mostly rounding noise.
+    A tail coordinate's step is 1e-4 times its scale of variation,
+    ``max(delta, 1 / max z^2)`` over the points of its side, capped at 1:
+    near delta = 0 the j-th derivative grows like sum(z^(2j+2)).  A tail
+    within two steps of 0 takes the forward stencil.  nu varies on the scale
+    of nu - 2, and its step is 1e-2 (nu - 2): the likelihood is flat in nu
+    near the cap, and a smaller step would leave mostly rounding noise.
+    Other steps are 1e-4 max(1, |theta_k|).  Returns the model and a list of
+    (step, offsets, weights).
     """
     tail = "hh" if family == "gaussian" and len(theta) == 4 else "h"
-    names, build = _MODELS[(family, tail)][:2]
-
-    def total(t):
-        return loglik(y, build(t)).total
-
-    tau = build(theta).tau
+    model = _MODELS[(family, tail)]
+    tau = model.build(theta).tau
     z = (y - tau.mu_x) / tau.sigma_x
     sides = [z <= 0.0, z > 0.0] if tau.is_double else [np.full(z.shape, True)]
-    out, steps = [], []
-    for k, (name, value) in enumerate(zip(names, theta)):
+    stencils = []
+    for k, (name, value) in enumerate(zip(model.names, theta)):
         h = 1e-4 * max(1.0, abs(value))
         offsets, weights = _CENTRAL
         if name.startswith("delta"):
@@ -185,14 +180,52 @@ def loglik_differences(y, theta, family="gaussian"):
                 offsets, weights = _FORWARD
         elif name == "nu":
             h = 1e-2 * (value - 2.0)
+        stencils.append((h, offsets, weights))
+    return model, stencils
+
+
+def loglik_differences(y, theta, family="gaussian"):
+    """Finite-difference gradient of ``loglik`` at natural theta.
+
+    Returns the gradient, on the steps of :func:`difference_stencils`, and a
+    bound on its rounding noise, ``1e-13 |loglik| / step`` per coordinate.
+    """
+    model, stencils = difference_stencils(y, theta, family)
+
+    def total(t):
+        return loglik(y, model.build(t)).total
+
+    out = []
+    for k, (h, offsets, weights) in enumerate(stencils):
         values = []
         for o in offsets:
             t = list(theta)
             t[k] += o * h
             values.append(total(t))
         out.append(float(np.dot(weights, values)) / h)
-        steps.append(h)
-    return np.array(out), 1e-13 * abs(total(theta)) / np.array(steps)
+    steps = np.array([h for h, _, _ in stencils])
+    return np.array(out), 1e-13 * abs(total(theta)) / steps
+
+
+def score_differences(y, theta, family="gaussian"):
+    """Finite-difference Hessian from the analytic score at natural theta.
+
+    Column k differences the score along theta_k on the steps of
+    :func:`difference_stencils`.  The bound on its rounding noise is that of
+    second differences of ``loglik``, ``1e-13 |loglik| / (step_i step_j)``.
+    """
+    model, stencils = difference_stencils(y, theta, family)
+    cols = []
+    for k, (h, offsets, weights) in enumerate(stencils):
+        values = []
+        for o in offsets:
+            t = list(theta)
+            t[k] += o * h
+            values.append(model.score(y, t)[1])
+        cols.append(np.dot(weights, values) / h)
+    steps = np.array([h for h, _, _ in stencils])
+    total = model.score(y, theta)[0]
+    return np.array(cols).T, 1e-13 * abs(total) / np.outer(steps, steps)
 
 
 class TestScore:
@@ -212,7 +245,7 @@ class TestScore:
     def test_matches_loglik_differences(self, double, delta, delta_right, mu, sigma, seed):
         y = make_sample((0.1, 0.5), 300, seed=seed, mu=0.2, sigma=1.3)
         theta = [mu, sigma, delta] + ([delta_right] if double else [])
-        total, score = _gaussian_loglik_score(y, theta)
+        total, score, _ = _gaussian_loglik_score(y, theta)
         fd, _ = loglik_differences(y, theta)
         assert np.max(np.abs(score - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
         delta_arg = (delta, delta_right) if double else delta
@@ -230,7 +263,7 @@ class TestScore:
 
 
 # The nu of a search that ends on the box bound log(nu - 2) = log(_NU_CAP).
-NU_ON_CAP = _to_theta(("nu",), [_box(("nu",))[0][1]])[0]
+NU_ON_CAP = _to_theta(("nu",), _search_bounds(("nu",))[1])[0]
 
 
 class TestStudentTScore:
@@ -254,7 +287,7 @@ class TestStudentTScore:
         if far:
             y[:3] = [1e8, -1e4, 40.0]
         theta = [mu, scale, delta, *_to_theta(("nu",), [log_nu])]
-        total, score = _student_t_loglik_score(y, theta)
+        total, score, _ = _student_t_loglik_score(y, theta)
         fd, noise = loglik_differences(y, theta, family="student-t")
         assert np.all(np.abs(score - fd) <= 1e-5 * np.abs(fd) + noise), (score, fd)
         assert total == loglik(y, _MODELS[("student-t", "h")].build(theta)).total
@@ -263,10 +296,59 @@ class TestStudentTScore:
         # exp(-800) underflows to 0, so nu == 2.0 exactly: no model, +inf.
         y = make_sample(0.1, 100, seed=2)
         model = _MODELS[("student-t", "h")]
-        value, grad = _objective(np.array([0.0, 0.0, 0.1, -800.0]), y, model)
-        assert value == math.inf and not np.any(grad)
+        value, grad, hess, natural = _objective([0.0, 0.0, 0.1, -800.0], y, model)
+        assert value == math.inf and grad is hess is natural is None
         with pytest.raises(DomainError):
             _student_t_loglik_score(y, [0.0, 1.0, 0.1, 2.0])
+
+
+class TestHessian:
+    """The exact Hessian that drives the Newton search and the standard errors."""
+
+    @settings(max_examples=90, deadline=None)
+    @given(
+        model=hst.sampled_from(sorted(_MODELS)),
+        delta=hst.floats(0.0, 2.0),
+        delta_right=hst.floats(0.0, 2.0),
+        log_nu=hst.floats(math.log(0.01), math.log(_NU_CAP)),
+        mu=hst.floats(-1.0, 1.0),
+        scale=hst.floats(0.5, 3.0),
+        far=hst.booleans(),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @example(model=("gaussian", "h"), delta=0.0, delta_right=0.0, log_nu=0.0, mu=0.2,
+             scale=1.3, far=True, seed=0)
+    @example(model=("gaussian", "hh"), delta=0.0, delta_right=0.4, log_nu=0.0, mu=0.2,
+             scale=1.3, far=True, seed=0)
+    @example(model=("student-t", "h"), delta=0.0, delta_right=0.0, log_nu=math.log(0.01),
+             mu=0.2, scale=1.3, far=True, seed=0)
+    @example(model=("student-t", "h"), delta=0.0, delta_right=0.0,
+             log_nu=math.log(_NU_CAP), mu=0.2, scale=1.3, far=True, seed=0)
+    @example(model=("student-t", "h"), delta=0.7, delta_right=0.0,
+             log_nu=math.log(_NU_CAP), mu=0.2, scale=1.3, far=False, seed=0)
+    @example(model=("student-t", "h"), delta=0.4, delta_right=0.0, log_nu=math.log(0.01),
+             mu=-0.3, scale=0.8, far=True, seed=1)
+    def test_matches_score_differences(
+        self, model, delta, delta_right, log_nu, mu, scale, far, seed
+    ):
+        # nu = 2.01 at log_nu = log(0.01); the Hessian is symmetric, and each
+        # entry matches five-point differences of the score within 1e-5
+        # relative plus the rounding bound.
+        family, tail = model
+        y = make_sample((0.1, 0.5), 300, seed=seed, mu=0.2, sigma=1.3)
+        if far:
+            y[:3] = [1e8, -1e4, 40.0]
+        theta = [mu, scale, delta] + ([delta_right] if tail == "hh" else [])
+        if family == "student-t":
+            theta += _to_theta(("nu",), [log_nu])
+        else:
+            # The hh likelihood changes its second z derivative where a point
+            # crosses mu; the location stencil must not straddle a point.
+            assume(tail == "h" or np.min(np.abs(y - mu)) > 4e-4 * max(1.0, abs(mu)))
+        _, _, hess = _MODELS[model].score(y, theta)
+        fd, noise = score_differences(y, theta, family)
+        assert np.array_equal(hess, hess.T)
+        assert np.all(np.abs(hess - fd) <= 1e-5 * np.abs(fd) + noise), (hess, fd)
 
 
 def sides(z, delta_left, delta_right):
@@ -316,19 +398,20 @@ class TestMomentResidual:
     def test_jacobian_matches_differences(self, delta_left, delta_right, seed):
         z = standardized_sample((0.1, 0.5), 300, seed)
         parts = sides(z, delta_left, delta_right)
-        r, jac = _moment_residual(parts)
+        r, jac, sample = _moment_residual(parts)
         fd = moment_differences(parts)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
         # the residual is that of the back-transformed sample in its order
         u = np.where(z <= 0.0, w_delta(z, delta_left), w_delta(z, delta_right))
+        np.testing.assert_array_equal(sample, np.concatenate([u[z <= 0.0], u[z > 0.0]]))
         skew, kurtosis = _central_moment_stats(u)
         np.testing.assert_allclose(r, [skew, kurtosis - 3.0], rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("delta", [0.0, 0.1, 1 / 3, 1.0])
     def test_equal_tails_add_up(self, delta):
         z = standardized_sample(0.2, 500, seed=15)
-        r1, jac1 = _moment_residual([(z, delta)])
-        r2, jac2 = _moment_residual(sides(z, delta, delta))
+        r1, jac1, _ = _moment_residual([(z, delta)])
+        r2, jac2, _ = _moment_residual(sides(z, delta, delta))
         np.testing.assert_allclose(r2, r1, rtol=1e-12, atol=1e-14)
         assert jac1[1, 0] == pytest.approx(jac2[1, 0] + jac2[1, 1], rel=1e-10)
         assert jac1[0, 0] == pytest.approx(jac2[0, 0] + jac2[0, 1], rel=1e-10, abs=1e-12)
@@ -360,6 +443,23 @@ class TestMleDeltaOnly:
                 # gradient changes sign from + to - around the root
                 assert grad_delta(r.tau.delta * 0.98, z) > 0
                 assert grad_delta(r.tau.delta * 1.02, z) < 0
+
+    @pytest.mark.parametrize(
+        "delta, n, seed", [(0.1, 1000, 0), (1 / 3, 400, 1), (1.0, 60, 2), (5.0, 1000, 3)]
+    )
+    def test_root_matches_brentq(self, delta, n, seed):
+        # The Newton root is Brent's (xtol 1e-12), and the standard error
+        # is that of central differences of grad_delta.
+        from scipy import optimize
+
+        z = make_sample(delta, n, seed=seed)
+        r = mle_delta_only(z)
+        root = optimize.brentq(grad_delta, 0.0, 64.0, args=(z,), xtol=1e-14)
+        assert abs(r.tau.delta - root) <= 1e-12
+        assert r.iterations <= 8  # Newton converges quadratically here
+        h = 1e-5 * root
+        second = (grad_delta(root + h, z) - grad_delta(root - h, z)) / (2.0 * h)
+        assert r.std_errors["delta"] == pytest.approx(1.0 / math.sqrt(-second), rel=1e-6)
 
     def test_boundary_frequency_under_null(self):
         # with no true tails the boundary estimator fires about half the time
@@ -547,7 +647,7 @@ class TestIGMMDoubleTail:
         else:
             d = (d,)
             parts, rows = [(z, d[0])], slice(1, 2)
-        r, jac = _moment_residual(parts)
+        r, jac, _ = _moment_residual(parts)
         r, jac = r[rows], jac[rows]
         norm_r = np.linalg.norm(r)
         to_match = np.linalg.lstsq(jac, -r, rcond=None)[0]
@@ -564,6 +664,17 @@ class TestIGMMDoubleTail:
                 assert grad[k] <= small
             else:
                 assert abs(grad[k]) <= small
+
+    @pytest.mark.parametrize("start", [1e-13, (1e-13, 1e-13)], ids=["h", "hh"])
+    def test_step_sample_after_snap(self, start):
+        # Tails 1e-13 above 0 on data that need none snap onto 0 after the
+        # last residual evaluation; the sample that the step returns, which
+        # IGMM takes location and scale from, is that of the snapped tails.
+        z = rlambertw(1000, LambertWDist(Gaussian(0, 1), 0.0), seed=1001)
+        step = _gmm_step(z, start)
+        assert step.delta == (0.0 if start == 1e-13 else (0.0, 0.0))
+        sides = [z] if start == 1e-13 else [z[z <= 0.0], z[z > 0.0]]
+        np.testing.assert_array_equal(step.sample, np.concatenate(sides))
 
     def test_gaussian_sample_gives_exact_zero_tails(self):
         # The Nelder-Mead step left both tails at about 1e-17 here, so the
@@ -702,14 +813,13 @@ class TestMleJoint:
     def test_nu_map_does_not_overflow(self):
         # The box ends map to nu = 2 and nu = 2 + _NU_CAP; past the upper
         # end exp overflows, and the objective gives +inf without a warning.
-        assert _to_theta(("nu",), [_box(("nu",))[0][0]]) == [2.0]
+        assert _to_theta(("nu",), [-800.0]) == [2.0]
+        assert _search_bounds(("nu",)) == ([-math.inf], [math.log(_NU_CAP)])
         assert NU_ON_CAP == pytest.approx(2.0 + _NU_CAP, rel=1e-15)
         y = make_sample(0.1, 100, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, _ = _objective(
-                np.array([0.0, 0.0, 0.1, 800.0]), y, _MODELS[("student-t", "h")]
-            )
+            value = _objective([0.0, 0.0, 0.1, 800.0], y, _MODELS[("student-t", "h")])[0]
         assert value == math.inf
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -754,22 +864,71 @@ class TestMleJoint:
         assert 0.5 < r.tau.sigma_x < 2.0 and 3.0 < r.extra["nu"] < 10.0
         assert r.converged
 
+    @pytest.mark.parametrize(
+        "seed, d, n, nu", [(1, 1 / 3, 1000, 587.0), (4, 0.0, 400, 176.1)]
+    )
+    def test_nu_std_error_far_from_two(self, seed, d, n, nu):
+        # Above nu = 170 the nu curvature (about n / nu^4) fell under the
+        # pseudo-inverse's cut-off relative to the scale curvature, and nu
+        # got 9.0e-8 and 3.5e-7; scaled by its diagonal it keeps ~2e4, 3e3.
+        y = rlambertw(n, LambertWDist(Gaussian(0, 1), d), seed=seed)
+        r = mle_joint(y, family="student-t")
+        assert r.extra["nu"] == pytest.approx(nu, rel=1e-3)
+        assert r.std_errors["nu"] > 1.0
+
+    def test_gaussian_heavy_input(self):
+        # A t_5 input with delta = 1: from the sd-based start scale (the sd
+        # is 2.4e12) the Gaussian search ended at sigma_x 3.6e-43, delta
+        # 25.0, loglik -5371.5, reported as converged.  The start scale now
+        # comes from the interquartile range, near the fitted one.
+        y = rlambertw(1000, LambertWDist(StudentT(5.0), 1.0), seed=107)
+        r = mle_joint(y)
+        assert r.loglik_total >= -2545.089117189602 - 1e-6
+        assert 0.5 < r.tau.sigma_x < 2.0 and 1.0 < r.tau.delta < 2.0
+        assert r.converged
+        for model in (("gaussian", "h"), ("gaussian", "hh")):
+            start = estimation._default_start(y, _MODELS[model].names)["sigma_x"]
+            assert 0.5 < start / r.tau.sigma_x < 2.0, model
+
     def test_converged_rule(self):
-        # A failed line search counts as converged only where the projected
-        # gradient is within gtol max(1, |loglik|) of 0.
-        names = ("mu_x", "sigma_x", "delta")
+        # The search stops, converged, when the Newton decrement g' H^-1 g of
+        # the free coordinates is at most tol max(1, |f|), so the rule is
+        # relative to the likelihood's size.  A coordinate held on a bound
+        # leaves the decrement; a decrement that never falls runs the search
+        # out of steps, unconverged.
+        hess, centre = np.array([[4.0, 1.0], [1.0, 2.0]]), np.array([1.0, -0.5])
 
-        def stop(jac, x=(0.0, 0.0, 0.5), fun=-300.0, message="ABNORMAL: "):
-            return SimpleNamespace(success=False, message=message, fun=fun,
-                                   x=np.array(x), jac=np.array(jac))
+        def quadratic(f0):
+            def evaluate(x):
+                d = np.array(x) - centre
+                return f0 + 0.5 * d @ hess @ d, hess @ d, hess, None
+            return evaluate
 
-        assert _converged(stop([1e-6, -2e-5, 2.9e-5]), names)
-        assert not _converged(stop([1e-6, -2e-5, 3.1e-5]), names)
-        # an outward gradient on the bound delta = 0 is projected away
-        assert _converged(stop([1e-6, 0.0, 5.0], x=(0.0, 0.0, 0.0)), names)
-        assert not _converged(stop([1e-6, 0.0, -5.0], x=(0.0, 0.0, 0.0)), names)
-        limit = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
-        assert not _converged(stop([0.0, 0.0, 0.0], message=limit), names)
+        free = [-math.inf] * 2, [math.inf] * 2
+        tol = estimation._DECREMENT_TOL
+        # the decrement at centre + (e, 0) is 4 e^2
+        near, off = list(centre + [4e-4, 0.0]), list(centre + [6e-4, 0.0])
+        assert 4 * 4e-4**2 <= tol * 1e6 < 4 * 6e-4**2
+        end = _box_newton(quadratic(-1e6), near, *free, tol)
+        assert end.converged and end.passes == 0 and end.x == near
+        end = _box_newton(quadratic(-1e6), off, *free, tol)
+        assert end.converged and end.passes == 1
+        np.testing.assert_allclose(end.x, centre, atol=1e-8)
+        # |f| below 1 counts as 1: the same start is no longer close enough
+        end = _box_newton(quadratic(0.0), near, *free, tol)
+        assert end.converged and end.passes >= 1
+        # the minimum beyond x_0 >= 1.5: x_0 is held exactly on that bound
+        end = _box_newton(quadratic(0.0), [2.0, 0.0], [1.5, -math.inf], [math.inf] * 2, tol)
+        assert end.converged and end.x[0] == 1.5
+        # the free coordinate to within its decrement: 2 error^2 <= tol
+        assert abs(end.x[1] - (-0.5 - 0.5 * (1.5 - 1.0))) <= math.sqrt(tol)
+
+        # -log x: its decrement is 1 at every x
+        def unbounded(x):
+            return -math.log(x[0]), np.array([-1.0 / x[0]]), np.array([[x[0] ** -2]]), None
+
+        end = _box_newton(unbounded, [1.0], [0.0], [math.inf], tol)
+        assert not end.converged and end.x[0] > 1e6
 
     def test_std_errors_at_zero_tail(self):
         # delta snaps to 0: the tail gets NaN, and location and scale get
@@ -819,6 +978,32 @@ class TestMleJoint:
         y[0] = 1e200
         with pytest.raises(ConvergenceError, match="left the parameter space"):
             mle_joint(y, family=family)
+
+
+class TestScaleEquivariance:
+    """Fits of a y and of y agree: the search and its stop rule are unit-free."""
+
+    Y = rlambertw(400, LambertWDist(Gaussian(0, 1), 1 / 3), seed=3)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return {model: mle_joint(self.Y, *model) for model in _MODELS}
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("model", sorted(_MODELS), ids="-".join)
+    def test_scaled_data(self, reference, model, a):
+        # At the parent h ended 298 loglik units low at a = 1e-6 and mu / a
+        # was 8.7e-3 off at a = 1e6.
+        ref, r = reference[model], mle_joint(a * self.Y, *model)
+        sigma = ref.tau.sigma_x
+        assert r.converged
+        assert abs(r.tau.mu_x / a - ref.tau.mu_x) <= 1e-6 * sigma
+        for name, value in ref.params.items():
+            if name != "mu_x":
+                scaled = r.params[name] / (a if name == "sigma_x" else 1.0)
+                assert scaled == pytest.approx(value, rel=1e-6, abs=1e-300), name
+        shifted = r.loglik_total + self.Y.size * math.log(a)
+        assert abs(shifted - ref.loglik_total) <= 1e-8 * abs(ref.loglik_total)
 
 
 class TestSampleMoments:
