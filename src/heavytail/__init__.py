@@ -44,7 +44,7 @@ from .exceptions import (
     SeriesParseError,
 )
 from .gaussianize import Gaussianizer
-from .lambertw import BRANCH_POINT, lambert_w0, lambert_w0_prime
+from .lambertw import BRANCH_POINT, lambert_w0
 from .normality import anderson_darling
 from .simulate import (
     CauchyDemo,
@@ -59,9 +59,6 @@ from .transform import (
     h_delta,
     h_tau,
     w_delta,
-    w_delta_ddelta,
-    w_delta_dz,
-    w_delta_sq_ddelta,
     w_tau,
 )
 
@@ -101,7 +98,6 @@ __all__ = [
     "kurtosis_gaussian",
     "kurtosis_student_t",
     "lambert_w0",
-    "lambert_w0_prime",
     "loglik",
     "mle_delta_only",
     "mle_joint",
@@ -113,8 +109,5 @@ __all__ = [
     "taylor_delta",
     "variance_factor",
     "w_delta",
-    "w_delta_ddelta",
-    "w_delta_dz",
-    "w_delta_sq_ddelta",
     "w_tau",
 ]

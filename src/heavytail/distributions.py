@@ -5,7 +5,7 @@ Student t) is paired with tail parameters to give a heavy-tailed output
 distribution with closed-form cdf, pdf and quantile function:
 
     cdf(y)      = F_X( w_tau(y) )
-    pdf(y)      = f_X( w_tau(y) ) * dw/dz            (dw/dz = w_delta_dz)
+    pdf(y)      = f_X( w_tau(y) ) * dw/dz            (dw/dz = exp(-W/2) / (1 + W))
     quantile(p) = h_tau( F_X^{-1}(p) )
 
 With Gaussian input this is Tukey's h distribution (hh for separate left
@@ -467,9 +467,9 @@ class LambertWDist:
     ``delta`` follows the :class:`~heavytail.transform.TailParams`
     convention: a float for a symmetric tail or a pair for separate left
     and right tails.  The transformation vector is derived from the input
-    family: location-scale inputs use (mean, sd, delta), scale-family
-    inputs (0, sd, delta), anything else (0, 1, delta).  At ``delta = 0``
-    every method reduces pointwise to the input distribution.
+    family: (mean, sd, delta) for location-scale inputs, (0, sd, delta)
+    for scale families.  At ``delta = 0`` every method reduces pointwise to
+    the input distribution.
     """
 
     input: _Family
@@ -477,11 +477,8 @@ class LambertWDist:
 
     @cached_property
     def tau(self) -> TailParams:
-        if self.input.kind == "location-scale":
-            return TailParams(self.input.mean_x, self.input.sd_x, self.delta)
-        if self.input.kind == "scale":
-            return TailParams(0.0, self.input.sd_x, self.delta)
-        return TailParams(0.0, 1.0, self.delta)
+        mean = self.input.mean_x if self.input.kind == "location-scale" else 0.0
+        return TailParams(mean, self.input.sd_x, self.delta)
 
     def cdf(self, y):
         return self.input.cdf(w_tau(y, self.tau))

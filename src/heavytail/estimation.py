@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -109,8 +109,14 @@ _DELTA_BOUNDS = (0.0, 10.0)
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a fit: parameters, uncertainty and diagnostics.
+    """Outcome of a fit: the fitted model, its parameters, uncertainty and diagnostics.
 
+    ``tau`` is the transformation vector of the fitted model
+    ``LambertWDist(input, tau.delta)`` (the input mean and sd with the
+    tails), so ``w_tau(y, tau)`` inverts it.  ``params`` holds the
+    estimates keyed by parameter name, in reporting order; for Student-t
+    input ``params["sigma_x"]`` is the t scale s and ``tau.sigma_x`` the
+    input sd s sqrt(nu / (nu - 2)).
     ``loglik_total`` always equals ``loglik_input + loglik_penalty``;
     the penalty part is nonpositive and zero only when every fitted tail
     parameter is zero.  ``std_errors`` comes from the inverse observed
@@ -122,29 +128,16 @@ class FitResult:
     """
 
     tau: TailParams
+    input: object
     method: str
+    params: dict[str, float]
     loglik_total: float
     loglik_input: float
     loglik_penalty: float
     iterations: int
     converged: bool
-    input: object | None = None
     std_errors: dict[str, float] | None = None
     boundary_hit: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def params(self) -> dict[str, float]:
-        """Estimates keyed by parameter name, in reporting order."""
-        out = {"mu_x": self.tau.mu_x, "sigma_x": self.tau.sigma_x}
-        if self.tau.is_double:
-            out["delta_left"] = self.tau.delta_left
-            out["delta_right"] = self.tau.delta_right
-        else:
-            out["delta"] = self.tau.delta
-        if "nu" in self.extra:
-            out["nu"] = self.extra["nu"]
-        return out
 
 
 def _check_series(data, min_n: int = 1) -> np.ndarray:
@@ -180,9 +173,8 @@ def _moment_residual(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of the points).  Returns ``r = (skewness, kurtosis - 3)``, the
     ``2 x len(parts)`` matrix of ``dr / ddelta_k`` and the sample, the
     parts in their order.  W is evaluated once per point.  Each point moves
-    with its own tail by ``du/ddelta = -u^3 / (2 (1 + W))`` (the
-    :func:`~heavytail.transform.w_delta_ddelta` formula), and
-    the central moments by ``dm_k = k (mean(c^(k-1) du) - m_(k-1)
+    with its own tail by ``du/ddelta = -u^3 / (2 (1 + W))``, and the
+    central moments by ``dm_k = k (mean(c^(k-1) du) - m_(k-1)
     mean(du))`` with ``c = u - mean(u)`` and ``m_1 = 0``.
     """
     us, dus = [], []
@@ -254,6 +246,25 @@ def loglik(data, dist: LambertWDist) -> LoglikParts:
     return LoglikParts(total, input_part, penalty_part)
 
 
+def _fit_result(y, dist: LambertWDist, method: str, params: dict[str, float], iterations: int,
+                converged: bool, std_errors=None, at_upper: bool = False) -> FitResult:
+    """The :class:`FitResult` of the fitted model ``dist`` on the data ``y``.
+
+    ``tau`` and ``input`` are those of ``dist``, and the likelihood split is
+    :func:`loglik`'s.  ``boundary_hit`` is ``delta_upper`` when a tail ended
+    on its upper search bound (``at_upper``), else ``delta_lower`` when a
+    tail is 0.
+    """
+    tau = dist.tau
+    boundary = None
+    if at_upper:
+        boundary = "delta_upper"
+    elif min(tau.delta_left, tau.delta_right) == 0.0:
+        boundary = "delta_lower"
+    return FitResult(tau, dist.input, method, params, *loglik(y, dist), iterations, converged,
+                     std_errors, boundary)
+
+
 def grad_delta(delta: float, z_data) -> float:
     """Gradient of the Gaussian-input log-likelihood in the tail parameter.
 
@@ -311,7 +322,6 @@ def mle_delta_only(z_data) -> FitResult:
 
     if ratio <= 3.0:
         delta_hat = 0.0
-        boundary = "delta_lower"
         iterations = 0
     else:
         hi = 0.5
@@ -324,7 +334,7 @@ def mle_delta_only(z_data) -> FitResult:
                 )
         # grad_delta is positive at lo (at 0, since the ratio exceeds 3)
         lo = 0.5 * hi if hi > 0.5 else 0.0
-        delta_hat, boundary = 0.5 * (lo + hi), None
+        delta_hat = 0.5 * (lo + hi)
         for iterations in range(1, _STEP_MAX_ITERATIONS + 1):
             slope, curvature = _delta_slope(delta_hat, z)
             if slope == 0.0:
@@ -343,19 +353,11 @@ def mle_delta_only(z_data) -> FitResult:
         else:
             raise ConvergenceError("gradient root refinement did not converge")
 
-    parts = loglik(z, LambertWDist(Gaussian(0.0, 1.0), delta_hat))
     se = _delta_only_std_error(delta_hat, z)
-    return FitResult(
-        tau=TailParams(0.0, 1.0, delta_hat),
-        method="mle_delta_only",
-        loglik_total=parts.total,
-        loglik_input=parts.input_part,
-        loglik_penalty=parts.penalty_part,
-        iterations=iterations,
-        converged=True,
-        input=Gaussian(0.0, 1.0),
-        std_errors={"delta": se} if se is not None else None,
-        boundary_hit=boundary,
+    return _fit_result(
+        z, LambertWDist(Gaussian(0.0, 1.0), delta_hat), "mle_delta_only",
+        {"mu_x": 0.0, "sigma_x": 1.0, "delta": delta_hat}, iterations, True,
+        {"delta": se} if se is not None else None,
     )
 
 
@@ -644,25 +646,10 @@ def _igmm(data, double_tail: bool) -> FitResult:
         prev = tau_vec
         tau_vec = np.hstack([mu, sigma, delta])
 
-    tau = TailParams(mu, sigma, delta)
-    boundary = None
-    if at_bound:
-        boundary = "delta_upper"
-    elif min(tau.delta_left, tau.delta_right) == 0.0:
-        boundary = "delta_lower"
-    gauss = Gaussian(mu, sigma)
-    parts = loglik(y, LambertWDist(gauss, delta))
-    return FitResult(
-        tau=tau,
-        method="igmm",
-        loglik_total=parts.total,
-        loglik_input=parts.input_part,
-        loglik_penalty=parts.penalty_part,
-        iterations=iterations,
-        converged=converged,
-        input=gauss,
-        std_errors=None,
-        boundary_hit=boundary,
+    tails = dict(zip(("delta_left", "delta_right"), delta)) if double_tail else {"delta": delta}
+    return _fit_result(
+        y, LambertWDist(Gaussian(mu, sigma), delta), "igmm",
+        {"mu_x": mu, "sigma_x": sigma, **tails}, iterations, converged, at_upper=at_bound,
     )
 
 
@@ -703,7 +690,6 @@ _DECREMENT_TOL = 1e-12
 # The search runs on log(theta - shift) for the names in _LOG_SHIFT and on
 # the others as they are, in the box delta >= 0, log(nu - 2) <= log(_NU_CAP).
 _LOG_SHIFT = {"sigma_x": 0.0, "nu": 2.0}
-_TAU_NAMES = ("mu_x", "sigma_x", "delta", "delta_left", "delta_right")
 
 
 def _to_search(names, theta) -> list[float]:
@@ -932,7 +918,6 @@ def _student_t_loglik_score(y: np.ndarray, theta):
 class _Model(NamedTuple):
     names: tuple[str, ...]
     build: Callable  # natural theta -> LambertWDist
-    read: Callable  # LambertWDist -> natural theta
     score: Callable  # (y, theta) -> (loglik, its gradient and Hessian in theta)
 
 
@@ -943,19 +928,16 @@ _MODELS = {
     ("gaussian", "h"): _Model(
         ("mu_x", "sigma_x", "delta"),
         lambda t: LambertWDist(Gaussian(t[0], t[1]), t[2]),
-        lambda d: (d.input.mu, d.input.sigma, d.delta),
         _gaussian_loglik_score,
     ),
     ("gaussian", "hh"): _Model(
         ("mu_x", "sigma_x", "delta_left", "delta_right"),
         lambda t: LambertWDist(Gaussian(t[0], t[1]), (t[2], t[3])),
-        lambda d: (d.input.mu, d.input.sigma, *d.delta),
         _gaussian_loglik_score,
     ),
     ("student-t", "h"): _Model(
         ("mu_x", "sigma_x", "delta", "nu"),
         lambda t: LambertWDist(StudentT(nu=t[3], mu=t[0], scale=t[1]), t[2]),
-        lambda d: (d.input.mu, d.input.scale, d.delta, d.input.nu),
         _student_t_loglik_score,
     ),
 }
@@ -1047,10 +1029,46 @@ def _std_errors(hess: np.ndarray, free: list[bool]) -> list[float]:
     return out
 
 
-def _mle_fit(
-    data, family: str, tail: str, start: dict[str, float] | None = None
+def mle_joint(
+    data,
+    family: str = "gaussian",
+    tail: str = "h",
+    start: dict[str, float] | None = None,
 ) -> FitResult:
-    """:func:`mle_joint` on checked data."""
+    """Joint maximum likelihood over location, scale and tail parameters.
+
+    Every model has a closed-form score and Hessian, from one W pass per
+    point.  The log-likelihood is maximized by projected Newton steps with
+    Levenberg-Marquardt damping (:func:`_box_newton`) on (mu, log sigma,
+    delta[, delta_r][, log(nu - 2)]) in the box delta >= 0, which reaches
+    delta = 0 exactly, and nu <= 2 + 1e6; a coordinate on a bound that the
+    gradient pushes outwards is held there.  The search stops when the
+    Newton decrement of the free coordinates (twice the predicted gain of
+    a full Newton step) is at most ``1e-12 max(1, |loglik|)``, which is
+    unit-free, and ``converged`` says that it did; a search that runs out
+    of steps (100) or of progress above rounding is not converged.
+    ``iterations`` counts the Newton steps tried, one likelihood pass
+    (score and Hessian) each, besides the pass at each start.
+
+    ``params`` is the searched theta keyed by the model's names: (mu_x,
+    sigma_x, delta), (mu_x, sigma_x, delta_left, delta_right) or, for
+    Student-t input, (mu_x, sigma_x, delta, nu) with ``sigma_x`` the t
+    scale; ``tau`` is the fitted model's, whose ``sigma_x`` is the input sd.
+    The standard errors, keyed the same way, come from the exact Hessian at
+    the end of the search, scaled by its diagonal and pseudo-inverted with
+    a condition-number guard; a tail estimate at 0 or a nu on its cap is
+    held fixed and gets a NaN standard error.
+
+    Student-t input has more than one local maximum in nu (a heavy t with
+    a small tail against the Gaussian limit), so it is searched from the
+    moment-based start (or ``start``) and from the Gaussian ``tail="h"``
+    optimum at nu = 3, 10 and 1e6, and the best end is kept.  Its
+    ``iterations`` sum over these searches and the Gaussian one.
+
+    A start point that gives no valid model is replaced by the
+    moment-based default; :class:`ConvergenceError` is raised when that
+    start is no valid model either.
+    """
     y = _check_series(data, min_n=10)
     # A point near the float maximum overflows the sample moments; the
     # search below then fails with a ConvergenceError that says so.
@@ -1081,68 +1099,13 @@ def _mle_fit(
                 for nu in (3.0, 10.0, _NU_CAP)
             ]
     best, searched = _score_search(y, model, starts, family)
-    dist = model.build(_to_theta(model.names, best.x))
-    parts = loglik(y, dist)
-    natural = model.read(dist)
-    tau = TailParams(natural[0], natural[1], dist.delta)
-    boundary = None
-    if min(tau.delta_left, tau.delta_right) == 0.0:
-        boundary = "delta_lower"
+    theta = _to_theta(model.names, best.x)
     lo, hi = _search_bounds(model.names)
     se = _std_errors(best.payload, [a < x < b for a, x, b in zip(lo, best.x, hi)])
-
-    return FitResult(
-        tau=tau,
-        method=f"mle_{family}_{tail}",
-        loglik_total=parts.total,
-        loglik_input=parts.input_part,
-        loglik_penalty=parts.penalty_part,
-        iterations=passes + searched,
-        converged=best.converged,
-        input=dist.input,
-        std_errors=dict(zip(model.names, se)),
-        boundary_hit=boundary,
-        extra={n: v for n, v in zip(model.names, natural) if n not in _TAU_NAMES},
+    return _fit_result(
+        y, model.build(theta), f"mle_{family}_{tail}", dict(zip(model.names, theta)),
+        passes + searched, best.converged, dict(zip(model.names, se)),
     )
-
-
-def mle_joint(
-    data,
-    family: str = "gaussian",
-    tail: str = "h",
-    start: dict[str, float] | None = None,
-) -> FitResult:
-    """Joint maximum likelihood over location, scale and tail parameters.
-
-    Every model has a closed-form score and Hessian, from one W pass per
-    point.  The log-likelihood is maximized by projected Newton steps with
-    Levenberg-Marquardt damping (:func:`_box_newton`) on (mu, log sigma,
-    delta[, delta_r][, log(nu - 2)]) in the box delta >= 0, which reaches
-    delta = 0 exactly, and nu <= 2 + 1e6; a coordinate on a bound that the
-    gradient pushes outwards is held there.  The search stops when the
-    Newton decrement of the free coordinates (twice the predicted gain of
-    a full Newton step) is at most ``1e-12 max(1, |loglik|)``, which is
-    unit-free, and ``converged`` says that it did; a search that runs out
-    of steps (100) or of progress above rounding is not converged.
-    ``iterations`` counts the Newton steps tried, one likelihood pass
-    (score and Hessian) each, besides the pass at each start.
-
-    The standard errors come from the exact Hessian at the end of the
-    search, scaled by its diagonal and pseudo-inverted with a
-    condition-number guard; a tail estimate at 0 or a nu on its cap is
-    held fixed and gets a NaN standard error.
-
-    Student-t input has more than one local maximum in nu (a heavy t with
-    a small tail against the Gaussian limit), so it is searched from the
-    moment-based start (or ``start``) and from the Gaussian ``tail="h"``
-    optimum at nu = 3, 10 and 1e6, and the best end is kept.  Its
-    ``iterations`` sum over these searches and the Gaussian one.
-
-    A start point that gives no valid model is replaced by the
-    moment-based default; :class:`ConvergenceError` is raised when that
-    start is no valid model either.
-    """
-    return _mle_fit(data, family, tail, start)
 
 
 def fit_model(data, family: str, tail: str, method: str) -> FitResult:

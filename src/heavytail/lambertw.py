@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
 
-__all__ = ["BRANCH_POINT", "lambert_w0", "lambert_w0_prime"]
+__all__ = ["BRANCH_POINT", "lambert_w0"]
 
 #: Location of the branch point -1/e where W0 equals -1.
 BRANCH_POINT = -np.exp(-1.0)
@@ -205,20 +205,3 @@ def _w0_from_log(log_x):
         raise ConvergenceError("log-scale Lambert W iteration did not converge")
     return float(w[0]) if scalar else w
 
-
-def lambert_w0_prime(x):
-    """Derivative of W0, ``W(x) / (x * (1 + W(x)))``.
-
-    Equals 1 at ``x = 0`` (the limit) and is singular at the branch point,
-    so ``x <= -1/e`` raises :class:`DomainError`.
-    """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    z = np.atleast_1d(arr).astype(float)
-    valid = ~np.isnan(z)
-    if np.any(z[valid] <= BRANCH_POINT):
-        raise DomainError("lambert_w0_prime is singular at and below -1/e")
-    w = np.atleast_1d(lambert_w0(z))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(z == 0.0, 1.0, w / (z * (1.0 + w)))
-    return float(out[0]) if scalar else out

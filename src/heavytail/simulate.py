@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Gaussian, LambertWDist, variance_factor
-from .estimation import _mle_fit, igmm, mle_delta_only
+from .estimation import igmm, mle_delta_only, mle_joint
 from .exceptions import DataError, DomainError, HeavytailError
 from .transform import w_tau
 
@@ -209,7 +209,7 @@ def _estimate_once(name: str, y: np.ndarray) -> dict[str, float]:
     if name == "igmm":
         r = igmm(y)
     elif name == "lambertw_mle":
-        r = _mle_fit(y, family="gaussian", tail="h")
+        r = mle_joint(y, family="gaussian", tail="h")
     else:  # pragma: no cover - guarded by StudyPlan validation
         raise DomainError(f"unknown estimator {name!r}")
     tau = r.tau
@@ -387,7 +387,7 @@ def cauchy_demo(n: int, seed: int = 0, step: int = 1) -> CauchyDemo:
         prefix = y[:m]
         raw[i] = np.mean(prefix)
         try:
-            fit = _mle_fit(prefix, family="gaussian", tail="h", start=start)
+            fit = mle_joint(prefix, family="gaussian", tail="h", start=start)
         except _FIT_ERRORS:
             continue
         start = fit.params

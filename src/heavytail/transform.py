@@ -1,11 +1,10 @@
-"""Bijective heavy-tail transform pair and its analytic derivatives.
+"""Bijective heavy-tail transform pair.
 
 The forward map ``h_delta(u) = u * exp(delta/2 * u^2)`` inflates the tails
 of a standardized variable; its exact inverse ``w_delta`` is expressed
 through the principal branch of Lambert's W.  ``h_tau`` / ``w_tau`` wrap the
 pair in location/scale bookkeeping and dispatch separate left/right tail
-parameters for the double-tail variant.  The three closed-form derivatives
-at the bottom feed density and likelihood code.
+parameters for the double-tail variant.
 
 All functions are pure, accept scalars or arrays, and treat ``delta = 0``
 as the exact identity (the removable singularity of the inverse formula).
@@ -26,9 +25,6 @@ __all__ = [
     "w_delta",
     "h_tau",
     "w_tau",
-    "w_delta_dz",
-    "w_delta_sq_ddelta",
-    "w_delta_ddelta",
 ]
 
 
@@ -251,34 +247,3 @@ def w_tau(y, tau: TailParams):
     u = _dispatch_sides(w_delta, z, tau)
     return _ret(np.asarray(u * tau.sigma_x + tau.mu_x), scalar)
 
-
-def w_delta_dz(z, delta):
-    """d/dz of :func:`w_delta`: ``exp(-W(delta z^2)/2) / (1 + W(delta z^2))``.
-
-    Strictly positive, equal to 1 at ``z = 0`` and identically 1 for
-    ``delta = 0``.  This is also the per-point penalty factor of the
-    transformed-data likelihood.
-    """
-    z, scalar = _as_float_array(z)
-    wv = np.atleast_1d(w_of_delta_z_sq(z, delta))
-    out = (np.exp(-0.5 * wv) / (1.0 + wv)).reshape(np.shape(z))
-    return _ret(out, scalar)
-
-
-def w_delta_sq_ddelta(z, delta):
-    """d/d(delta) of ``w_delta(z)^2``: ``-w_delta(z)^4 / (1 + W(delta z^2))``.
-
-    Always <= 0: increasing the tail parameter shrinks the back-transformed
-    value toward zero.  At ``delta = 0`` this is the limit ``-z^4``.
-    """
-    wv, wd = _w_and_w_delta(z, delta)
-    return -(wd**4) / (1.0 + wv)
-
-
-def w_delta_ddelta(z, delta):
-    """d/d(delta) of :func:`w_delta`: ``-w_delta(z)^3 / (2 (1 + W(delta z^2)))``.
-
-    Sign opposite to ``z``; the ``delta = 0`` limit is ``-z^3 / 2``.
-    """
-    wv, wd = _w_and_w_delta(z, delta)
-    return -0.5 * wd**3 / (1.0 + wv)

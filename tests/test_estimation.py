@@ -1,5 +1,6 @@
 """Estimation tests: likelihood decomposition, gradient, MLE and IGMM."""
 
+import functools
 import math
 import warnings
 
@@ -765,7 +766,7 @@ class TestMleJoint:
         t_raw = StudentT(6.0).sample(3000, rng)
         y = h_delta(t_raw / math.sqrt(6.0 / 4.0), 0.05) * math.sqrt(6.0 / 4.0)
         r = mle_joint(y, family="student-t")
-        assert r.extra["nu"] > 2.0
+        assert r.params["nu"] > 2.0
         assert math.isfinite(r.loglik_total)
         assert abs(r.tau.mu_x) < 0.2
 
@@ -776,9 +777,14 @@ class TestMleJoint:
         y = h_tau(x, TailParams(0.5, 1.2 * k, 0.08))
         r = mle_joint(y, family="student-t")
         assert abs(r.tau.mu_x - 0.5) <= 0.05
-        assert abs(r.tau.sigma_x - 1.2) <= 0.1
+        # params holds the t scale, tau the fitted model's input sd
+        assert abs(r.params["sigma_x"] - 1.2) <= 0.1
+        nu = r.params["nu"]
+        assert r.tau.sigma_x == pytest.approx(
+            r.params["sigma_x"] * math.sqrt(nu / (nu - 2.0)), rel=1e-15)
+        assert abs(r.tau.sigma_x - 1.2 * k) <= 0.1 * k
         assert abs(r.tau.delta - 0.08) <= 0.08
-        assert 4.0 <= r.extra["nu"] <= 16.0
+        assert 4.0 <= nu <= 16.0
 
     def test_loglik_identity(self):
         y = make_sample(0.3, 500, seed=76)
@@ -800,15 +806,18 @@ class TestMleJoint:
 
     @pytest.mark.parametrize("model", sorted(_MODELS), ids="-".join)
     def test_model_table_round_trip(self, model):
-        # start -> search coordinates -> theta -> LambertWDist -> theta
-        # gives the start back
-        names, build, read, _ = _MODELS[model]
+        # start -> search coordinates -> theta gives the start back, and
+        # theta builds the model with the start's location and tails
+        names, build, _ = _MODELS[model]
         start = {"mu_x": 0.3, "sigma_x": 1.7, "delta": 0.2,
                  "delta_left": 0.1, "delta_right": 0.25, "nu": 6.0}
         p = _to_search(names, [start[n] for n in names])
-        theta = read(build(_to_theta(names, p)))
+        theta = _to_theta(names, p)
         assert len(theta) == len(names)
         np.testing.assert_allclose(theta, [start[n] for n in names], rtol=1e-12)
+        dist = build(theta)
+        assert dist.tau.mu_x == theta[0]
+        assert dist.delta == (tuple(theta[2:4]) if "delta_left" in names else theta[2])
 
     def test_nu_map_does_not_overflow(self):
         # The box ends map to nu = 2 and nu = 2 + _NU_CAP; past the upper
@@ -828,7 +837,7 @@ class TestMleJoint:
         # NaN, as a tail on 0 does (it got 2.3e-14 and 2.0e-14).
         y = rlambertw(1000, LambertWDist(Gaussian(0, 1), 0.0), seed=seed)
         r = mle_joint(y, family="student-t")
-        assert r.extra["nu"] == NU_ON_CAP
+        assert r.params["nu"] == NU_ON_CAP
         assert math.isnan(r.std_errors["nu"])
         for name in ("mu_x", "sigma_x"):
             assert 0.0 < r.std_errors[name] < 0.1, name
@@ -861,7 +870,7 @@ class TestMleJoint:
         y = rlambertw(1000, LambertWDist(StudentT(5.0), 1.0), seed=seed)
         r = mle_joint(y, family="student-t")
         assert r.loglik_total >= floor - 1e-6
-        assert 0.5 < r.tau.sigma_x < 2.0 and 3.0 < r.extra["nu"] < 10.0
+        assert 0.5 < r.params["sigma_x"] < 2.0 and 3.0 < r.params["nu"] < 10.0
         assert r.converged
 
     @pytest.mark.parametrize(
@@ -873,7 +882,7 @@ class TestMleJoint:
         # got 9.0e-8 and 3.5e-7; scaled by its diagonal it keeps ~2e4, 3e3.
         y = rlambertw(n, LambertWDist(Gaussian(0, 1), d), seed=seed)
         r = mle_joint(y, family="student-t")
-        assert r.extra["nu"] == pytest.approx(nu, rel=1e-3)
+        assert r.params["nu"] == pytest.approx(nu, rel=1e-3)
         assert r.std_errors["nu"] > 1.0
 
     def test_gaussian_heavy_input(self):
@@ -995,7 +1004,7 @@ class TestScaleEquivariance:
         # At the parent h ended 298 loglik units low at a = 1e-6 and mu / a
         # was 8.7e-3 off at a = 1e6.
         ref, r = reference[model], mle_joint(a * self.Y, *model)
-        sigma = ref.tau.sigma_x
+        sigma = ref.params["sigma_x"]
         assert r.converged
         assert abs(r.tau.mu_x / a - ref.tau.mu_x) <= 1e-6 * sigma
         for name, value in ref.params.items():
@@ -1004,6 +1013,31 @@ class TestScaleEquivariance:
                 assert scaled == pytest.approx(value, rel=1e-6, abs=1e-300), name
         shifted = r.loglik_total + self.Y.size * math.log(a)
         assert abs(shifted - ref.loglik_total) <= 1e-8 * abs(ref.loglik_total)
+
+
+FITS = {
+    **{f"mle-{family}-{tail}": functools.partial(mle_joint, family=family, tail=tail)
+       for family, tail in sorted(_MODELS)},
+    "igmm": igmm,
+    "igmm_double_tail": igmm_double_tail,
+    "mle_delta_only": mle_delta_only,
+}
+
+
+class TestFitResultTau:
+    """A fit's tau is its fitted model's, so w_tau(y, tau) inverts that model."""
+
+    # A t_5 input with delta = 0.2.  The Student-t fit's tau held the t
+    # scale, not the input sd, so F_X(w_tau(y, tau)) missed the fitted
+    # model's cdf by 0.0139 here (by up to 0.0173 over seeds 0-4).
+    Y = rlambertw(1000, LambertWDist(StudentT(5.0), 0.2), seed=0)
+
+    @pytest.mark.parametrize("name", FITS)
+    def test_tau_inverts_fitted_model(self, name):
+        r = FITS[name](self.Y)
+        dist = LambertWDist(r.input, r.tau.delta)
+        assert r.tau == dist.tau
+        np.testing.assert_array_equal(r.input.cdf(w_tau(self.Y, r.tau)), dist.cdf(self.Y))
 
 
 class TestSampleMoments:

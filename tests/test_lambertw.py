@@ -15,7 +15,6 @@ from heavytail import (
     Gaussian,
     LambertWDist,
     lambert_w0,
-    lambert_w0_prime,
     rlambertw,
 )
 from heavytail import lambertw
@@ -81,23 +80,34 @@ class TestIdentity:
 
 
 class TestDerivative:
+    """Differences of lambert_w0 against ``W'(x) = W / (x (1 + W))``.
+
+    The likelihood gradient writes ``z^2 W'(delta z^2)`` by this formula.
+    """
+
     def test_limit_at_zero(self):
-        assert lambert_w0_prime(0.0) == 1.0
+        h = 1e-6
+        assert abs((lambert_w0(h) - lambert_w0(-h)) / (2 * h) - 1.0) <= 1e-9
 
     def test_value_at_e(self):
-        np.testing.assert_allclose(lambert_w0_prime(np.e), 1.0 / (2 * np.e), rtol=1e-12)
+        h = 1e-6
+        fd = (lambert_w0(np.e + h) - lambert_w0(np.e - h)) / (2 * h)
+        np.testing.assert_allclose(fd, 1.0 / (2 * np.e), rtol=1e-8)
 
     def test_matches_central_difference(self):
         x = np.logspace(-3, 6, 200)
         h = 1e-6 * np.maximum(1.0, x)
         fd = (lambert_w0(x + h) - lambert_w0(x - h)) / (2 * h)
-        np.testing.assert_allclose(lambert_w0_prime(x), fd, rtol=1e-6)
+        w = lambert_w0(x)
+        np.testing.assert_allclose(w / (x * (1.0 + w)), fd, rtol=1e-6)
 
     def test_singular_at_branch_point(self):
-        with pytest.raises(DomainError):
-            lambert_w0_prime(BRANCH_POINT)
-        with pytest.raises(DomainError):
-            lambert_w0_prime(BRANCH_POINT - 1e-3)
+        # W0 = -1 + sqrt(2 (e x + 1)) + ... near -1/e, so the slope from the
+        # branch point over a step h grows like sqrt(2 e / h).
+        assert lambert_w0(BRANCH_POINT) == -1.0
+        for h in (1e-8, 1e-10, 1e-12):
+            slope = (lambert_w0(BRANCH_POINT + h) + 1.0) / h
+            assert slope * math.sqrt(h) == pytest.approx(math.sqrt(2 * math.e), rel=1e-3)
 
 
 class TestDomain:
@@ -130,7 +140,6 @@ class TestSolverConfig:
 class TestShapes:
     def test_scalar_in_scalar_out(self):
         assert isinstance(lambert_w0(1.0), float)
-        assert isinstance(lambert_w0_prime(1.0), float)
 
     def test_array_in_array_out(self):
         out = lambert_w0(np.array([0.5, 1.0, 2.0]))

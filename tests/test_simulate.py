@@ -124,19 +124,23 @@ class TestRunStudy:
         t2.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_joint_mle_cells_match_mle_joint(self, tmp_path, monkeypatch):
-        # The study calls the search without standard errors; its tables
-        # are byte-identical to ones built with the public mle_joint.
+    def test_joint_mle_cells_call_mle_joint(self, monkeypatch):
+        # Every lambertw_mle fit of a study goes through the public
+        # mle_joint, so a wrapper of it (such as a tracer) sees them all.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return mle_joint(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "mle_joint", counting)
         plan = small_plan(replications=4, estimators=("lambertw_mle",))
-        t1 = run_study(plan)
-        monkeypatch.setattr(
-            simulate, "_mle_fit", lambda y, family, tail: mle_joint(y, family, tail)
-        )
-        t2 = run_study(plan)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        t1.to_csv(p1)
-        t2.to_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        table = run_study(plan)
+        accepted = len(plan.delta_values) * plan.replications
+        redraws = sum(r.na_ratio * plan.replications
+                      for r in table.rows if r.parameter == "delta")
+        assert len(calls) == round(accepted + redraws)
+        assert all(k == {"family": "gaussian", "tail": "h"} for k in calls)
 
     def test_column_schema(self, tmp_path):
         t = run_study(small_plan(replications=5, delta_values=(0.1,)))
@@ -292,7 +296,7 @@ class TestCauchyDemo:
         def fail(*args, **kwargs):
             raise ConvergenceError("no optimum")
 
-        monkeypatch.setattr(simulate, "_mle_fit", fail)
+        monkeypatch.setattr(simulate, "mle_joint", fail)
         demo = cauchy_demo(20, seed=1)
         assert demo.final_fit is None
         assert np.all(np.isnan(demo.delta_estimates))
@@ -301,7 +305,7 @@ class TestCauchyDemo:
         def broken(*args, **kwargs):
             raise TypeError("bad call")
 
-        monkeypatch.setattr(simulate, "_mle_fit", broken)
+        monkeypatch.setattr(simulate, "mle_joint", broken)
         with pytest.raises(TypeError):
             cauchy_demo(20, seed=1)
 

@@ -9,15 +9,15 @@ from hypothesis import strategies as hst
 
 from heavytail import (
     DomainError,
+    Gaussian,
+    LambertWDist,
     TailParams,
     h_delta,
     h_tau,
     w_delta,
-    w_delta_ddelta,
-    w_delta_dz,
-    w_delta_sq_ddelta,
     w_tau,
 )
+from heavytail.transform import w_of_delta_z_sq
 
 DELTAS = [0.0, 0.1, 1 / 3, 0.5, 1.0, 2.0, 5.0]
 
@@ -174,7 +174,29 @@ class TestLocationScale:
             np.testing.assert_array_equal(w_tau(x, sym), w_tau(x, dbl))
 
 
+def w_delta_dz(z, delta):
+    """dw/dz, read off the density: the standard-Gaussian-input pdf over the input pdf."""
+    return LambertWDist(Gaussian(), delta).pdf(z) / Gaussian().pdf(w_delta(z, delta))
+
+
+def w_delta_sq_ddelta(z, delta):
+    """Closed-form d/ddelta of ``w_delta(z)^2``: ``-w_delta(z)^4 / (1 + W(delta z^2))``."""
+    return -w_delta(z, delta) ** 4 / (1.0 + w_of_delta_z_sq(z, delta))
+
+
+def w_delta_ddelta(z, delta):
+    """Closed-form d/ddelta of ``w_delta``: ``-w_delta(z)^3 / (2 (1 + W(delta z^2)))``."""
+    return -0.5 * w_delta(z, delta) ** 3 / (1.0 + w_of_delta_z_sq(z, delta))
+
+
 class TestDerivatives:
+    """Differences of w_delta against the closed forms the package is written on.
+
+    The density's factor ``dw/dz = exp(-W/2) / (1 + W)`` is checked through
+    ``LambertWDist.pdf``; ``d(w^2)/ddelta`` and ``dw/ddelta``, on which the
+    scores and the IGMM moment step are written, on the package's W.
+    """
+
     def test_dz_trivial(self):
         assert w_delta_dz(5.0, 0.0) == 1.0
         assert w_delta_dz(0.0, 3.0) == 1.0
