@@ -126,6 +126,10 @@ def _t_and_p(estimate: float, se: float | None) -> tuple[float, float]:
 def _fit_report(y, args) -> dict:
     result = fit_model(y, args.family, args.tail, args.method)
     x = w_tau(y, result.tau)
+    if not isinstance(result.input, Gaussian):
+        # w_tau(y) follows the fitted input law F_X; its normal scores
+        # Phi^-1(F_X(x)), on the input's mean and sd, are the Gaussianized data.
+        x = Gaussian(result.tau.mu_x, result.tau.sigma_x).quantile(result.input.cdf(x))
 
     params = {}
     for name, value in result.params.items():

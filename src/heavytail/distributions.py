@@ -30,6 +30,7 @@ import numpy as np
 from scipy import special as sp
 
 from .exceptions import DomainError
+from .lambertw import _blocked
 from .transform import TailParams, _dispatch_sides, _w_and_w_delta, h_tau, w_tau
 
 __all__ = [
@@ -481,32 +482,46 @@ class LambertWDist:
         return TailParams(mean, self.input.sd_x, self.delta)
 
     def cdf(self, y):
+        return _blocked(self._cdf, np.asarray(y, dtype=float))
+
+    def _cdf(self, y):
         return self.input.cdf(w_tau(y, self.tau))
 
     def _w_and_input(self, y):
-        """``(W(delta z^2), w_tau(y))`` at ``y``, from one W per point."""
+        """``(W(delta z^2), w_tau(y))`` at the float array ``y``, from one W per point."""
         tau = self.tau
-        z = (np.asarray(y, dtype=float) - tau.mu_x) / tau.sigma_x
+        z = (y - tau.mu_x) / tau.sigma_x
         wv, u = _dispatch_sides(_w_and_w_delta, z, tau)
         return wv, u * tau.sigma_x + tau.mu_x
 
     def pdf(self, y):
+        return _blocked(self._pdf, np.asarray(y, dtype=float))
+
+    def _pdf(self, y):
         wv, x = self._w_and_input(y)
         return self.input.pdf(x) * (np.exp(-0.5 * wv) / (1.0 + wv))
 
     def logpdf(self, y):
+        return _blocked(self._logpdf, np.asarray(y, dtype=float))
+
+    def _logpdf(self, y):
         wv, x = self._w_and_input(y)
         return self.input.logpdf(x) - 0.5 * wv - np.log1p(wv)
 
     def quantile(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+        p = np.asarray(p, dtype=float)
+        if np.any(p <= 0.0) or np.any(p >= 1.0):
             raise DomainError("quantile probabilities must lie strictly in (0, 1)")
+        return _blocked(self._quantile, p)
+
+    def _quantile(self, p):
         return h_tau(self.input.quantile(p), self.tau)
 
     def sample(self, n: int, rng: np.random.Generator | int | None = None):
         """Draw ``n`` values: sample the input, then push through h_tau.
 
+        The input is sampled by its quantiles at ``n`` uniforms drawn in
+        one call, so the stream does not depend on how the map is blocked.
         With all tail parameters zero the raw input stream is returned
         unchanged (bit-exact pass-through).
         """
@@ -514,7 +529,10 @@ class LambertWDist:
             raise DomainError("sample size must be at least 1")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng)))
-        x = self.input.sample(int(n), rng)
+        return _blocked(self._from_uniform, rng.random(int(n)))
+
+    def _from_uniform(self, u):
+        x = self.input.quantile(u)
         tau = self.tau
         if tau.delta_left == 0.0 and tau.delta_right == 0.0:
             return x

@@ -55,6 +55,7 @@ from .distributions import (
     variance_factor,
 )
 from .exceptions import ConvergenceError, DataError, DomainError
+from .lambertw import _blocked
 from .transform import (
     TailParams,
     _dispatch_sides,
@@ -236,14 +237,23 @@ def loglik(data, dist: LambertWDist) -> LoglikParts:
     optimizers can treat such points as rejected.
     """
     y = _check_series(data, min_n=1)
-    wv, x = dist._w_and_input(y)
+    # The per-point terms are filled by blocks, then each is summed in one
+    # call, so the summation order does not depend on the blocks.
+    input_terms, penalty_terms = _blocked(_loglik_terms, y, dist)
     with np.errstate(divide="ignore", invalid="ignore"):
-        input_part = float(np.sum(dist.input.logpdf(x)))
-        penalty_part = float(np.sum(-0.5 * wv - np.log1p(wv)))
+        input_part = float(np.sum(input_terms))
+        penalty_part = float(np.sum(penalty_terms))
     total = input_part + penalty_part
     if not math.isfinite(total):
         total = -math.inf
     return LoglikParts(total, input_part, penalty_part)
+
+
+def _loglik_terms(y, dist: LambertWDist):
+    """Per-point input log-density and Jacobian penalty of :func:`loglik`."""
+    wv, x = dist._w_and_input(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return dist.input.logpdf(x), -0.5 * wv - np.log1p(wv)
 
 
 def _fit_result(y, dist: LambertWDist, method: str, params: dict[str, float], iterations: int,

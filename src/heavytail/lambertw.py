@@ -14,6 +14,13 @@ every point.  Points that fail the residual pass are solved again by a
 masked Halley loop whose piecewise initial guesses (branch-point series,
 small-argument rational, log-log asymptotic) keep it overflow-free up to
 the largest representable arguments.
+
+Arrays longer than ``_BLOCK`` points are evaluated one block at a time by
+:func:`_blocked`.  The fast path makes about a dozen temporaries the size
+of its input; at 8192 float64 points each is 64 KiB, which stays in cache
+and below the allocator's mmap threshold, where a full-size temporary of a
+long series is mapped fresh from the OS and faults in page by page.  Every
+map routed through it is pointwise, so the blocks change no output bit.
 """
 
 from __future__ import annotations
@@ -35,6 +42,31 @@ BRANCH_POINT = -np.exp(-1.0)
 # Halley loop and the log-scale Newton iteration stop after _MAX_ITER steps.
 _ABS_TOL = 1e-14
 _MAX_ITER = 64
+
+# Points per block of every pointwise map evaluated through _blocked.
+_BLOCK = 8192
+
+
+def _blocked(func, x: np.ndarray, *args):
+    """``func(x, *args)`` for a pointwise ``func``, ``_BLOCK`` points at a time.
+
+    At or below one block ``func`` is called once on ``x`` itself.  A larger
+    ``x`` is flattened and ``func`` runs on consecutive slices, whose results
+    are written into preallocated outputs of ``x``'s shape; ``func`` may
+    return an array or a tuple of arrays.
+    """
+    if x.size <= _BLOCK:
+        return func(x, *args)
+    flat = x.reshape(-1)
+    outs = None
+    for start in range(0, flat.size, _BLOCK):
+        part = func(flat[start:start + _BLOCK], *args)
+        parts = part if isinstance(part, tuple) else (part,)
+        if outs is None:
+            outs = tuple(np.empty(x.shape, np.result_type(p)) for p in parts)
+        for out, p in zip(outs, parts):
+            out.reshape(-1)[start:start + _BLOCK] = p
+    return outs if isinstance(part, tuple) else outs[0]
 
 
 def _initial_guess(x: np.ndarray) -> np.ndarray:
@@ -175,14 +207,18 @@ def lambert_w0(x):
         raise DomainError(
             f"lambert_w0 argument {bad!r} below the branch point -1/e"
         )
-    z = np.maximum(z, BRANCH_POINT)
+    w = _blocked(_w0, z)
+    return float(w[0]) if scalar else w
 
+
+def _w0(z: np.ndarray) -> np.ndarray:
+    """W0 at ``z``, already checked against the branch point."""
+    z = np.maximum(z, BRANCH_POINT)
     w, ok = _fast_path(z)
     if not ok.all():
         redo = ~ok
         w[redo] = _halley(z[redo])
-
-    return float(w[0]) if scalar else w
+    return w
 
 
 def _w0_from_log(log_x):
@@ -196,11 +232,15 @@ def _w0_from_log(log_x):
     scalar = lx.ndim == 0
     lx = np.atleast_1d(lx)
     w = lx - np.log(lx)
+    tol = _ABS_TOL * np.maximum(1.0, np.abs(lx))
     for _ in range(_MAX_ITER):
         g = w + np.log(w) - lx
-        if np.all(np.abs(g) <= _ABS_TOL * np.maximum(1.0, np.abs(lx))):
+        # A point stops at its own tolerance, so its value does not depend
+        # on the other points of the call.
+        active = ~(np.abs(g) <= tol)
+        if not active.any():
             break
-        w = w - g * w / (w + 1.0)
+        w = np.where(active, w - g * w / (w + 1.0), w)
     else:
         raise ConvergenceError("log-scale Lambert W iteration did not converge")
     return float(w[0]) if scalar else w

@@ -225,6 +225,34 @@ class TestFit:
         report = json.loads(captured.out)
         assert report["parameters"]["nu"]["estimate"] > 2.0
 
+    def test_student_t_report_gaussianizes(self, tmp_path, capsys):
+        # w_tau(y) of a Student-t fit is t-distributed; the report must
+        # summarise and test its normal scores Phi^-1(F_X(w_tau(y))).
+        dist = heavytail.LambertWDist(heavytail.StudentT(5.0), 0.2)
+        path = tmp_path / "t5.txt"
+        write_series(heavytail.rlambertw(1000, dist, seed=3), path)
+        code, captured = run_cli_capture(
+            capsys, "fit", str(path), "--family", "student-t", "--json"
+        )
+        assert code == 0
+        report = json.loads(captured.out)
+        fit = heavytail.mle_joint(read_series(path), family="student-t")
+        x = heavytail.w_tau(read_series(path), fit.tau)
+        scores = fit.tau.mu_x + fit.tau.sigma_x * st.norm.ppf(fit.input.cdf(x))
+        gaussianized = report["summary"]["gaussianized"]
+        assert gaussianized["kurtosis"] == pytest.approx(st.kurtosis(scores, fisher=False))
+        assert abs(gaussianized["kurtosis"] - 3.0) < 0.5
+        assert report["normality"]["gaussianized"]["p"] > 0.01
+
+    def test_gaussian_report_uses_w_tau(self, sample_file, capsys):
+        code, captured = run_cli_capture(capsys, "fit", str(sample_file), "--json")
+        assert code == 0
+        y = read_series(sample_file)
+        x = heavytail.w_tau(y, heavytail.mle_joint(y).tau)
+        gaussianized = json.loads(captured.out)["summary"]["gaussianized"]
+        assert gaussianized["min"] == float(x.min())
+        assert gaussianized["max"] == float(x.max())
+
     def test_igmm_hh(self, sample_file, capsys):
         code, captured = run_cli_capture(
             capsys, "fit", str(sample_file), "--method", "igmm", "--tail", "hh",

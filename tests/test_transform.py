@@ -34,6 +34,13 @@ class TestForward:
         assert h_delta(50.0, 5.0) == math.inf
         assert h_delta(-50.0, 5.0) == -math.inf
 
+    def test_infinity_maps_to_itself(self):
+        for d in DELTAS:
+            assert h_delta(math.inf, d) == math.inf
+            assert h_delta(-math.inf, d) == -math.inf
+        out = h_tau(np.array([-np.inf, np.inf]), TailParams(0.0, 1.0, (0.0, 0.5)))
+        assert np.array_equal(out, [-np.inf, np.inf])
+
     def test_strictly_increasing(self):
         u = np.linspace(-8, 8, 400)
         for d in DELTAS:
