@@ -31,7 +31,7 @@ from scipy import special as sp
 
 from .exceptions import DomainError
 from .lambertw import _blocked
-from .transform import TailParams, _dispatch_sides, _w_and_w_delta, h_tau, w_tau
+from .transform import TailParams, _tail_at, _w_and_w_delta, h_tau, w_tau
 
 __all__ = [
     "Gaussian",
@@ -413,8 +413,9 @@ class StudentT(_Family):
         log_term = np.log1p(s)
         if not np.isfinite(s).all():
             # t*t overflowed (or t is inf/NaN): log1p(t^2/nu) rewritten as
-            # 2 log|t| - log nu + log1p(nu/t^2), which stays finite.
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # 2 log|t| - log nu + log1p(nu/t^2), which stays finite
+            # (nu/t^2 overflows only at points that keep log_term).
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 far = 2.0 * np.log(np.abs(t)) - math.log(nu) + np.log1p(nu / t / t)
             log_term = np.where(np.isfinite(s), log_term, far)
         return log_norm - 0.5 * (nu + 1.0) * log_term
@@ -491,7 +492,7 @@ class LambertWDist:
         """``(W(delta z^2), w_tau(y))`` at the float array ``y``, from one W per point."""
         tau = self.tau
         z = (y - tau.mu_x) / tau.sigma_x
-        wv, u = _dispatch_sides(_w_and_w_delta, z, tau)
+        wv, u = _w_and_w_delta(z, _tail_at(z, tau.delta))
         return wv, u * tau.sigma_x + tau.mu_x
 
     def pdf(self, y):

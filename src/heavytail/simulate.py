@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,21 +47,6 @@ ESTIMATORS = ("median", "gaussian_mle", "igmm", "lambertw_mle", "delta_mle")
 # prefix in the Cauchy demo); anything else is a programming error and
 # propagates.
 _FIT_ERRORS = (HeavytailError, ArithmeticError, np.linalg.LinAlgError)
-
-#: Fixed column order of the emitted tables.
-TABLE_COLUMNS = (
-    "N",
-    "delta",
-    "estimator",
-    "parameter",
-    "mean",
-    "bias",
-    "prop_below",
-    "sd_sqrtN",
-    "rmse_sqrtN",
-    "na_ratio",
-)
-
 
 def _rng_for(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     """Independent, reproducible Philox substream for a (cell, attempt) slot."""
@@ -110,18 +95,32 @@ class StudyPlan:
 
     @classmethod
     def from_json(cls, path) -> "StudyPlan":
+        """The plan in a JSON object file; a malformed plan raises :class:`DataError`."""
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise DataError(f"a study plan must be a JSON object, got {type(raw).__name__}")
+
+        def items(key, convert, default=None):
+            value = raw[key] if default is None else raw.get(key, default)
+            if not isinstance(value, (list, tuple)):
+                kind = type(value).__name__
+                raise DataError(f"study plan field {key!r} must be a list, got {kind}")
+            return tuple(map(convert, value))
+
         try:
-            return cls(
-                sample_sizes=tuple(int(n) for n in raw["sample_sizes"]),
-                delta_values=tuple(float(d) for d in raw["delta_values"]),
+            kwargs = dict(
+                sample_sizes=items("sample_sizes", int),
+                delta_values=items("delta_values", float),
                 replications=int(raw.get("replications", 200)),
-                estimators=tuple(raw.get("estimators", cls.estimators)),
+                estimators=items("estimators", str, cls.estimators),
                 seed=int(raw.get("seed", 0)),
             )
         except KeyError as exc:
             raise DataError(f"study plan is missing required key {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"study plan has a malformed value: {exc}") from None
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -136,6 +135,10 @@ class TableRow:
     sd_sqrtN: float
     rmse_sqrtN: float
     na_ratio: float
+
+
+#: Fixed column order of the emitted tables.
+TABLE_COLUMNS = tuple(f.name for f in fields(TableRow))
 
 
 def _json_safe(obj):

@@ -3,8 +3,9 @@
 The forward map ``h_delta(u) = u * exp(delta/2 * u^2)`` inflates the tails
 of a standardized variable; its exact inverse ``w_delta`` is expressed
 through the principal branch of Lambert's W.  ``h_tau`` / ``w_tau`` wrap the
-pair in location/scale bookkeeping and dispatch separate left/right tail
-parameters for the double-tail variant.
+pair in location/scale bookkeeping.  The double-tail variant gives each
+point its own tail parameter (:func:`_tail_at`), so every map makes one
+pass over all its points.
 
 All functions are pure, accept scalars or arrays, and treat ``delta = 0``
 as the exact identity (the removable singularity of the inverse formula).
@@ -119,8 +120,8 @@ def w_of_delta_z_sq(z, delta):
     return _ret(np.asarray(_w_of_arg(arg, z, delta)), scalar)
 
 
-def _w_of_arg(arg, z, delta: float):
-    """W(arg) for ``arg = delta * z**2`` with ``delta > 0``.
+def _w_of_arg(arg, z, delta):
+    """W(arg) for ``arg = delta * z**2`` with ``delta > 0`` (one, or one per point).
 
     Where ``arg`` exceeds ``_OVERFLOW_ARG`` (or overflowed to inf), W is
     taken on the log scale from ``log(delta) + 2 log|z|``.
@@ -133,7 +134,7 @@ def _w_of_arg(arg, z, delta: float):
     if safe.any():
         out[safe] = lambert_w0(arg[safe])
     with np.errstate(divide="ignore"):
-        log_arg = np.log(delta) + 2.0 * np.log(np.abs(z[huge]))
+        log_arg = np.log(_pick(delta, huge)) + 2.0 * np.log(np.abs(z[huge]))
     finite = np.isfinite(log_arg)
     vals = np.full(log_arg.shape, np.inf)
     if finite.any():
@@ -145,17 +146,25 @@ def _w_of_arg(arg, z, delta: float):
 def _w_and_w_delta(z, delta):
     """``(W(delta z^2), w_delta(z, delta))`` from one W evaluation.
 
-    The inverse is ``z * sqrt(W(arg)/arg)`` with ``arg = delta * z**2``,
-    which stays accurate when ``arg`` is tiny (the ratio tends smoothly to
-    1) and never divides by a subnormal ``delta``.  The ratio lies in
-    ``(0, 1]`` except where ``arg`` is 0 (``z == 0`` or underflow: the
-    identity to double precision), inf (huge ``z``: ``sgn(z) sqrt(W /
-    delta)``) or NaN; only those points take a second formula.
+    ``delta`` is one tail (checked here) or an array of one checked tail per
+    point of ``z``; a point on a zero tail is the identity (``W = 0``, ``u =
+    z``) and takes no W.  Elsewhere the inverse is ``z * sqrt(W(arg)/arg)``
+    with ``arg = delta * z**2``, which stays accurate when ``arg`` is tiny
+    (the ratio tends smoothly to 1) and never divides by a subnormal
+    ``delta``.  The ratio lies in ``(0, 1]`` except where ``arg`` is 0
+    (``z == 0`` or underflow: the identity to double precision), inf (huge
+    ``z``: ``sgn(z) sqrt(W / delta)``) or NaN; only those points take a
+    second formula.
     """
-    delta = _check_delta(delta)
     z, scalar = _as_float_array(z)
-    if delta == 0.0:
-        return _ret(np.zeros_like(z), scalar), _ret(z + 0.0, scalar)
+    if not isinstance(delta, np.ndarray) or delta.ndim == 0:
+        delta = _check_delta(delta)
+        if delta == 0.0:
+            return _ret(np.zeros_like(z), scalar), _ret(z + 0.0, scalar)
+    elif not (live := delta != 0.0).all():
+        wv, u = np.zeros_like(z), z + 0.0
+        wv[live], u[live] = _w_and_w_delta(z[live], delta[live])
+        return wv, u
     z1 = np.atleast_1d(z)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         arg = delta * z1 * z1
@@ -165,9 +174,15 @@ def _w_and_w_delta(z, delta):
     if not (ratio > 0.0).all():
         redo = ~(ratio > 0.0)
         zr = z1[redo]
-        u[redo] = np.where(arg[redo] == 0.0, zr, np.sign(zr) * np.sqrt(wv[redo] / delta))
+        u[redo] = np.where(arg[redo] == 0.0, zr,
+                           np.sign(zr) * np.sqrt(wv[redo] / _pick(delta, redo)))
     shape = np.shape(z)
     return _ret(wv.reshape(shape), scalar), _ret(u.reshape(shape), scalar)
+
+
+def _pick(delta, mask):
+    """The tails of the points ``mask`` selects: ``delta`` is one or one per point."""
+    return delta[mask] if isinstance(delta, np.ndarray) else delta
 
 
 def h_delta(u, delta):
@@ -203,39 +218,26 @@ def w_delta(z, delta):
     return _w_and_w_delta(z, delta)[1]
 
 
-def _dispatch_sides(func, v, tau: TailParams):
-    """Apply ``func(v, delta)`` with the side-appropriate tail parameter.
+def _tail_at(v, delta):
+    """The tail parameter of each standardized point ``v``.
 
-    ``v <= 0`` uses the left parameter (ties at 0 are assigned left for
-    bit-reproducibility; both sides agree on the value there), and each
-    side is evaluated on its own points only.  ``func`` may return an
-    array or a tuple of arrays.  With equal parameters this reduces to a
-    single symmetric evaluation.
+    ``delta`` follows the :class:`TailParams` convention.  With a
+    ``(left, right)`` pair a point ``v <= 0`` takes the left tail (the tie
+    at 0 goes left; both tails give the same value there) and any other
+    point, NaN included, the right one.  One tail, or two equal ones, come
+    back as that scalar, so the maps make a scalar-tail pass.
     """
-    if not tau.is_double or tau.delta_left == tau.delta_right:
-        return func(v, tau.delta_left)
-    v = np.asarray(v, dtype=float)
-    left = v <= 0.0
-    right = ~left
-
-    def merge(on_left, on_right):
-        out = np.empty(v.shape)
-        out[left] = on_left
-        out[right] = on_right
-        return out
-
-    lo = func(v[left], tau.delta_left)
-    hi = func(v[right], tau.delta_right)
-    if isinstance(lo, tuple):
-        return tuple(map(merge, lo, hi))
-    return merge(lo, hi)
+    if not isinstance(delta, tuple):
+        return delta
+    left, right = delta
+    return left if left == right else np.where(v <= 0.0, left, right)
 
 
 def h_tau(x, tau: TailParams):
     """Location-scale forward transform.
 
-    Standardizes ``u = (x - mu_x) / sigma_x``, applies the side-appropriate
-    tail parameter (``u <= 0`` uses the left one) and rescales.
+    Standardizes ``u = (x - mu_x) / sigma_x``, applies each point's tail
+    parameter (:func:`_tail_at`: ``u <= 0`` uses the left one) and rescales.
     """
     x, scalar = _as_float_array(x)
     return _ret(np.asarray(_blocked(_h_tau, x, tau)), scalar)
@@ -243,11 +245,8 @@ def h_tau(x, tau: TailParams):
 
 def _h_tau(x, tau: TailParams):
     u = (x - tau.mu_x) / tau.sigma_x
-    # The forward map is cheap: one pass with a per-point tail parameter
-    # costs less than splitting the points by side.
-    delta = np.where(u <= 0.0, *tau.delta) if tau.is_double else tau.delta
     with np.errstate(over="ignore"):
-        return _h(u, delta) * tau.sigma_x + tau.mu_x
+        return _h(u, _tail_at(u, tau.delta)) * tau.sigma_x + tau.mu_x
 
 
 def w_tau(y, tau: TailParams):
@@ -262,5 +261,5 @@ def w_tau(y, tau: TailParams):
 
 def _w_tau(y, tau: TailParams):
     z = (y - tau.mu_x) / tau.sigma_x
-    return _dispatch_sides(w_delta, z, tau) * tau.sigma_x + tau.mu_x
+    return _w_and_w_delta(z, _tail_at(z, tau.delta))[1] * tau.sigma_x + tau.mu_x
 

@@ -387,6 +387,25 @@ class TestReplicate:
         assert run_cli("replicate", "--plan", str(plan), "--out",
                        str(tmp_path / "r")) == 2
 
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ([1, 2], "must be a JSON object, got list"),
+            ({"sample_sizes": 100, "delta_values": [0.1]}, "'sample_sizes' must be a list"),
+            ({"sample_sizes": [100], "delta_values": [0.1], "estimators": "igmm"},
+             "'estimators' must be a list, got str"),
+            ({"sample_sizes": [None], "delta_values": [0.1]}, "malformed value"),
+        ],
+        ids=["top-level-list", "number-field", "string-field", "null-item"],
+    )
+    def test_malformed_plan_exits_2(self, tmp_path, capsys, plan, message):
+        # A malformed plan is a data error with a message, not a traceback.
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert run_cli("replicate", "--plan", str(path), "--out", str(tmp_path / "r")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestImportGraph:
     def test_scipy_stats_and_optimize_never_load(self, tmp_path):

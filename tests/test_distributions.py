@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 from scipy import integrate
 from scipy import stats as st
 
+import heavytail.estimation as estimation
 import heavytail.transform as transform
 from heavytail import (
     ChiSquared,
@@ -37,6 +38,7 @@ from heavytail import (
 )
 from heavytail.distributions import _t_log_norm_d2nu, _t_log_norm_dnu
 from heavytail.estimation import _gaussian_loglik_score, _gmm_step, _moment_residual
+from heavytail.transform import _w_and_w_delta
 from util import normalization_by_substitution, pdf_student_t_input
 
 FAMILIES = {
@@ -574,7 +576,7 @@ class TestStudentTNormalizer:
 
 
 class TestOneWPerPoint:
-    """Each density, cdf and likelihood call evaluates W once per point."""
+    """Each density, cdf and likelihood call evaluates W once per point, none on a zero tail."""
 
     @pytest.fixture
     def w_elements(self, monkeypatch):
@@ -588,17 +590,22 @@ class TestOneWPerPoint:
         monkeypatch.setattr(transform, "lambert_w0", counting)
         return seen
 
-    @pytest.mark.parametrize("delta", [1 / 3, (0.1, 0.5)], ids=["h", "hh"])
+    @pytest.mark.parametrize(
+        "delta", [1 / 3, (0.1, 0.5), (0.0, 0.5), (0.3, 0.0)],
+        ids=["h", "hh", "hh-zero-left", "hh-zero-right"],
+    )
     @pytest.mark.parametrize(
         "call", ["pdf", "logpdf", "cdf", "w_tau", "loglik", "score", "moments"]
     )
     def test_n_elements(self, w_elements, delta, call):
         dist = LambertWDist(Gaussian(0.3, 1.2), delta)
-        y = rlambertw(500, dist, seed=4)
-        assert (y <= 0.3).any() and (y > 0.3).any()
-        # the IGMM tail steps' residual and Jacobian, one part per side
+        # with a tie at mu, which goes left
+        y = np.append(rlambertw(500, dist, seed=4), 0.3)
+        assert (y < 0.3).any() and (y > 0.3).any()
+        # the IGMM tail steps' residual and Jacobian, one tail per point
         z = (y - 0.3) / 1.2
-        sides = [(z[z <= 0.0], dist.tau.delta_left), (z[z > 0.0], dist.tau.delta_right)]
+        left = z <= 0.0
+        tails = np.where(left, dist.tau.delta_left, dist.tau.delta_right)
         calls = {
             "pdf": lambda: dist.pdf(y),
             "logpdf": lambda: dist.logpdf(y),
@@ -606,11 +613,12 @@ class TestOneWPerPoint:
             "w_tau": lambda: w_tau(y, dist.tau),
             "loglik": lambda: loglik(y, dist),
             "score": lambda: _gaussian_loglik_score(y, dist.tau.as_array()),
-            "moments": lambda: _moment_residual(sides),
+            "moments": lambda: _moment_residual(z, tails, (left, ~left)),
         }
         w_elements.clear()
         calls[call]()
-        assert sum(w_elements) == y.size
+        # one W per point, and none at a point on a zero tail
+        assert sum(w_elements) == np.count_nonzero(tails)
 
     @pytest.mark.parametrize("delta", [1 / 3, (0.1, 0.5)], ids=["h", "hh"])
     def test_moment_step_near_its_root(self, w_elements, delta):
@@ -626,6 +634,94 @@ class TestOneWPerPoint:
         w_elements.clear()
         assert _gmm_step(z, off).delta == pytest.approx(root, rel=1e-12)
         assert sum(w_elements) <= 4 * z.size
+
+
+def split_sides(func, v, delta_left, delta_right):
+    """Per-side reference of a two-tail map: ``func(v, delta)`` on each side's points.
+
+    Each side takes its own scalar tail (``v <= 0`` the left one, NaN the
+    right one), and the results are merged back into ``v``'s shape;
+    ``func`` returns an array or a tuple of arrays.
+    """
+    v = np.asarray(v, dtype=float)
+    left = v <= 0.0
+
+    def merge(on_left, on_right):
+        out = np.empty(v.shape)
+        out[left] = on_left
+        out[~left] = on_right
+        return out
+
+    lo, hi = func(v[left], delta_left), func(v[~left], delta_right)
+    return tuple(map(merge, lo, hi)) if isinstance(lo, tuple) else merge(lo, hi)
+
+
+PER_POINT_TAILS = [(0.1, 0.5), (0.0, 0.5), (0.3, 0.0), (0.2, 0.2), (0.0, 0.0)]
+
+
+class TestPerPointTails:
+    """One tail per point gives the bits of evaluating each side on its own."""
+
+    @staticmethod
+    def series(dist, n=300):
+        mu, sigma = dist.tau.mu_x, dist.tau.sigma_x
+        # ties at +-0.0 (at mu = 0), points whose z^2 overflows, +-inf, NaN
+        edges = [0.0, -0.0, mu, 1e-310, -1e-310, 1.5e154 * sigma, -1.5e154 * sigma,
+                 1e200, -1e250, np.inf, -np.inf, np.nan]
+        return np.concatenate([rlambertw(n, dist, seed=5), edges])
+
+    @staticmethod
+    def reference(dist, y):
+        """``(W, w_tau(y))`` of ``dist`` at ``y``, one side at a time."""
+        tau = dist.tau
+        with np.errstate(all="ignore"):
+            z = (y - tau.mu_x) / tau.sigma_x
+            wv, u = split_sides(_w_and_w_delta, z, tau.delta_left, tau.delta_right)
+            return wv, u * tau.sigma_x + tau.mu_x
+
+    @pytest.mark.parametrize("delta", PER_POINT_TAILS, ids=str)
+    @pytest.mark.parametrize(
+        "family", [Gaussian(0.0, 1.3), Gaussian(0.3, 1.2), StudentT(5.0, 0.0, 0.9)], ids=repr
+    )
+    def test_maps_and_densities(self, family, delta):
+        dist = LambertWDist(family, delta)
+        tau = dist.tau
+        y = self.series(dist)
+        wv, x = self.reference(dist, y)
+        assert_bitwise(w_tau(y, tau), x)
+        with np.errstate(all="ignore"):
+            u = (y - tau.mu_x) / tau.sigma_x
+            h_ref = split_sides(h_delta, u, *delta) * tau.sigma_x + tau.mu_x
+            cdf_ref = family.cdf(x)
+            pdf_ref = family.pdf(x) * (np.exp(-0.5 * wv) / (1.0 + wv))
+            logpdf_ref = family.logpdf(x) - 0.5 * wv - np.log1p(wv)
+        assert_bitwise(h_tau(y, tau), h_ref)
+        assert_bitwise(dist.cdf(y), cdf_ref)
+        assert_bitwise(dist.pdf(y), pdf_ref)
+        assert_bitwise(dist.logpdf(y), logpdf_ref)
+        # loglik on the finite points
+        finite = np.isfinite(y)
+        with np.errstate(all="ignore"):
+            input_part = float(np.sum(family.logpdf(x[finite])))
+            penalty_part = float(np.sum(-0.5 * wv[finite] - np.log1p(wv[finite])))
+        total = input_part + penalty_part
+        expected = (total if math.isfinite(total) else -math.inf, input_part, penalty_part)
+        assert tuple(loglik(y[finite], dist)) == expected
+
+    @pytest.mark.parametrize("delta", PER_POINT_TAILS, ids=str)
+    def test_gaussian_score(self, monkeypatch, delta):
+        dist = LambertWDist(Gaussian(0.0, 1.3), delta)
+        y = np.concatenate([rlambertw(300, dist, seed=6), [0.0, -0.0, 1e8, -1e4]])
+        theta = dist.tau.as_array()
+        ours = _gaussian_loglik_score(y, theta)
+        monkeypatch.setattr(
+            estimation, "_w_and_w_delta",
+            lambda z, _: split_sides(_w_and_w_delta, z, *delta),
+        )
+        ref = _gaussian_loglik_score(y, theta)
+        assert ours[0] == ref[0]
+        assert_bitwise(ours[1], ref[1])
+        assert_bitwise(ours[2], ref[2])
 
 
 @settings(max_examples=60, deadline=None)

@@ -352,29 +352,36 @@ class TestHessian:
         assert np.all(np.abs(hess - fd) <= 1e-5 * np.abs(fd) + noise), (hess, fd)
 
 
-def sides(z, delta_left, delta_right):
-    """The ``_moment_residual`` parts of a two-tail back-transform of ``z``."""
+def moment_residual(z, tails):
+    """``_moment_residual`` of ``z`` at one tail ``(delta,)`` or a (left, right) pair.
+
+    A pair is given to it as one tail per point, ``z <= 0`` on the left.
+    """
+    if len(tails) == 1:
+        return _moment_residual(z, tails[0])
     left = z <= 0.0
-    return [(z[left], delta_left), (z[~left], delta_right)]
+    return _moment_residual(z, np.where(left, *tails), (left, ~left))
 
 
-def moment_differences(parts):
-    """Finite-difference Jacobian of the ``_moment_residual`` residual.
+def moment_differences(z, tails):
+    """Finite-difference Jacobian of the ``_moment_residual`` residual at ``tails``.
 
     Each tail's step follows :func:`loglik_differences`: 1e-4 times
     ``max(delta, 1 / max z^2)`` over the points of its side, capped at 1,
     with the forward stencil within two steps of 0.
     """
+    left = z <= 0.0
+    sides = (z,) if len(tails) == 1 else (z[left], z[~left])
     cols = []
-    for k, (z_k, delta) in enumerate(parts):
+    for k, (z_k, delta) in enumerate(zip(sides, tails)):
         z_sq_max = max(float(np.max(z_k * z_k, initial=0.0)), 1.0)
         h = 1e-4 * min(1.0, max(delta, 1.0 / z_sq_max))
         offsets, weights = _FORWARD if delta < 2 * h else _CENTRAL
         values = []
         for o in offsets:
-            moved = list(parts)
-            moved[k] = (z_k, delta + o * h)
-            values.append(_moment_residual(moved)[0])
+            moved = list(tails)
+            moved[k] = delta + o * h
+            values.append(moment_residual(z, moved)[0])
         cols.append(np.dot(weights, values) / h)
     return np.array(cols).T
 
@@ -398,22 +405,24 @@ class TestMomentResidual:
     @example(delta_left=0.4, delta_right=0.0, seed=0)
     def test_jacobian_matches_differences(self, delta_left, delta_right, seed):
         z = standardized_sample((0.1, 0.5), 300, seed)
-        parts = sides(z, delta_left, delta_right)
-        r, jac, sample = _moment_residual(parts)
-        fd = moment_differences(parts)
+        tails = (delta_left, delta_right)
+        r, jac, sample = moment_residual(z, tails)
+        fd = moment_differences(z, tails)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
-        # the residual is that of the back-transformed sample in its order
+        # the residual is that of the back-transformed sample, in z's order
         u = np.where(z <= 0.0, w_delta(z, delta_left), w_delta(z, delta_right))
-        np.testing.assert_array_equal(sample, np.concatenate([u[z <= 0.0], u[z > 0.0]]))
+        np.testing.assert_array_equal(sample, u)
         skew, kurtosis = _central_moment_stats(u)
         np.testing.assert_allclose(r, [skew, kurtosis - 3.0], rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("delta", [0.0, 0.1, 1 / 3, 1.0])
     def test_equal_tails_add_up(self, delta):
         z = standardized_sample(0.2, 500, seed=15)
-        r1, jac1, _ = _moment_residual([(z, delta)])
-        r2, jac2, _ = _moment_residual(sides(z, delta, delta))
-        np.testing.assert_allclose(r2, r1, rtol=1e-12, atol=1e-14)
+        r1, jac1, sample1 = moment_residual(z, (delta,))
+        r2, jac2, sample2 = moment_residual(z, (delta, delta))
+        # one tail per point is the one-tail sample, bit for bit
+        np.testing.assert_array_equal(sample2, sample1)
+        np.testing.assert_array_equal(r2, r1)
         assert jac1[1, 0] == pytest.approx(jac2[1, 0] + jac2[1, 1], rel=1e-10)
         assert jac1[0, 0] == pytest.approx(jac2[0, 0] + jac2[0, 1], rel=1e-10, abs=1e-12)
 
@@ -644,11 +653,10 @@ class TestIGMMDoubleTail:
         z = standardized_sample((delta_left, delta_right), n, seed)
         d = _gmm_step(z, start).delta
         if isinstance(start, tuple):
-            parts, rows = sides(z, *d), slice(0, 2)
+            rows = slice(0, 2)
         else:
-            d = (d,)
-            parts, rows = [(z, d[0])], slice(1, 2)
-        r, jac, _ = _moment_residual(parts)
+            d, rows = (d,), slice(1, 2)
+        r, jac, _ = moment_residual(z, d)
         r, jac = r[rows], jac[rows]
         norm_r = np.linalg.norm(r)
         to_match = np.linalg.lstsq(jac, -r, rcond=None)[0]
@@ -670,7 +678,8 @@ class TestIGMMDoubleTail:
     def test_step_sample_after_snap(self, start):
         # Tails 1e-13 above 0 on data that need none snap onto 0 after the
         # last residual evaluation; the sample that the step returns, which
-        # IGMM takes location and scale from, is that of the snapped tails.
+        # IGMM takes location and scale from, is that of the snapped tails,
+        # with two tails the left side first.
         z = rlambertw(1000, LambertWDist(Gaussian(0, 1), 0.0), seed=1001)
         step = _gmm_step(z, start)
         assert step.delta == (0.0 if start == 1e-13 else (0.0, 0.0))
