@@ -363,15 +363,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, DomainError, SeriesParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError is a ValueError, so it comes first.
     except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # DataError, DomainError and SeriesParseError too
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except HeavytailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

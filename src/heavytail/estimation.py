@@ -19,8 +19,10 @@ Estimators provided here:
   searched by projected Newton steps with Levenberg-Marquardt damping in
   the box delta >= 0, which reaches the boundary delta = 0 exactly, until
   the Newton decrement is small relative to the log-likelihood; Student-t
-  input, whose likelihood has several maxima in nu, from four starts.
-  Standard errors come from the Hessian at the end of the search.
+  input, whose likelihood has several maxima in nu, from four starts.  The
+  score and Hessian are formed in the coordinates the search steps in;
+  standard errors come from the Hessian at the end of the search, taken
+  to natural theta once.
 * :func:`igmm` / :func:`igmm_double_tail` -- iterative generalized method
   of moments: alternate a moment-matching tail update with location and
   scale updates from the back-transformed sample until the parameter
@@ -606,8 +608,9 @@ def _gmm_step(z: np.ndarray, start: float | tuple[float, float]) -> _TailStep:
 def _igmm(data, double_tail: bool) -> FitResult:
     """The IGMM loop shared by :func:`igmm` and :func:`igmm_double_tail`.
 
-    Starts from the median, the kurtosis-matched tail and the deflated
-    scale; each iteration updates the tail (one, or a left/right pair) by
+    Starts where the likelihood searches do (:func:`_default_start`): the
+    median, the interquartile scale and the kurtosis-matched tail, at least
+    1e-3; each iteration updates the tail (one, or a left/right pair) by
     :func:`_gmm_step`, warm-started at the current tail, and takes location
     and scale from the back-transformed sample that the step's last
     residual evaluation made, so no W pass is repeated.
@@ -616,17 +619,15 @@ def _igmm(data, double_tail: bool) -> FitResult:
     # A point near the float maximum overflows the start moments.
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(np.std(y, ddof=1))
-        if sd == 0.0:
-            raise DataError("degenerate data: zero variance")
-        if not math.isfinite(sd):
-            raise DataError(
-                f"the sample scale of the data is not finite (sd = {sd}); "
-                "rescale the data"
-            )
-        delta0 = min(taylor_delta(_central_moment_stats(y)[1]), _DELTA_BOUNDS[1])
-    vf = variance_factor(min(delta0, 0.499)) or 1.0
-    mu, sigma = float(np.median(y)), sd / vf
-    delta = (delta0, delta0) if double_tail else delta0
+    if sd == 0.0:
+        raise DataError("degenerate data: zero variance")
+    if not math.isfinite(sd):
+        raise DataError(
+            f"the sample scale of the data is not finite (sd = {sd}); rescale the data"
+        )
+    start = _default_start(y, ("mu_x", "sigma_x", "delta"))
+    mu, sigma, delta = start["mu_x"], start["sigma_x"], start["delta"]
+    delta = (delta, delta) if double_tail else delta
     tau_vec = np.hstack([mu, sigma, delta])
     prev = np.zeros_like(tau_vec)
     at_bound = False
@@ -768,7 +769,7 @@ def _log_scale_derivatives(u, wv, delta, sides, sigma, a, c2, d, nu_terms=None):
     z^2 f_zz = q i S`` stay finite.  ``sides`` is None for one tail, or one
     0/1 weight array per tail.  ``nu_terms`` = (Phi_nu, 2 Phi'_nu q, 2
     Phi'_nu, Phi_nunu) per point adds a last coordinate nu that enters
-    through Phi at fixed z.
+    through Phi at fixed z.  Without nu these are the search coordinates.
     """
     inv = 1.0 / (1.0 + wv)
     inv2 = inv * inv
@@ -812,42 +813,26 @@ def _log_scale_derivatives(u, wv, delta, sides, sigma, a, c2, d, nu_terms=None):
     return grad, hess
 
 
-def _natural(grad, hess, s, nu=None):
-    """Gradient and Hessian in (mu, s, ...) from those in (mu, log sigma, ...).
-
-    ``log sigma = log s``, or ``log s + log sqrt(nu / (nu - 2))`` when the
-    last coordinate is a Student-t ``nu``.
-    """
-    jac = np.eye(grad.size)
-    jac[1, 1] = 1.0 / s
-    if nu is not None:
-        jac[1, -1] = -1.0 / (nu * (nu - 2.0))
-    out = jac.T @ hess @ jac
-    out = 0.5 * (out + out.T)
-    out[1, 1] -= grad[1] / (s * s)
-    if nu is not None:
-        out[-1, -1] += grad[1] * (2.0 * nu - 2.0) / (nu * (nu - 2.0)) ** 2
-    return jac.T @ grad, out
-
-
 def _gaussian_loglik_score(y: np.ndarray, theta):
-    """Gaussian-input log-likelihood, its score and Hessian at natural ``theta``.
+    """Gaussian-input log-likelihood, its score and Hessian in the search coordinates.
 
-    ``theta`` is (mu, sigma, delta) or (mu, sigma, delta_left,
-    delta_right); a point that is no valid model raises
-    :class:`DomainError`.  W is evaluated once per point, in the same pass
-    as the likelihood.  With ``W = W(delta z^2)`` and ``u^2 = z^2 exp(-W)``
-    each point contributes ``-u^2/2 - W/2 - log1p(W) - log sigma - log
-    sqrt(2 pi)``, whose first derivatives are
+    ``theta`` is the natural (mu, sigma, delta) or (mu, sigma, delta_left,
+    delta_right), and the derivatives are in (mu, log sigma, tails); a
+    point that is no valid model raises :class:`DomainError`.  W is
+    evaluated once per point, in the same pass as the likelihood.  With ``W
+    = W(delta z^2)`` and ``u^2 = z^2 exp(-W)`` each point contributes
+    ``-u^2/2 - W/2 - log1p(W) - log sigma - log sqrt(2 pi)``, whose first
+    derivatives are
 
         d/dz     = -z exp(-W) (1 + delta (1 + 2/(1 + W))) / (1 + W),
         d/ddelta = u^2 (u^2 - 1 - 2/(1 + W)) / (2 (1 + W)),
 
     the latter ``z^4/2 - 3 z^2/2`` at delta = 0 (:func:`grad_delta`); the
     second derivatives are those of :func:`_log_scale_derivatives` with
-    ``Phi = -q/2``.  Location and scale follow by the chain rule through
-    ``z = (y - mu) / sigma``; with two tails each point's tail derivatives
-    add to its own side.
+    ``Phi = -q/2``.  Location and log scale follow by the chain rule
+    through ``z = (y - mu) / sigma``, and ``-log sigma`` adds ``-1`` per
+    point to the log-scale score; with two tails each point's tail
+    derivatives add to its own side.
     """
     tau = TailParams(theta[0], theta[1], theta[2] if len(theta) == 3 else tuple(theta[2:]))
     sigma = tau.sigma_x
@@ -862,19 +847,20 @@ def _gaussian_loglik_score(y: np.ndarray, theta):
         total -= y.size * (math.log(sigma) + _LOG_SQRT_2PI)
         grad, hess = _log_scale_derivatives(u, wv, delta, sides, sigma, -q, -1.0, 0.0)
     grad[1] -= y.size
-    return (total, *_natural(grad, hess, sigma))
+    return total, grad, hess
 
 
 def _student_t_loglik_score(y: np.ndarray, theta):
-    """Student-t-input log-likelihood, its score and Hessian at natural ``theta``.
+    """Student-t-input log-likelihood, its score and Hessian in the search coordinates.
 
-    ``theta`` is (mu, s, delta, nu) with ``s`` the t scale; a point that is
-    no valid model (nu <= 2 too) raises :class:`DomainError`.  The total is
-    :func:`loglik`'s bit for bit, from one W per point.  With ``sigma = s
-    sqrt(nu / (nu - 2))``, ``z = (y - mu) / sigma`` and ``u = w_delta(z)``,
-    the t variate ``t`` has ``t^2 / nu = u^2 / (nu - 2)``, and each point
-    adds ``Phi = -(nu + 1)/2 log1p(u^2 / (nu - 2))``, ``- W/2 - log1p(W) -
-    log s`` to the log-normalizer.  With ``q = u^2`` and ``rho = q / (nu -
+    ``theta`` is the natural (mu, s, delta, nu) with ``s`` the t scale, and
+    the derivatives are in (mu, log s, delta, r = log(nu - 2)); a point
+    that is no valid model (nu <= 2 too) raises :class:`DomainError`.  The
+    total is :func:`loglik`'s bit for bit, from one W per point.  With
+    ``sigma = s sqrt(nu / (nu - 2))``, ``z = (y - mu) / sigma`` and ``u =
+    w_delta(z)``, the t variate ``t`` has ``t^2 / nu = u^2 / (nu - 2)``,
+    and each point adds ``Phi = -(nu + 1)/2 log1p(u^2 / (nu - 2))``, ``-
+    W/2 - log1p(W) - log s`` to the log-normalizer.  With ``q = u^2`` and ``rho = q / (nu -
     2 + q)``,
 
         2 Phi' q = -(nu + 1) rho,    Phi'' q = (nu + 1) rho / (2 (nu - 2 + q)),
@@ -883,8 +869,10 @@ def _student_t_loglik_score(y: np.ndarray, theta):
         Phi_nunu = rho ((nu + 1) rho - 6) / (2 (nu - 2)^2),
 
     which :func:`_log_scale_derivatives` turns into derivatives in (mu, log
-    sigma, delta, nu).  nu also enters through the log-normalizer and
-    through ``log sigma - log s = log sqrt(nu / (nu - 2))``.
+    sigma, delta, nu).  One chain rule takes them to the search
+    coordinates, through ``log sigma = log s + log sqrt(nu / (nu - 2))``
+    and ``nu = 2 + exp(r)``, and the normalizer ``n (log-normalizer(nu) -
+    log s)`` is added there.
     """
     mu, s, delta, nu = theta
     dist = LambertWDist(StudentT(nu=nu, mu=mu, scale=s), delta)
@@ -905,17 +893,27 @@ def _student_t_loglik_score(y: np.ndarray, theta):
         grad, hess = _log_scale_derivatives(
             u, wv, delta, None, sigma, -nu1 * rho, -nu1 * inv_q,
             0.5 * nu1 * rho * inv_q, nu_terms)
-    # -n log s = -n log sigma + n log sqrt(nu / (nu - 2)), at fixed sigma
+    # d log sigma / dr = -1 / nu, d^2 log sigma / dr^2 = (nu - 2) / nu^2 and
+    # d nu / dr = d^2 nu / dr^2 = nu - 2; the other coordinates carry over.
+    jac = np.eye(4)
+    jac[1, 3], jac[3, 3] = -1.0 / nu, nu2
+    curv = jac.T @ hess @ jac
+    curv = 0.5 * (curv + curv.T)
+    curv[3, 3] += nu2 * (grad[1] / (nu * nu) + grad[3])
+    grad = jac.T @ grad
+    # the normalizer n (log-normalizer(nu) - log s)
+    norm_dnu = _t_log_norm_dnu(nu)
     grad[1] -= n
-    grad[-1] += n * (_t_log_norm_dnu(nu) - 1.0 / (nu * nu2))
-    hess[-1, -1] += n * (_t_log_norm_d2nu(nu) + (2.0 * nu - 2.0) / (nu * nu2) ** 2)
-    return (input_part + penalty_part, *_natural(grad, hess, s, nu))
+    grad[3] += n * nu2 * norm_dnu
+    curv[3, 3] += n * nu2 * (norm_dnu + nu2 * _t_log_norm_d2nu(nu))
+    return input_part + penalty_part, grad, curv
 
 
 class _Model(NamedTuple):
     names: tuple[str, ...]
     build: Callable  # natural theta -> LambertWDist
-    score: Callable  # (y, theta) -> (loglik, its gradient and Hessian in theta)
+    # (y, natural theta) -> (loglik, its gradient and Hessian in the search coordinates)
+    score: Callable
 
 
 # Joint-MLE models keyed by (family, tail).  Adding a model is one entry
@@ -950,7 +948,8 @@ def _left_parameter_space(family: str, point) -> ConvergenceError:
 def _objective(p: np.ndarray, y: np.ndarray, model: _Model):
     """-loglik, its gradient and Hessian at search coordinates ``p``.
 
-    The fourth item is the Hessian of the log-likelihood in natural theta.
+    ``model.score`` gives them in these coordinates, so this only negates
+    them; the fourth item is the log-likelihood's own (gradient, Hessian).
     A point that is no valid model, such as nu == 2.0 where ``exp``
     underflows, or whose likelihood or derivatives are not finite (a scale
     whose square underflows), gives +inf.
@@ -964,15 +963,7 @@ def _objective(p: np.ndarray, y: np.ndarray, model: _Model):
         return math.inf, None, None, None
     if not (math.isfinite(total) and np.all(np.isfinite(hess)) and np.all(np.isfinite(score))):
         return math.inf, None, None, None
-    # d theta / dp, which is also d^2 theta / dp^2 on the log coordinates
-    dtheta = np.array([t - _LOG_SHIFT[n] if n in _LOG_SHIFT else 1.0
-                       for n, t in zip(model.names, theta)])
-    grad = score * dtheta
-    curv = hess * dtheta[:, None] * dtheta
-    for k, n in enumerate(model.names):
-        if n in _LOG_SHIFT:
-            curv[k, k] += grad[k]
-    return -total, -grad, -curv, hess
+    return -total, -score, -hess, (score, hess)
 
 
 def _score_search(y, model: _Model, starts, family: str):
@@ -1003,6 +994,19 @@ def _score_search(y, model: _Model, starts, family: str):
         if best is None or run.value < best.value:
             best = run
     return best, passes
+
+
+def _theta_derivatives(names, theta, grad, hess):
+    """The log-likelihood's gradient and Hessian in natural ``theta``.
+
+    ``grad`` and ``hess`` are in the search coordinates.  On ``p = log(theta
+    - shift)``, ``dtheta/dp = d^2 theta/dp^2 = theta - shift``, so there
+    ``H_p = H_theta dtheta dtheta' + diag(g_p)``.
+    """
+    dtheta = np.array([t - _LOG_SHIFT[n] if n in _LOG_SHIFT else 1.0
+                       for n, t in zip(names, theta)])
+    logged = np.array([n in _LOG_SHIFT for n in names])
+    return grad / dtheta, (hess - np.diag(grad * logged)) / np.outer(dtheta, dtheta)
 
 
 def _std_errors(hess: np.ndarray, free: list[bool]) -> list[float]:
@@ -1098,7 +1102,8 @@ def mle_joint(
     best, searched = _score_search(y, model, starts, family)
     theta = _to_theta(model.names, best.x)
     lo, hi = _search_bounds(model.names)
-    se = _std_errors(best.payload, [a < x < b for a, x, b in zip(lo, best.x, hi)])
+    hess = _theta_derivatives(model.names, theta, *best.payload)[1]
+    se = _std_errors(hess, [a < x < b for a, x, b in zip(lo, best.x, hi)])
     return _fit_result(
         y, model.build(theta), f"mle_{family}_{tail}", dict(zip(model.names, theta)),
         passes + searched, best.converged, dict(zip(model.names, se)),
@@ -1106,9 +1111,15 @@ def mle_joint(
 
 
 def fit_model(data, family: str, tail: str, method: str) -> FitResult:
-    """Fit by method name: ``"igmm"`` (Gaussian input only) or ``"mle"``."""
-    if method == "igmm":
-        if family != "gaussian":
-            raise DomainError("igmm supports the gaussian input family only")
-        return igmm(data) if tail == "h" else igmm_double_tail(data)
-    return mle_joint(data, family=family, tail=tail)
+    """Fit by method name, ``"igmm"`` (Gaussian input only) or ``"mle"``, and
+    tail, ``"h"`` or ``"hh"``; any other choice raises :class:`DomainError`.
+    """
+    if tail not in ("h", "hh"):
+        raise DomainError(f"tail must be 'h' or 'hh', got {tail!r}")
+    if method == "mle":
+        return mle_joint(data, family=family, tail=tail)
+    if method != "igmm":
+        raise DomainError(f"method must be 'igmm' or 'mle', got {method!r}")
+    if family != "gaussian":
+        raise DomainError("igmm supports the gaussian input family only")
+    return igmm(data) if tail == "h" else igmm_double_tail(data)

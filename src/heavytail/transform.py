@@ -109,15 +109,10 @@ def w_of_delta_z_sq(z, delta):
 
     This combination appears in every inverse-side formula; for huge ``z``
     the product is evaluated as ``W(exp(log(delta) + 2 log|z|))`` on the
-    log scale instead of overflowing to ``inf``.
+    log scale instead of overflowing to ``inf``.  It is the W of
+    :func:`_w_and_w_delta` for one tail.
     """
-    delta = _check_delta(delta)
-    z, scalar = _as_float_array(z)
-    if delta == 0.0:
-        return _ret(np.zeros_like(z), scalar)
-    with np.errstate(over="ignore"):
-        arg = delta * z * z
-    return _ret(np.asarray(_w_of_arg(arg, z, delta)), scalar)
+    return _w_and_w_delta(z, _check_delta(delta))[0]
 
 
 def _w_of_arg(arg, z, delta):

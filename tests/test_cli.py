@@ -157,6 +157,12 @@ class TestSimulate:
         ) == 0
         assert np.loadtxt(out).min() >= 0.0
 
+    @pytest.mark.parametrize("beta", ["3,x", "3,,1"])
+    def test_malformed_beta_exits_2(self, capsys, beta):
+        assert run_cli("simulate", "--family", "gamma", "--beta", beta,
+                       "--tau", "0,1,0.1", "--n", "100") == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestTransform:
     def test_forward_inverse_round_trip(self, tmp_path):
@@ -308,6 +314,16 @@ class TestFit:
         write_series(y, src)
         assert run_cli("fit", str(src), "--family", family) == 3
         assert "left the parameter space" in capsys.readouterr().err
+
+
+    def test_linalg_failure_exits_3(self, sample_file, capsys, monkeypatch):
+        # LinAlgError is a ValueError, which exits 2 when caught first.
+        def fail(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(heavytail.cli, "fit_model", fail)
+        assert run_cli("fit", str(sample_file)) == 3
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
 
 class TestGaussianize:

@@ -45,6 +45,7 @@ from heavytail.estimation import (
     _objective,
     _search_bounds,
     _student_t_loglik_score,
+    _theta_derivatives,
     _to_search,
     _to_theta,
 )
@@ -208,10 +209,19 @@ def loglik_differences(y, theta, family="gaussian"):
     return np.array(out), 1e-13 * abs(total(theta)) / steps
 
 
+def natural_score(model, y, theta):
+    """``model.score`` at natural ``theta``, its derivatives mapped to theta as
+    :func:`~heavytail.estimation.mle_joint` maps them (:func:`_theta_derivatives`).
+    """
+    total, grad, hess = model.score(y, theta)
+    return (total, *_theta_derivatives(model.names, theta, grad, hess))
+
+
 def score_differences(y, theta, family="gaussian"):
     """Finite-difference Hessian from the analytic score at natural theta.
 
-    Column k differences the score along theta_k on the steps of
+    Column k differences the natural-theta score (:func:`natural_score`)
+    along theta_k on the steps of
     :func:`difference_stencils`.  The bound on its rounding noise is that of
     second differences of ``loglik``, ``1e-13 |loglik| / (step_i step_j)``.
     """
@@ -222,7 +232,7 @@ def score_differences(y, theta, family="gaussian"):
         for o in offsets:
             t = list(theta)
             t[k] += o * h
-            values.append(model.score(y, t)[1])
+            values.append(natural_score(model, y, t)[1])
         cols.append(np.dot(weights, values) / h)
     steps = np.array([h for h, _, _ in stencils])
     total = model.score(y, theta)[0]
@@ -246,7 +256,9 @@ class TestScore:
     def test_matches_loglik_differences(self, double, delta, delta_right, mu, sigma, seed):
         y = make_sample((0.1, 0.5), 300, seed=seed, mu=0.2, sigma=1.3)
         theta = [mu, sigma, delta] + ([delta_right] if double else [])
-        total, score, _ = _gaussian_loglik_score(y, theta)
+        model = _MODELS[("gaussian", "hh" if double else "h")]
+        assert model.score is _gaussian_loglik_score
+        total, score, _ = natural_score(model, y, theta)
         fd, _ = loglik_differences(y, theta)
         assert np.max(np.abs(score - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
         delta_arg = (delta, delta_right) if double else delta
@@ -288,7 +300,9 @@ class TestStudentTScore:
         if far:
             y[:3] = [1e8, -1e4, 40.0]
         theta = [mu, scale, delta, *_to_theta(("nu",), [log_nu])]
-        total, score, _ = _student_t_loglik_score(y, theta)
+        model = _MODELS[("student-t", "h")]
+        assert model.score is _student_t_loglik_score
+        total, score, _ = natural_score(model, y, theta)
         fd, noise = loglik_differences(y, theta, family="student-t")
         assert np.all(np.abs(score - fd) <= 1e-5 * np.abs(fd) + noise), (score, fd)
         assert total == loglik(y, _MODELS[("student-t", "h")].build(theta)).total
@@ -297,8 +311,8 @@ class TestStudentTScore:
         # exp(-800) underflows to 0, so nu == 2.0 exactly: no model, +inf.
         y = make_sample(0.1, 100, seed=2)
         model = _MODELS[("student-t", "h")]
-        value, grad, hess, natural = _objective([0.0, 0.0, 0.1, -800.0], y, model)
-        assert value == math.inf and grad is hess is natural is None
+        value, grad, hess, payload = _objective([0.0, 0.0, 0.1, -800.0], y, model)
+        assert value == math.inf and grad is hess is payload is None
         with pytest.raises(DomainError):
             _student_t_loglik_score(y, [0.0, 1.0, 0.1, 2.0])
 
@@ -346,7 +360,10 @@ class TestHessian:
             # The hh likelihood changes its second z derivative where a point
             # crosses mu; the location stencil must not straddle a point.
             assume(tail == "h" or np.min(np.abs(y - mu)) > 4e-4 * max(1.0, abs(mu)))
-        _, _, hess = _MODELS[model].score(y, theta)
+        # symmetric in the search coordinates, and so in natural theta
+        search_hess = _MODELS[model].score(y, theta)[2]
+        assert np.array_equal(search_hess, search_hess.T)
+        _, _, hess = natural_score(_MODELS[model], y, theta)
         fd, noise = score_differences(y, theta, family)
         assert np.array_equal(hess, hess.T)
         assert np.all(np.abs(hess - fd) <= 1e-5 * np.abs(fd) + noise), (hess, fd)
@@ -617,6 +634,17 @@ class TestIGMM:
         y[0] = 1e200
         with pytest.raises(DataError, match="sample scale .* not finite"):
             fit(y)
+
+    def test_heavy_input_start_scale(self):
+        # A t_5 input with delta = 1: the sample sd is 1.1e17.  From that sd
+        # divided by variance_factor(0.499) (about 106) the loop ended at
+        # mu 3.5e15, sigma 1.1e17, delta 0, loglik -40668.9, flagged
+        # converged.  It now starts at the interquartile scale.
+        y = rlambertw(1000, LambertWDist(StudentT(5.0), 1.0), seed=103)
+        r = igmm(y)
+        assert r.converged and r.boundary_hit is None
+        assert abs(r.tau.mu_x) < 0.2 and 0.3 < r.tau.sigma_x < 0.5 and 2.0 < r.tau.delta < 3.0
+        assert r.loglik_total >= -2699.874
 
 
 class TestIGMMDoubleTail:
@@ -987,6 +1015,30 @@ class TestMleJoint:
         r = mle_joint(y, start={"mu_x": 0.0, "sigma_x": 1.0, "delta": 0.1})
         assert r.converged
 
+    @pytest.mark.parametrize(
+        "model, dist",
+        [
+            (("gaussian", "h"), LambertWDist(Gaussian(0.2, 1.1), 0.2)),
+            (("gaussian", "hh"), LambertWDist(Gaussian(0.2, 1.1), (0.1, 0.3))),
+            (("student-t", "h"), LambertWDist(StudentT(6.0, 0.2, 1.1), 0.1)),
+        ],
+        ids=["gaussian-h", "gaussian-hh", "student-t-h"],
+    )
+    def test_std_errors_match_difference_hessian(self, model, dist):
+        # The standard errors are those of the natural-theta Hessian at the
+        # estimate: here the pseudo-inverse of central differences of the
+        # natural-theta score, symmetrized.
+        family, tail = model
+        y = rlambertw(1000, dist, seed=8)
+        r = mle_joint(y, family=family, tail=tail)
+        names = _MODELS[model].names
+        theta = [r.params[n] for n in names]
+        assert r.boundary_hit is None and r.params.get("nu", 0.0) < 100.0
+        fd, _ = score_differences(y, theta, family)
+        cov = np.linalg.pinv(-0.5 * (fd + fd.T), hermitian=True)
+        np.testing.assert_allclose([r.std_errors[n] for n in names],
+                                   np.sqrt(np.diag(cov)), rtol=1e-4)
+
     @pytest.mark.parametrize("family", ["gaussian", "student-t"])
     def test_search_leaving_parameter_space(self, family):
         # One point at 1e200 makes the sample scale infinite, so no point of
@@ -996,6 +1048,33 @@ class TestMleJoint:
         y[0] = 1e200
         with pytest.raises(ConvergenceError, match="left the parameter space"):
             mle_joint(y, family=family)
+
+
+class TestFitModel:
+    """``fit_model`` owns the choice of estimator."""
+
+    def test_dispatch(self):
+        y = make_sample(0.2, 300, seed=9)
+        for method, tail, fit in [("igmm", "h", igmm), ("igmm", "hh", igmm_double_tail),
+                                  ("mle", "h", mle_joint)]:
+            assert estimation.fit_model(y, "gaussian", tail, method) == fit(y)
+        assert estimation.fit_model(y, "student-t", "h", "mle") == mle_joint(
+            y, family="student-t")
+
+    @pytest.mark.parametrize(
+        "family, tail, method, match",
+        [
+            ("gaussian", "bogus", "igmm", "tail must be 'h' or 'hh'"),
+            ("gaussian", "bogus", "mle", "tail must be 'h' or 'hh'"),
+            ("gaussian", "h", "bogus", "method must be 'igmm' or 'mle'"),
+            ("student-t", "h", "igmm", "igmm supports the gaussian input family only"),
+            ("gamma", "h", "mle", "unsupported joint MLE model"),
+            ("student-t", "hh", "mle", "unsupported joint MLE model"),
+        ],
+    )
+    def test_rejects_unknown_choices(self, family, tail, method, match):
+        with pytest.raises(DomainError, match=match):
+            estimation.fit_model(make_sample(0.2, 300, seed=9), family, tail, method)
 
 
 class TestScaleEquivariance:
