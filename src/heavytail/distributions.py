@@ -315,8 +315,9 @@ class Exponential(_Family):
 
 
 # From nu = _T_SERIES_NU on, the Student t log-normalizer and its nu
-# derivative are asymptotic series in 1/x, x = nu/2; below it, lgamma and
-# digamma differences.  Both ways are within 1e-14 of the exact value there.
+# derivatives are asymptotic series in 1/x, x = nu/2; below it, lgamma,
+# digamma and trigamma differences.  Both ways are within 1e-14 of the
+# exact value there.
 _T_SERIES_NU = 30.0
 # S(x) = sum_k _T_SERIES[k] / x^(2k+1) is the Stirling series of
 # log Gamma(x + 1/2) - log Gamma(x) - log(x)/2; the coefficient of
@@ -324,55 +325,30 @@ _T_SERIES_NU = 30.0
 _T_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224)
 
 
-def _t_log_norm(nu: float) -> float:
-    """``log Gamma((nu+1)/2) - log Gamma(nu/2) - log(nu pi)/2``, accurately.
+def _t_log_norm(nu: float) -> tuple[float, float, float]:
+    """``log Gamma((nu+1)/2) - log Gamma(nu/2) - log(nu pi)/2`` and its first two nu derivatives.
 
-    The lgamma difference cancels as nu grows (5.5e-10 off at nu = 1e6).
-    With x = nu/2 the normalizer is ``S(x) - log sqrt(2 pi)``, the
-    Gaussian one plus a small correction, and nothing cancels.
+    Below nu = 30: the lgamma, digamma and trigamma (``zeta(2, x)``)
+    differences.  They cancel as nu grows (at nu = 1e6 the lgamma one is
+    5.5e-10 off, the digamma one 3.7e-4 relative), so from nu = 30 on, with
+    x = nu/2, the three are ``S(x) - log sqrt(2 pi)`` (the Gaussian
+    normalizer plus a small correction), ``S'(x) / 2`` and ``S''(x) / 4``,
+    summed in one Horner pass.
     """
     if nu < _T_SERIES_NU:
         return (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
-                - 0.5 * math.log(nu * math.pi))
-    x = 0.5 * nu
-    r, s = 1.0 / (x * x), 0.0
-    for c in reversed(_T_SERIES):
-        s = s * r + c
-    return s / x - _LOG_SQRT_2PI
-
-
-def _t_log_norm_dnu(nu: float) -> float:
-    """d/dnu of :func:`_t_log_norm`: ``(psi((nu+1)/2) - psi(nu/2)) / 2 - 1/(2 nu)``.
-
-    From nu = 30 on it is ``S'(nu/2) / 2``, which keeps its relative
-    accuracy where the digamma difference cancels (3.7e-4 relative error
-    at nu = 1e6).
-    """
-    if nu < _T_SERIES_NU:
-        return 0.5 * float(sp.digamma(0.5 * (nu + 1.0)) - sp.digamma(0.5 * nu)) - 0.5 / nu
-    x = 0.5 * nu
-    r, s = 1.0 / (x * x), 0.0
-    for k in reversed(range(len(_T_SERIES))):
-        s = s * r - (2 * k + 1) * _T_SERIES[k]
-    return 0.5 * r * s
-
-
-def _t_log_norm_d2nu(nu: float) -> float:
-    """Second nu derivative of :func:`_t_log_norm`.
-
-    ``(psi'((nu+1)/2) - psi'(nu/2)) / 4 + 1/(2 nu^2)`` below nu = 30, with
-    the trigamma ``psi'(x)`` as the Hurwitz zeta ``zeta(2, x)``, and
-    ``S''(nu/2) / 4`` from the series above, where the trigamma difference
-    cancels.
-    """
-    if nu < _T_SERIES_NU:
-        return (0.25 * float(sp.zeta(2.0, 0.5 * (nu + 1.0)) - sp.zeta(2.0, 0.5 * nu))
+                - 0.5 * math.log(nu * math.pi),
+                0.5 * float(sp.digamma(0.5 * (nu + 1.0)) - sp.digamma(0.5 * nu)) - 0.5 / nu,
+                0.25 * float(sp.zeta(2.0, 0.5 * (nu + 1.0)) - sp.zeta(2.0, 0.5 * nu))
                 + 0.5 / (nu * nu))
     x = 0.5 * nu
-    r, s = 1.0 / (x * x), 0.0
-    for k in reversed(range(len(_T_SERIES))):
-        s = s * r + (2 * k + 1) * (2 * k + 2) * _T_SERIES[k]
-    return 0.25 * r * s / x
+    r, s, ds, d2s = 1.0 / (x * x), 0.0, 0.0, 0.0
+    for k, c in reversed(list(enumerate(_T_SERIES))):
+        j = 2 * k + 1
+        s = s * r + c
+        ds = ds * r - j * c
+        d2s = d2s * r + j * (j + 1) * c
+    return s / x - _LOG_SQRT_2PI, 0.5 * r * ds, 0.25 * r * d2s / x
 
 
 @dataclass(frozen=True)
@@ -381,7 +357,8 @@ class StudentT(_Family):
 
     ``scale`` multiplies the raw t variate, so the standard deviation is
     ``scale * sqrt(nu / (nu - 2))``; ``nu > 2`` is required so that the
-    standardization is finite.
+    standardization is finite.  :func:`_t_log_norm` is computed once per
+    instance, for :meth:`logpdf` and the likelihood score.
     """
 
     nu: float = 5.0
@@ -404,10 +381,14 @@ class StudentT(_Family):
     def mean_x(self) -> float:
         return self.mu
 
+    @cached_property
+    def _log_norm(self) -> tuple[float, float, float]:
+        return _t_log_norm(self.nu)
+
     def logpdf(self, x):
         t = (np.asarray(x, dtype=float) - self.mu) / self.scale
         nu = self.nu
-        log_norm = _t_log_norm(nu) - math.log(self.scale)
+        log_norm = self._log_norm[0] - math.log(self.scale)
         with np.errstate(over="ignore"):
             s = t * t / nu
         log_term = np.log1p(s)

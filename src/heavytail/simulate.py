@@ -369,7 +369,8 @@ def _cauchy_quantile(q: np.ndarray) -> np.ndarray:
 def cauchy_demo(n: int, seed: int = 0, step: int = 1) -> CauchyDemo:
     """Fit-and-Gaussianize running means of a standard Cauchy sample.
 
-    ``step`` thins the refit grid (every ``step``-th prefix between 5 and
+    ``step`` thins the refit grid (every ``step``-th prefix between 10,
+    the fewest points :func:`~heavytail.estimation.mle_joint` fits, and
     ``n``) to trade resolution for speed; the final prefix is always
     included.
     """
@@ -378,7 +379,7 @@ def cauchy_demo(n: int, seed: int = 0, step: int = 1) -> CauchyDemo:
     rng = _rng_for(int(seed), ())
     y = _cauchy_quantile(np.clip(rng.random(int(n)), 1e-300, 1 - 1e-16))
 
-    lengths = list(range(5, n + 1, max(1, int(step))))
+    lengths = list(range(10, n + 1, max(1, int(step))))
     if lengths[-1] != n:
         lengths.append(n)
     raw = np.full(len(lengths), np.nan)

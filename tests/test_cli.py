@@ -213,6 +213,20 @@ class TestFit:
         report = json.loads(captured.out)
         assert abs(report["summary"]["gaussianized"]["kurtosis"] - 3.0) <= 0.01
 
+    @pytest.mark.parametrize("tail, names", [("h", ["delta"]),
+                                             ("hh", ["delta_left", "delta_right"])])
+    def test_text_report(self, sample_file, capsys, tail, names):
+        code, captured = run_cli_capture(capsys, "fit", str(sample_file), "--tail", tail)
+        assert code == 0
+        lines = captured.out.splitlines()
+        assert lines[0] == f"model: gaussian input, tail={tail}, method=mle"
+        assert lines[4].split() == ["parameter", "estimate", "std.err", "t", "p"]
+        assert [line.split()[0] for line in lines[5:7 + len(names)]] == [
+            "mu_x", "sigma_x", *names]
+        lr = [line for line in lines if line.startswith("LR test (hh vs h): statistic=")]
+        assert len(lr) == (tail == "hh")
+        assert lines[-1].startswith("Anderson-Darling: observed A2=")
+
     def test_hh_reports_lr(self, sample_file, capsys):
         code, captured = run_cli_capture(
             capsys, "fit", str(sample_file), "--tail", "hh", "--json"

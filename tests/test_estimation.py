@@ -33,12 +33,13 @@ from heavytail import (
     w_delta,
     w_tau,
 )
-from heavytail import estimation
+from heavytail import distributions, estimation
 from heavytail.estimation import (
     _MODELS,
     _NU_CAP,
     _box_newton,
     _central_moment_stats,
+    _delta_slope,
     _gaussian_loglik_score,
     _gmm_step,
     _moment_residual,
@@ -307,6 +308,28 @@ class TestStudentTScore:
         assert np.all(np.abs(score - fd) <= 1e-5 * np.abs(fd) + noise), (score, fd)
         assert total == loglik(y, _MODELS[("student-t", "h")].build(theta)).total
 
+    def test_normalizer_from_the_stored_triple(self, monkeypatch):
+        # The normalizer's nu derivatives in the score are those of the
+        # one (log-normalizer, d/dnu, d2/dnu2) triple that logpdf computes.
+        y = make_sample(0.2, 300, seed=3)
+        theta, nu2 = [0.1, 1.2, 0.2, 4.0], 2.0
+        _, grad, hess = _student_t_loglik_score(y, theta)
+        calls = []
+        original = distributions._t_log_norm
+
+        def shifted(nu):
+            calls.append(nu)
+            value, dnu, d2nu = original(nu)
+            return value, dnu + 1.0, d2nu + 1.0
+
+        monkeypatch.setattr(distributions, "_t_log_norm", shifted)
+        _, grad2, hess2 = _student_t_loglik_score(y, theta)
+        assert calls == [4.0]
+        np.testing.assert_array_equal(grad2[:3], grad[:3])
+        np.testing.assert_array_equal(hess2[:, :3], hess[:, :3])
+        assert grad2[3] - grad[3] == pytest.approx(y.size * nu2, rel=1e-9)
+        assert hess2[3, 3] - hess[3, 3] == pytest.approx(y.size * nu2 * (1.0 + nu2), rel=1e-9)
+
     def test_objective_at_nu_two(self):
         # exp(-800) underflows to 0, so nu == 2.0 exactly: no model, +inf.
         y = make_sample(0.1, 100, seed=2)
@@ -488,6 +511,15 @@ class TestMleDeltaOnly:
         second = (grad_delta(root + h, z) - grad_delta(root - h, z)) / (2.0 * h)
         assert r.std_errors["delta"] == pytest.approx(1.0 / math.sqrt(-second), rel=1e-6)
 
+    @pytest.mark.parametrize("delta, n, seed", [(0.1, 1000, 0), (1.0, 60, 2), (5.0, 1000, 3)])
+    def test_std_error_at_the_root(self, delta, n, seed):
+        # The standard error from the curvature of the last Newton step, at
+        # most 1e-13 from the root, is the one from the curvature at the root.
+        z = make_sample(delta, n, seed=seed)
+        r = mle_delta_only(z)
+        at_root = 1.0 / math.sqrt(-_delta_slope(r.tau.delta, z)[1])
+        assert r.std_errors["delta"] == pytest.approx(at_root, rel=2e-12)
+
     def test_boundary_frequency_under_null(self):
         # with no true tails the boundary estimator fires about half the time
         hits = 0
@@ -620,6 +652,14 @@ class TestIGMM:
         assert not r.converged
         assert r.iterations == 1
 
+    def test_upper_bound_flag(self):
+        # A t input with nu = 2.1 and delta = 1 needs more tail than the box
+        # holds: the loop converges with the tail on 10.
+        y = rlambertw(200, LambertWDist(StudentT(2.1), 1.0), seed=4)
+        r = igmm(y)
+        assert r.converged and r.tau.delta == 10.0
+        assert r.boundary_hit == "delta_upper"
+
     def test_short_or_degenerate_data(self):
         with pytest.raises(DataError):
             igmm(np.arange(5.0))
@@ -671,6 +711,9 @@ class TestIGMMDoubleTail:
     @example(delta_left=0.0, delta_right=0.0, n=1000, start=3.0, seed=1001)
     @example(delta_left=1.0, delta_right=1.0, n=60, start=0.0, seed=4)
     @example(delta_left=0.5, delta_right=0.2, n=400, start=3.0, seed=4)
+    # From (1, 0) the match needs 151 evaluations to reach (10, 10): a
+    # 100-step budget ended it at (0.22, 0.047), residual (3.3, 34).
+    @example(delta_left=0.5, delta_right=0.75, n=1000, start=(1.0, 0.0), seed=41)
     def test_inner_step_optimal(self, delta_left, delta_right, n, start, seed):
         # Either the moments match (to 1e-10, or to within a Gauss-Newton
         # step below the stopping tolerance, where the Jacobian is steep),
@@ -713,6 +756,16 @@ class TestIGMMDoubleTail:
         assert step.delta == (0.0 if start == 1e-13 else (0.0, 0.0))
         sides = [z] if start == 1e-13 else [z[z <= 0.0], z[z > 0.0]]
         np.testing.assert_array_equal(step.sample, np.concatenate(sides))
+
+    def test_heavy_moments_do_not_overflow(self):
+        # m4 * dm2 overflowed in the kurtosis row of the tail step's
+        # Jacobian here, which raised under the RuntimeWarning filter.
+        y = rlambertw(1000, LambertWDist(StudentT(5.0), 1 / 3), seed=143)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = igmm_double_tail(y)
+        assert r.converged and r.iterations == 37
+        assert r.loglik_total == pytest.approx(-2698.0613, abs=1e-4)
 
     def test_gaussian_sample_gives_exact_zero_tails(self):
         # The Nelder-Mead step left both tails at about 1e-17 here, so the

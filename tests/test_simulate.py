@@ -278,6 +278,14 @@ class TestCauchyDemo:
         assert abs(m.kurtosis - 3.0) <= 0.5
         assert 0.6 <= demo.delta_estimates[-1] <= 1.3
 
+    def test_every_prefix_fits(self):
+        # The refit grid starts at the 10 points mle_joint needs; from 5 the
+        # first five entries were always NaN.
+        demo = cauchy_demo(15, seed=1)
+        assert demo.lengths.tolist() == list(range(10, 16))
+        assert not np.isnan(demo.delta_estimates).any()
+        assert not np.isnan(demo.gaussianized_mean).any()
+
     def test_short_input_rejected(self):
         with pytest.raises(Exception):
             cauchy_demo(5, seed=1)
