@@ -18,9 +18,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import special as sp
 
-from .distributions import Gaussian, LambertWDist, family_from_name
+from .distributions import Gaussian, LambertWDist, family_from_name, sp
 from .estimation import fit_model, sample_moments
 from .exceptions import (
     ConvergenceError,

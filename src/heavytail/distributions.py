@@ -17,6 +17,12 @@ Input families are standard distributions written as closed forms over
 ``scipy.special``; the Lambert W machinery on top of them is
 family-generic.  Nonexistent moments are reported as ``None``, never as
 NaN.
+
+``scipy.special`` is imported on first use, through :data:`sp`: importing
+the package, the transforms, and the Gaussian-input likelihood and
+estimators never load scipy, whose import is about half of a CLI process's
+start-up.  The families' ``cdf``/``quantile`` (so ``rlambertw``), every
+non-Gaussian density and the normality test load it on their first call.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy import special as sp
 
 from .exceptions import DomainError
 from .lambertw import _blocked
@@ -56,6 +61,24 @@ _P_HI = 1.0 - 1e-16
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+class _LazySpecial:
+    """``scipy.special``, imported on the first attribute access.
+
+    Each function is stored on the instance when first looked up, so later
+    lookups are plain attribute reads that never reach ``__getattr__``.
+    """
+
+    def __getattr__(self, name):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+sp = _LazySpecial()
 
 
 def _piecewise(t, core, support, below, above, closed):

@@ -630,6 +630,13 @@ def _igmm(data, double_tail: bool) -> FitResult:
             f"the sample scale of the data is not finite (sd = {sd}); rescale the data"
         )
     start = _default_start(y, ("mu_x", "sigma_x", "delta"))
+    # The Taylor start tail is finite exactly when the sample kurtosis is;
+    # a fourth moment that overflows or underflows leaves it NaN.
+    if not math.isfinite(start["delta"]):
+        raise DataError(
+            "the sample kurtosis of the data is not finite (its fourth moment "
+            "is out of floating-point range); rescale the data"
+        )
     mu, sigma, delta = start["mu_x"], start["sigma_x"], start["delta"]
     delta = (delta, delta) if double_tail else delta
     tau_vec = np.hstack([mu, sigma, delta])
@@ -713,6 +720,11 @@ def _search_bounds(names) -> tuple[list[float], list[float]]:
     return lo, hi
 
 
+# The standard normal's upper quartile, ndtri(0.75) to the last bit: a
+# constant, so that a Gaussian-input start loads no scipy.
+_GAUSSIAN_Q75 = 0.6744897501960817
+
+
 def _default_start(y: np.ndarray, names) -> dict[str, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         g2 = _central_moment_stats(y)[1]
@@ -722,13 +734,13 @@ def _default_start(y: np.ndarray, names) -> dict[str, float]:
     sigma0 = max(sd / vf, 1e-12)
     start = {"mu_x": float(np.median(y))}
     start.update({name: delta0 for name in names if name.startswith("delta")})
-    standard = Gaussian()
+    q75 = _GAUSSIAN_Q75
     if "nu" in names:
         # Split the observed tail weight between delta and the t dof.
         nu0 = (4.0 * g2 - 6.0) / (g2 - 3.0) if g2 > 3.5 else 30.0
         start["nu"] = float(min(max(nu0, 2.5), 100.0))
         start["delta"] = max(delta0 / 2.0, 1e-3)
-        standard = StudentT(start["nu"])
+        q75 = float(StudentT(start["nu"]).quantile(0.75))
         sigma0 /= math.sqrt(start["nu"] / (start["nu"] - 2.0))
     # The scale from the interquartile range: heavy tails inflate the sd
     # (to 2.4e12 on a t_5 series of 1000 points with delta = 1), a search
@@ -736,7 +748,7 @@ def _default_start(y: np.ndarray, names) -> dict[str, float]:
     # 0, where the Student-t likelihood of such data has no upper bound.
     # The sd is kept when the IQR is 0.
     q1, q3 = np.percentile(y, [25.0, 75.0])
-    start["sigma_x"] = float(q3 - q1) / (2.0 * float(standard.quantile(0.75))) or sigma0
+    start["sigma_x"] = float(q3 - q1) / (2.0 * q75) or sigma0
     return start
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as sp
 
+from .distributions import sp
 from .exceptions import DataError
 
 __all__ = ["NormalityResult", "anderson_darling"]
@@ -39,16 +39,20 @@ def anderson_darling(series) -> NormalityResult:
     """Test a series for normality with unknown mean and variance.
 
     Returns the small-sample-adjusted statistic and its approximate
-    p-value.  Requires at least 8 observations and nonzero variance.
+    p-value.  Requires at least 8 observations and a nonzero, finite
+    sample variance.
     """
     x = np.asarray(series, dtype=float).ravel()
     if x.size < 8:
         raise DataError(f"normality test needs at least 8 values, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise DataError("normality test requires finite data")
-    sd = x.std(ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = x.std(ddof=1)
     if sd == 0.0:
         raise DataError("normality test undefined for constant data")
+    if not np.isfinite(sd):
+        raise DataError(f"normality test needs a finite sample scale, got sd = {sd}")
 
     n = x.size
     w = np.sort((x - x.mean()) / sd)

@@ -30,36 +30,50 @@ sys.exit(obj())
 """
 
 
-# The slow-to-import scipy subpackages are loaded by no CLI step and no fit,
-# checked in a fresh interpreter; the first argument is a temporary file path.
+# Checked in a fresh interpreter; the first argument is a temporary file
+# path.  Importing the package, transforming, Gaussianizing and the
+# Gaussian-input fits load no scipy module at all; simulate and fit load
+# scipy.special, and no step loads the slow scipy.optimize or scipy.stats.
 IMPORT_GRAPH = """\
 import sys
+import numpy as np
 import heavytail
 import heavytail.cli
 from heavytail.cli import main, read_series
 
-def loaded():
-    return sorted(m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules)
+def loaded(names=None):
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"
+                  and (names is None or m in names))
 
 assert loaded() == [], ("import", loaded())
 path = sys.argv[1]
-assert main(["simulate", "--tau", "0,1,0.2", "--n", "200", "--seed", "3",
-             "--out", path]) == 0
+z = np.random.default_rng(3).standard_normal(200)
+np.savetxt(path, z * np.exp(0.1 * z * z), fmt="%.17g")
 assert main(["transform", path, "--tau", "0,1,0.2", "--direction", "inverse",
              "--out", path + ".x"]) == 0
-assert loaded() == [], ("simulate, transform", loaded())
-assert main(["gaussianize", path, "--fit", "--method", "igmm",
-             "--out", path + ".g"]) == 0
+assert loaded() == [], ("transform", loaded())
+for how in (["--tau", "0,1,0.2"], ["--fit", "--method", "igmm"],
+            ["--fit", "--method", "mle"]):
+    assert main(["gaussianize", path, *how, "--out", path + ".g"]) == 0
+    assert loaded() == [], ("gaussianize", how, loaded())
 y = read_series(path)
 heavytail.igmm(y)
 heavytail.Gaussianizer("igmm", "hh").fit(y)
-assert loaded() == [], ("igmm", loaded())
+heavytail.mle_joint(y)
+heavytail.mle_joint(y, tail="hh")
+heavytail.mle_delta_only(y)
+assert loaded() == [], ("Gaussian-input fits", loaded())
+
+slow = ("scipy.optimize", "scipy.stats")
+assert main(["simulate", "--tau", "0,1,0.2", "--n", "200", "--seed", "3",
+             "--out", path]) == 0
+assert "scipy.special" in loaded(), ("simulate", loaded())
+assert loaded(slow) == [], ("simulate", loaded(slow))
 assert main(["fit", path]) == 0
-assert loaded() == [], ("fit", loaded())
+assert loaded(slow) == [], ("fit", loaded(slow))
 assert main(["fit", path, "--tail", "hh"]) == 0
 heavytail.mle_joint(y, family="student-t")
-heavytail.mle_delta_only(y)
-assert loaded() == [], ("likelihood fits", loaded())
+assert loaded(slow) == [], ("likelihood fits", loaded(slow))
 """
 
 
@@ -375,6 +389,14 @@ class TestGaussianize:
                 "--out", str(src))
         assert run_cli("gaussianize", str(src), "--tau", "0,-1,0") == 2
 
+    def test_non_finite_kurtosis_exits_2(self, tmp_path, capsys):
+        # The fourth moment of this series overflows (max |y| = 5.1e123).
+        src = tmp_path / "src.txt"
+        dist = heavytail.LambertWDist(heavytail.StudentT(5.0), 1.0)
+        write_series(heavytail.rlambertw(1000, dist, seed=143), src)
+        assert run_cli("gaussianize", str(src), "--fit", "--method", "igmm") == 2
+        assert "sample kurtosis of the data is not finite" in capsys.readouterr().err
+
 
 class TestReplicate:
     def test_plan_roundtrip_and_determinism(self, tmp_path):
@@ -439,8 +461,9 @@ class TestReplicate:
 
 class TestImportGraph:
     def test_scipy_stats_and_optimize_never_load(self, tmp_path):
-        # Neither scipy.stats nor scipy.optimize is imported, by any command
-        # or fit: every search is in the package.
+        # No scipy module is imported by the package, the transforms or the
+        # Gaussian-input fits; scipy.stats and scipy.optimize by no command
+        # or fit, since every search is in the package.
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_GRAPH, str(tmp_path / "y.txt")],
             capture_output=True,

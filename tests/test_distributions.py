@@ -399,6 +399,18 @@ def assert_bitwise(ours, ref):
 class TestScipyParity:
     """The closed forms equal the scipy.stats objects they replace, bit for bit."""
 
+    def test_special_handle_is_scipy_special(self):
+        # The lazily imported handle hands out scipy.special's own functions
+        # and keeps each one on itself, so later lookups skip __getattr__.
+        from scipy import special
+
+        from heavytail.distributions import sp
+
+        assert sp.ndtri is special.ndtri
+        assert vars(sp)["ndtri"] is special.ndtri
+        with pytest.raises(AttributeError):
+            sp.no_such_function
+
     @pytest.mark.parametrize("pair", SCIPY_EQUIVALENTS, ids=_pair_id)
     def test_cdf(self, pair):
         fam, ref = pair

@@ -675,6 +675,15 @@ class TestIGMM:
         with pytest.raises(DataError, match="sample scale .* not finite"):
             fit(y)
 
+    @pytest.mark.parametrize("fit", [igmm, igmm_double_tail], ids=["h", "hh"])
+    def test_non_finite_sample_kurtosis(self, fit):
+        # max |y| is 5.1e123 and the sd finite, but the fourth moment
+        # overflows: the NaN Taylor start tail reached the model
+        # constructors, which raised a DomainError about the model.
+        y = rlambertw(1000, LambertWDist(StudentT(5.0), 1.0), seed=143)
+        with pytest.raises(DataError, match="sample kurtosis of the data is not finite"):
+            fit(y)
+
     def test_heavy_input_start_scale(self):
         # A t_5 input with delta = 1: the sample sd is 1.1e17.  From that sd
         # divided by variance_factor(0.499) (about 106) the loop ended at
@@ -988,6 +997,14 @@ class TestMleJoint:
         for model in (("gaussian", "h"), ("gaussian", "hh")):
             start = estimation._default_start(y, _MODELS[model].names)["sigma_x"]
             assert 0.5 < start / r.tau.sigma_x < 2.0, model
+
+    def test_gaussian_start_quartile(self):
+        # The Gaussian start divides the IQR by this constant in place of
+        # ndtri(0.75), so that the start loads no scipy: the two agree to
+        # the last bit.
+        special = pytest.importorskip("scipy.special")
+        assert estimation._GAUSSIAN_Q75.hex() == float(special.ndtri(0.75)).hex()
+        assert estimation._GAUSSIAN_Q75.hex() == float(Gaussian().quantile(0.75)).hex()
 
     def test_converged_rule(self):
         # The search stops, converged, when the Newton decrement g' H^-1 g of

@@ -39,10 +39,18 @@ class TestStatistic:
             np.r_[rng.normal(size=30), 1e6],
         ]
         ours = [anderson_darling(x) for x in series]
-        monkeypatch.setattr(normality, "sp", SimpleNamespace(ndtr=st.norm.cdf))
+        calls = []
+
+        def norm_cdf(w):
+            calls.append(w.size)
+            return st.norm.cdf(w)
+
+        monkeypatch.setattr(normality, "sp", SimpleNamespace(ndtr=norm_cdf))
         for x, res in zip(series, ours):
             ref = anderson_darling(x)
             assert [v.hex() for v in res] == [v.hex() for v in ref]
+        # The statistic read the patched cdf once per series.
+        assert calls == [x.size for x in series]
 
     def test_heavier_tails_larger_statistic(self):
         base = rlambertw(2000, LambertWDist(Gaussian(0, 1), 0.0), seed=9)
@@ -83,3 +91,11 @@ class TestValidation:
     def test_non_finite(self):
         with pytest.raises(DataError):
             anderson_darling([1.0, 2.0, np.inf] + [0.5] * 10)
+
+    def test_overflowing_scale(self):
+        # The sample variance of 50 normals and one 1e200 overflows: the
+        # statistic from sd = inf read 20.0.  A DataError, and no
+        # RuntimeWarning on the way (the test run makes one an error).
+        x = np.r_[np.random.default_rng(7).normal(size=50), 1e200]
+        with pytest.raises(DataError, match="needs a finite sample scale"):
+            anderson_darling(x)
