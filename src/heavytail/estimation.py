@@ -18,11 +18,12 @@ Estimators provided here:
   model has a closed-form score and Hessian (one W per point) and is
   searched by projected Newton steps with Levenberg-Marquardt damping in
   the box delta >= 0, which reaches the boundary delta = 0 exactly, until
-  the Newton decrement is small relative to the log-likelihood; Student-t
-  input, whose likelihood has several maxima in nu, from four starts.  The
-  score and Hessian are formed in the coordinates the search steps in;
-  standard errors come from the Hessian at the end of the search, taken
-  to natural theta once.
+  the Newton decrement is at most 1e-12 n; Student-t input, whose
+  likelihood has several maxima in nu, from four starts, on r = log(1 -
+  2/nu).  Gaussian input starts from Tukey's letter-value estimate of
+  (mu, sigma, delta).  The score and Hessian are formed in the coordinates
+  the search steps in; standard errors come from the Hessian at the end of
+  the search, taken to natural theta once.
 * :func:`igmm` / :func:`igmm_double_tail` -- iterative generalized method
   of moments: alternate a moment-matching tail update with location and
   scale updates from the back-transformed sample until the parameter
@@ -316,11 +317,13 @@ def mle_delta_only(z_data) -> FitResult:
     estimate of 0 has none.
     """
     z = _check_series(z_data, min_n=2)
-    zsq = z * z
-    sum_sq = float(np.sum(zsq))
-    if sum_sq == 0.0:
+    top = float(np.max(np.abs(z)))
+    if top == 0.0:
         raise DataError("degenerate data: all zeros")
-    ratio = float(np.sum(zsq * zsq)) / sum_sq
+    # sum z^4 overflows once some |z| passes ~1e77; the ratio is formed from
+    # z / max|z| (a float product top * top that overflows is inf, silently).
+    vsq = np.square(z / top)
+    ratio = float(np.sum(vsq * vsq)) / float(np.sum(vsq)) * top * top
 
     se = None
     if ratio <= 3.0:
@@ -483,7 +486,7 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
     box by every ``lam`` so far) is not evaluated again.
 
     It stops, converged, when no coordinate is free or the Newton decrement
-    ``g' H^-1 g`` of the free ones is at most ``tol max(1, |f|)``, and
+    ``g' H^-1 g`` of the free ones is at most ``tol``, and
     unconverged when no coordinate moves by more than ``1e-13 + 8.9e-16
     |x|`` (where repeated failures to lower ``f`` end too) or after
     ``max_steps`` steps.  A coordinate held on a bound after the last
@@ -515,7 +518,7 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
         low = _cholesky(h)
         if low is not None:
             w = _forward(low, g)
-            if _dot(w, w) <= tol * max(1.0, abs(value)):
+            if _dot(w, w) <= tol:
                 converged = True
                 break
         scale = [abs(row[i]) or 1.0 for i, row in enumerate(h)]
@@ -612,12 +615,12 @@ def _gmm_step(z: np.ndarray, start: float | tuple[float, float]) -> _TailStep:
 def _igmm(data, double_tail: bool) -> FitResult:
     """The IGMM loop shared by :func:`igmm` and :func:`igmm_double_tail`.
 
-    Starts where the likelihood searches do (:func:`_default_start`): the
-    median, the interquartile scale and the kurtosis-matched tail, at least
-    1e-3; each iteration updates the tail (one, or a left/right pair) by
-    :func:`_gmm_step`, warm-started at the current tail, and takes location
-    and scale from the back-transformed sample that the step's last
-    residual evaluation made, so no W pass is repeated.
+    Starts from :func:`_moment_start`: the median, the interquartile scale
+    and the kurtosis-matched tail, at least 1e-3; each iteration updates
+    the tail (one, or a left/right pair) by :func:`_gmm_step`, warm-started
+    at the current tail, and takes location and scale from the
+    back-transformed sample that the step's last residual evaluation made,
+    so no W pass is repeated.
     """
     y = _check_series(data, min_n=10)
     # A point near the float maximum overflows the start moments.
@@ -629,14 +632,14 @@ def _igmm(data, double_tail: bool) -> FitResult:
         raise DataError(
             f"the sample scale of the data is not finite (sd = {sd}); rescale the data"
         )
-    start = _default_start(y, ("mu_x", "sigma_x", "delta"))
-    # The Taylor start tail is finite exactly when the sample kurtosis is;
-    # a fourth moment that overflows or underflows leaves it NaN.
-    if not math.isfinite(start["delta"]):
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2 = _central_moment_stats(y)[1]
+    if not math.isfinite(g2):
         raise DataError(
             "the sample kurtosis of the data is not finite (its fourth moment "
             "is out of floating-point range); rescale the data"
         )
+    start = _moment_start(y, ("mu_x", "sigma_x", "delta"), g2)
     mu, sigma, delta = start["mu_x"], start["sigma_x"], start["delta"]
     delta = (delta, delta) if double_tail else delta
     tau_vec = np.hstack([mu, sigma, delta])
@@ -695,48 +698,102 @@ def igmm_double_tail(data) -> FitResult:
 
 _NU_CAP = 1e6
 # The likelihood search stops when the Newton decrement of its free
-# coordinates is at most _DECREMENT_TOL max(1, |loglik|).
+# coordinates is at most _DECREMENT_TOL n, for n observations.
 _DECREMENT_TOL = 1e-12
-
-# The search runs on log(theta - shift) for the names in _LOG_SHIFT and on
-# the others as they are, in the box delta >= 0, log(nu - 2) <= log(_NU_CAP).
-_LOG_SHIFT = {"sigma_x": 0.0, "nu": 2.0}
 
 
 def _to_search(names, theta) -> list[float]:
-    return [math.log(v - _LOG_SHIFT[n]) if n in _LOG_SHIFT else float(v)
+    """Natural theta to the search coordinates: log sigma, r = log(1 - 2/nu)."""
+    return [math.log(v) if n == "sigma_x" else math.log1p(-2.0 / v) if n == "nu" else float(v)
             for n, v in zip(names, theta)]
 
 
 def _to_theta(names, p) -> list[float]:
-    return [_LOG_SHIFT[n] + math.exp(v) if n in _LOG_SHIFT else float(v)
+    return [math.exp(v) if n == "sigma_x" else -2.0 / math.expm1(v) if n == "nu" else float(v)
             for n, v in zip(names, p)]
 
 
+def _search_slopes(name: str, theta: float) -> tuple[float, float]:
+    """``dtheta/dp`` and ``d^2 theta/dp^2`` of one coordinate's search map.
+
+    ``sigma = exp(p)`` gives ``(sigma, sigma)``; ``nu = -2 / expm1(r)`` gives
+    ``nu (nu - 2) / 2`` and ``(nu - 1)`` times that.
+    """
+    if name == "sigma_x":
+        return theta, theta
+    if name == "nu":
+        slope = 0.5 * theta * (theta - 2.0)
+        return slope, (theta - 1.0) * slope
+    return 1.0, 0.0
+
+
 def _search_bounds(names) -> tuple[list[float], list[float]]:
-    """The lower and upper ends of the search box, per coordinate."""
+    """The lower and upper ends of the search box, per coordinate.
+
+    The tails are at least 0, and r at most the r of nu = 2 + _NU_CAP.
+    """
     lo = [0.0 if n.startswith("delta") else -math.inf for n in names]
-    hi = [math.log(_NU_CAP) if n == "nu" else math.inf for n in names]
+    hi = [math.log1p(-2.0 / (_NU_CAP + 2.0)) if n == "nu" else math.inf for n in names]
     return lo, hi
 
 
-# The standard normal's upper quartile, ndtri(0.75) to the last bit: a
-# constant, so that a Gaussian-input start loads no scipy.
-_GAUSSIAN_Q75 = 0.6744897501960817
+# Tukey's letter values p_k = 1 - 2^-k, k = 2..6, as standard normal
+# quantiles z_k = ndtri(p_k) to the last bit: constants, so that a
+# Gaussian-input start loads no scipy.
+_LETTER_Z = (0.6744897501960817, 1.1503493803760079, 1.5341205443525463,
+             1.8627318674216515, 2.1538746940614564)
+# The percentiles 1 - p_6 .. 1 - p_2, the median and p_2 .. p_6.
+_LETTER_PERCENTILES = [100.0 * 2.0**-k for k in range(6, 1, -1)] + [50.0] + [
+    100.0 * (1.0 - 2.0**-k) for k in range(2, 7)]
+# Least-squares (intercept, slope) of a line in z_k^2 / 2 through five values.
+_LETTER_FIT = np.linalg.pinv(np.column_stack([np.ones(5), 0.5 * np.square(_LETTER_Z)]))
 
 
-def _default_start(y: np.ndarray, names) -> dict[str, float]:
+def _letter_value_start(y: np.ndarray, names) -> dict[str, float] | None:
+    """Tukey's letter-value estimate of (mu, sigma, tails) for Gaussian input.
+
+    Hoaglin (1985), "Summarizing shape numerically: the g-and-h
+    distributions": the h transform of a Gaussian has the half-spreads
+    ``HS_k = sigma z_k exp(delta z_k^2 / 2)`` about its median, so the line
+    through ``log(HS_k / z_k)`` against ``z_k^2 / 2`` has slope delta and
+    intercept log sigma.  One tail fits the mean of the lower and upper
+    half-spreads, two tails fit each side on its own, and sigma is the exp
+    of the mean intercept; mu is the median, and a tail is at least 1e-3.
+    None when a half-spread is not positive (ties) or a value not finite.
+    """
+    q = np.percentile(y, _LETTER_PERCENTILES)
+    med = float(q[5])
+    tails = [n for n in names if n.startswith("delta")]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lower, upper = med - q[4::-1], q[6:] - med
+        spreads = [0.5 * (lower + upper)] if len(tails) == 1 else [lower, upper]
+        intercept, slope = _LETTER_FIT @ np.log(np.array(spreads) / _LETTER_Z).T
+        sigma = float(np.exp(np.mean(intercept)))
+    if not (np.all(lower > 0.0) and np.all(upper > 0.0) and np.all(np.isfinite(slope))
+            and 0.0 < sigma < math.inf):
+        return None
+    return {"mu_x": med, "sigma_x": sigma,
+            **{n: max(float(d), 1e-3) for n, d in zip(tails, slope)}}
+
+
+def _moment_start(y: np.ndarray, names, g2: float) -> dict[str, float]:
+    """The start from the sample kurtosis ``g2``: median, IQR scale, Taylor tail.
+
+    The tail is :func:`taylor_delta` of ``g2``, at least 1e-3.  With nu in
+    ``names`` the observed tail weight is split: nu from the kurtosis of a
+    t, within [2.5, 100], and half the tail.  The scale is the
+    interquartile range over that of the input, or the sample sd over
+    :func:`~heavytail.distributions.variance_factor` when the IQR is 0.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        g2 = _central_moment_stats(y)[1]
         sd = float(np.std(y, ddof=1))
     delta0 = max(taylor_delta(g2), 1e-3)
     vf = variance_factor(min(delta0, 0.499)) or 1.0
     sigma0 = max(sd / vf, 1e-12)
     start = {"mu_x": float(np.median(y))}
     start.update({name: delta0 for name in names if name.startswith("delta")})
-    q75 = _GAUSSIAN_Q75
+    q75 = _LETTER_Z[0]  # the standard normal's upper quartile
     if "nu" in names:
-        # Split the observed tail weight between delta and the t dof.
         nu0 = (4.0 * g2 - 6.0) / (g2 - 3.0) if g2 > 3.5 else 30.0
         start["nu"] = float(min(max(nu0, 2.5), 100.0))
         start["delta"] = max(delta0 / 2.0, 1e-3)
@@ -746,10 +803,32 @@ def _default_start(y: np.ndarray, names) -> dict[str, float]:
     # (to 2.4e12 on a t_5 series of 1000 points with delta = 1), a search
     # from such a start has far to go, and it can run off to a scale near
     # 0, where the Student-t likelihood of such data has no upper bound.
-    # The sd is kept when the IQR is 0.
     q1, q3 = np.percentile(y, [25.0, 75.0])
     start["sigma_x"] = float(q3 - q1) / (2.0 * q75) or sigma0
     return start
+
+
+def _default_start(y: np.ndarray, names) -> dict[str, float] | None:
+    """The start of a likelihood search that is given none.
+
+    Gaussian input starts from the letter values
+    (:func:`_letter_value_start`), or from the moment start on the sample
+    kurtosis where ties leave a half-spread at 0.  Student-t input starts
+    from the moment start on the kurtosis of ``(y - median) / IQR``, which
+    stays finite where the fourth moment of ``y`` itself overflows or
+    underflows; None when it is not finite either.
+    """
+    if "nu" not in names:
+        start = _letter_value_start(y, names)
+        if start is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                start = _moment_start(y, names, _central_moment_stats(y)[1])
+        return start
+    q1, med, q3 = np.percentile(y, [25.0, 50.0, 75.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (y - med) / (q3 - q1) if 0.0 < q3 - q1 < math.inf else y
+        g2 = _central_moment_stats(x)[1]
+    return _moment_start(y, names, g2) if math.isfinite(g2) else None
 
 
 def _tail_terms(q, inv, a, d):
@@ -865,7 +944,7 @@ def _student_t_loglik_score(y: np.ndarray, theta):
     """Student-t-input log-likelihood, its score and Hessian in the search coordinates.
 
     ``theta`` is the natural (mu, s, delta, nu) with ``s`` the t scale, and
-    the derivatives are in (mu, log s, delta, r = log(nu - 2)); a point
+    the derivatives are in (mu, log s, delta, r = log(1 - 2/nu)); a point
     that is no valid model (nu <= 2 too) raises :class:`DomainError`.  The
     total is :func:`loglik`'s bit for bit, from one W per point.  With
     ``sigma = s sqrt(nu / (nu - 2))``, ``z = (y - mu) / sigma`` and ``u =
@@ -881,11 +960,16 @@ def _student_t_loglik_score(y: np.ndarray, theta):
 
     which :func:`_log_scale_derivatives` turns into derivatives in (mu, log
     sigma, delta, nu).  One chain rule takes them to the search
-    coordinates, through ``log sigma = log s + log sqrt(nu / (nu - 2))``
-    and ``nu = 2 + exp(r)``, and the normalizer ``n (log-normalizer(nu) -
-    log s)`` is added there.  The normalizer's nu derivatives are the ones
-    the input :class:`~heavytail.distributions.StudentT` stores with its
+    coordinates, through ``log sigma = log s - r/2`` and ``nu = -2 /
+    expm1(r)`` (:func:`_search_slopes`), and the normalizer ``n
+    (log-normalizer(nu) - log s)`` is added there.  The normalizer's nu
+    derivatives are the ones the input
+    :class:`~heavytail.distributions.StudentT` stores with its
     log-normalizer when the likelihood's ``logpdf`` reads it.
+
+    On log(nu - 2) the likelihood nears its Gaussian limit like ``A + B
+    exp(-log(nu - 2))``, where every Newton step is one unit long; r runs
+    to 0 at nu = inf, with a likelihood about linear in it near there.
     """
     mu, s, delta, nu = theta
     dist = LambertWDist(StudentT(nu=nu, mu=mu, scale=s), delta)
@@ -906,19 +990,20 @@ def _student_t_loglik_score(y: np.ndarray, theta):
         grad, hess = _log_scale_derivatives(
             u, wv, delta, None, sigma, -nu1 * rho, -nu1 * inv_q,
             0.5 * nu1 * rho * inv_q, nu_terms)
-    # d log sigma / dr = -1 / nu, d^2 log sigma / dr^2 = (nu - 2) / nu^2 and
-    # d nu / dr = d^2 nu / dr^2 = nu - 2; the other coordinates carry over.
+    # log sigma = log s - r / 2, so d log sigma / dr = -1/2 with no second
+    # derivative; the other coordinates carry over.
+    dnu, d2nu = _search_slopes("nu", nu)
     jac = np.eye(4)
-    jac[1, 3], jac[3, 3] = -1.0 / nu, nu2
+    jac[1, 3], jac[3, 3] = -0.5, dnu
     curv = jac.T @ hess @ jac
     curv = 0.5 * (curv + curv.T)
-    curv[3, 3] += nu2 * (grad[1] / (nu * nu) + grad[3])
+    curv[3, 3] += d2nu * grad[3]
     grad = jac.T @ grad
     # the normalizer n (log-normalizer(nu) - log s)
     _, norm_dnu, norm_d2nu = dist.input._log_norm
     grad[1] -= n
-    grad[3] += n * nu2 * norm_dnu
-    curv[3, 3] += n * nu2 * (norm_dnu + nu2 * norm_d2nu)
+    grad[3] += n * dnu * norm_dnu
+    curv[3, 3] += n * (d2nu * norm_dnu + dnu * dnu * norm_d2nu)
     return input_part + penalty_part, grad, curv
 
 
@@ -930,8 +1015,8 @@ class _Model(NamedTuple):
 
 
 # Joint-MLE models keyed by (family, tail).  Adding a model is one entry
-# here (and a new parameter name may need its map in _LOG_SHIFT and
-# _search_bounds).
+# here (and a new parameter name may need its map in _to_search, _to_theta,
+# _search_slopes and _search_bounds).
 _MODELS = {
     ("gaussian", "h"): _Model(
         ("mu_x", "sigma_x", "delta"),
@@ -956,16 +1041,16 @@ def _objective(p: np.ndarray, y: np.ndarray, model: _Model):
 
     ``model.score`` gives them in these coordinates, so this only negates
     them; the fourth item is the log-likelihood's own (gradient, Hessian).
-    A point that is no valid model, such as nu == 2.0 where ``exp``
-    underflows, or whose likelihood or derivatives are not finite (a scale
-    whose square underflows), gives +inf.
+    A point that is no valid model, such as nu == 2.0 where ``expm1``
+    rounds to -1 or r >= 0 beyond nu = inf, or whose likelihood or
+    derivatives are not finite (a scale whose square underflows), gives +inf.
     """
     try:
         theta = _to_theta(model.names, p)
         # A scale that underflows or overflows gives non-finite derivatives
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             total, score, hess = model.score(y, theta)
-    except (DomainError, OverflowError):
+    except (DomainError, ArithmeticError):
         return math.inf, None, None, None
     if not (math.isfinite(total) and np.all(np.isfinite(hess)) and np.all(np.isfinite(score))):
         return math.inf, None, None, None
@@ -975,46 +1060,55 @@ def _objective(p: np.ndarray, y: np.ndarray, model: _Model):
 def _score_search(y, model: _Model, starts, family: str):
     """The damped Newton search (:func:`_box_newton`) of ``model`` from each start.
 
-    A start of ``None`` is the moment-based :func:`_default_start`, which
-    also replaces a first start that gives no valid model; a later such
-    start is skipped.  The run that ends lowest wins.  Returns it and the
-    likelihood passes summed over the runs.
+    A start of ``None`` is :func:`_default_start`, which also replaces a
+    first start that gives no valid model; a default start that does not
+    exist, and a start that gives no valid model, are skipped.  Each search
+    stops when the Newton decrement is at most ``1e-12 n``.  The run that
+    ends lowest wins.  Returns it and the likelihood passes summed over the
+    runs; :class:`ConvergenceError` when no start gives a valid model.
     """
-    def pack(values: dict[str, float]) -> list[float]:
-        return _to_search(model.names, [values[n] for n in model.names])
-
     def objective(p):
         return _objective(p, y, model)
 
     lo, hi = _search_bounds(model.names)
+    tol = _DECREMENT_TOL * y.size
+
+    def search(start):
+        if start is None:
+            start = _default_start(y, model.names)
+            if start is None:
+                return None
+        p0 = _to_search(model.names, [start[n] for n in model.names])
+        return _box_newton(objective, p0, lo, hi, tol)
+
     best, passes = None, 0
     for k, start in enumerate(starts):
-        p0 = pack(start if start is not None else _default_start(y, model.names))
-        run = _box_newton(objective, p0, lo, hi, _DECREMENT_TOL)
-        if not math.isfinite(run.value) and k == 0:
-            p0 = pack(_default_start(y, model.names))
-            run = _box_newton(objective, p0, lo, hi, _DECREMENT_TOL)
-            if not math.isfinite(run.value):
-                raise ConvergenceError(
-                    "the likelihood search left the parameter space on this data: "
-                    f"its start point {p0} gives no valid {family} model")
+        run = search(start)
+        if k == 0 and start is not None and (run is None or not math.isfinite(run.value)):
+            run = search(None)
+        if run is None or not math.isfinite(run.value):
+            continue
         passes += run.passes
         if best is None or run.value < best.value:
             best = run
+    if best is None:
+        raise ConvergenceError(
+            "the likelihood search left the parameter space on this data: "
+            f"no start point gives a valid {family} model")
     return best, passes
 
 
 def _theta_derivatives(names, theta, grad, hess):
     """The log-likelihood's gradient and Hessian in natural ``theta``.
 
-    ``grad`` and ``hess`` are in the search coordinates.  On ``p = log(theta
-    - shift)``, ``dtheta/dp = d^2 theta/dp^2 = theta - shift``, so there
-    ``H_p = H_theta dtheta dtheta' + diag(g_p)``.
+    ``grad`` and ``hess`` are in the search coordinates.  With ``J =
+    dtheta/dp`` and ``K = d^2 theta/dp^2`` per coordinate
+    (:func:`_search_slopes`), ``g_p = J g_theta`` and ``H_p = H_theta J J'
+    + diag(K g_theta)``.
     """
-    dtheta = np.array([t - _LOG_SHIFT[n] if n in _LOG_SHIFT else 1.0
-                       for n, t in zip(names, theta)])
-    logged = np.array([n in _LOG_SHIFT for n in names])
-    return grad / dtheta, (hess - np.diag(grad * logged)) / np.outer(dtheta, dtheta)
+    jac, curv = np.array([_search_slopes(n, t) for n, t in zip(names, theta)]).T
+    g = grad / jac
+    return g, (hess - np.diag(curv * g)) / np.outer(jac, jac)
 
 
 def _std_errors(hess: np.ndarray, free: list[bool]) -> list[float]:
@@ -1049,15 +1143,20 @@ def mle_joint(
     Every model has a closed-form score and Hessian, from one W pass per
     point.  The log-likelihood is maximized by projected Newton steps with
     Levenberg-Marquardt damping (:func:`_box_newton`) on (mu, log sigma,
-    delta[, delta_r][, log(nu - 2)]) in the box delta >= 0, which reaches
-    delta = 0 exactly, and nu <= 2 + 1e6; a coordinate on a bound that the
-    gradient pushes outwards is held there.  The search stops when the
-    Newton decrement of the free coordinates (twice the predicted gain of
-    a full Newton step) is at most ``1e-12 max(1, |loglik|)``, which is
-    unit-free, and ``converged`` says that it did; a search that runs out
-    of steps (100) or of progress above rounding is not converged.
-    ``iterations`` counts the Newton steps tried, one likelihood pass
-    (score and Hessian) each, besides the pass at each start.
+    delta[, delta_r][, r = log(1 - 2/nu)]) in the box delta >= 0, which
+    reaches delta = 0 exactly, and nu <= 2 + 1e6; a coordinate on a bound
+    that the gradient pushes outwards is held there.  Near nu = 2, r is
+    log(nu - 2) - log 2, and towards nu = inf the likelihood is about
+    linear in r, so a start far from the cap reaches it in a step or two.
+    The search stops when the Newton decrement of the free coordinates
+    (twice the predicted gain of a full Newton step) is at most ``1e-12
+    n`` for n observations, which does not change with the data's units
+    (the log-likelihood itself shifts by ``-n log a`` when the data are
+    scaled by ``a``), and ``converged`` says that it did; a search that
+    runs out of steps (100) or of progress above rounding is not
+    converged.  ``iterations`` counts the Newton steps tried, one
+    likelihood pass (score and Hessian) each, besides the pass at each
+    start.
 
     ``params`` is the searched theta keyed by the model's names: (mu_x,
     sigma_x, delta), (mu_x, sigma_x, delta_left, delta_right) or, for
@@ -1068,19 +1167,28 @@ def mle_joint(
     a condition-number guard; a tail estimate at 0 or a nu on its cap is
     held fixed and gets a NaN standard error.
 
+    Without ``start``, Gaussian input starts from Tukey's letter values:
+    the median, and the line through the log half-spreads at the tail
+    probabilities 2^-k, k = 2..6, against z^2 / 2, whose slope is delta and
+    whose intercept is log sigma (:func:`_letter_value_start`; Hoaglin
+    1985).  Ties that leave a half-spread at 0 fall back to the moment
+    start: the median, the interquartile scale and the tail from the
+    sample kurtosis (:func:`_moment_start`).
+
     Student-t input has more than one local maximum in nu (a heavy t with
     a small tail against the Gaussian limit), so it is searched from the
-    moment-based start (or ``start``) and from the Gaussian ``tail="h"``
-    optimum at nu = 3, 10 and 1e6, and the best end is kept.  Its
-    ``iterations`` sum over these searches and the Gaussian one.
+    moment start (or ``start``), whose kurtosis is that of ``(y - median)
+    / IQR``, and from the Gaussian ``tail="h"`` optimum at nu = 3, 10 and
+    1e6, and the best end is kept; a moment start whose kurtosis is not
+    finite is skipped.  Its ``iterations`` sum over these searches and the
+    Gaussian one.
 
-    A start point that gives no valid model is replaced by the
-    moment-based default; :class:`ConvergenceError` is raised when that
-    start is no valid model either.
+    A start point that gives no valid model is replaced by the default
+    start; :class:`ConvergenceError` is raised when no start gives a valid
+    model.
     """
     y = _check_series(data, min_n=10)
-    # A point near the float maximum overflows the sample moments; the
-    # search below then fails with a ConvergenceError that says so.
+    # A point near the float maximum overflows the sample variance.
     with np.errstate(over="ignore", invalid="ignore"):
         degenerate = np.std(y, ddof=1) == 0.0
     if degenerate:
@@ -1095,17 +1203,18 @@ def mle_joint(
     starts, passes = [start], 0
     if "nu" in model.names:
         # Also start at the Gaussian-h optimum's location, tail and input
-        # sd, at nu = 3, 10 and the cap.
+        # sd, at nu = 3, 10 and on the cap, where a likelihood that still
+        # rises in nu holds r on its bound from the first step.
         try:
             gauss, passes = _score_search(y, _MODELS[("gaussian", "h")], [None], "gaussian")
         except ConvergenceError:
-            pass  # the moment-based start reports the failure
+            pass  # the moment start reports the failure
         else:
             mu, sd, delta = _to_theta(("mu_x", "sigma_x", "delta"), gauss.x)
             starts += [
                 {"mu_x": mu, "sigma_x": sd * math.sqrt((nu - 2.0) / nu),
                  "delta": delta, "nu": nu}
-                for nu in (3.0, 10.0, _NU_CAP)
+                for nu in (3.0, 10.0, _NU_CAP + 2.0)
             ]
     best, searched = _score_search(y, model, starts, family)
     theta = _to_theta(model.names, best.x)
