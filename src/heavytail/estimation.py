@@ -745,8 +745,19 @@ _LETTER_Z = (0.6744897501960817, 1.1503493803760079, 1.5341205443525463,
 # The percentiles 1 - p_6 .. 1 - p_2, the median and p_2 .. p_6.
 _LETTER_PERCENTILES = [100.0 * 2.0**-k for k in range(6, 1, -1)] + [50.0] + [
     100.0 * (1.0 - 2.0**-k) for k in range(2, 7)]
-# Least-squares (intercept, slope) of a line in z_k^2 / 2 through five values.
-_LETTER_FIT = np.linalg.pinv(np.column_stack([np.ones(5), 0.5 * np.square(_LETTER_Z)]))
+
+
+def _line_fit(x) -> np.ndarray:
+    """The matrix taking values at the abscissae ``x`` to the least-squares
+    line's (intercept, slope), in closed form: no LAPACK call at import.
+    """
+    mean = sum(x) / len(x)
+    sxx = sum((v - mean) ** 2 for v in x)
+    slope = [(v - mean) / sxx for v in x]
+    return np.array([[1.0 / len(x) - mean * w for w in slope], slope])
+
+
+_LETTER_FIT = _line_fit([0.5 * z * z for z in _LETTER_Z])
 
 
 def _letter_value_start(y: np.ndarray, names) -> dict[str, float] | None:

@@ -511,7 +511,8 @@ class TestMleDeltaOnly:
 
     def test_huge_observations_do_not_overflow(self):
         # max |z| = 5.1e123: sum z^4 overflowed with a RuntimeWarning, which
-        # tier-1 turns into an error; with warnings off the root was 1.99.
+        # pyproject.toml turns into an error; with warnings off the root was
+        # the same 1.99.
         z = rlambertw(1000, LambertWDist(StudentT(5.0), 1.0), seed=143)
         r = mle_delta_only(z)
         assert r.tau.delta == pytest.approx(1.9901313582360889, rel=1e-12)
