@@ -1110,14 +1110,14 @@ class TestMleJoint:
         # 171 (h), 155 (hh) and 1262 (Student t); the letter-value start,
         # the r = log(1 - 2/nu) coordinate and the stop on n take them to
         # 59, 70 and 727.  Pass counts are deterministic, unlike timings.
-        parent = {("gaussian", "h"): 171, ("gaussian", "hh"): 155, ("student-t", "h"): 1262}
-        passes = dict.fromkeys(parent, 0)
+        before = {("gaussian", "h"): 171, ("gaussian", "hh"): 155, ("student-t", "h"): 1262}
+        passes = dict.fromkeys(before, 0)
         for delta in (0.0, 0.1, 1 / 3, 1.0):
             for seed in range(300, 305):
                 y = rlambertw(1000, LambertWDist(Gaussian(0, 1), delta), seed=seed)
-                for model in parent:
+                for model in before:
                     passes[model] += mle_joint(y, *model).iterations
-        for model, count in parent.items():
+        for model, count in before.items():
             assert passes[model] <= 0.7 * count, (model, passes[model])
 
     def test_converged_rule(self, monkeypatch):
