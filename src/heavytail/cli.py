@@ -109,10 +109,32 @@ def _summary_block(values) -> dict[str, float]:
     }
 
 
-def _print_summaries(raw: dict, gaussianized: dict, out=sys.stdout) -> None:
-    print(f"{'':>12}{'observed y':>16}{'gaussianized x':>16}", file=out)
+def _normality(values, sd: float) -> dict:
+    """The Anderson-Darling test of a series whose sample sd is ``sd``.
+
+    Where that scale is not finite (a point beyond about 1e154) the test is
+    undefined: statistic and p are None, with the reason.
+    """
+    if not math.isfinite(sd):
+        return {"statistic": None, "p": None, "reason": "sample scale not finite"}
+    ad = anderson_darling(values)
+    return {"statistic": ad.statistic, "p": ad.p_value}
+
+
+def _normality_text(row: dict) -> str:
+    if row["statistic"] is None:
+        return f"n/a ({row['reason']})"
+    return f"A2={row['statistic']:.4f} (p={row['p']:.4g})"
+
+
+def _print_summaries(raw: dict, gaussianized: dict) -> None:
+    def cell(v: float) -> str:
+        # fixed point, unless that would run past its column
+        return f"{v:>16.4f}" if abs(v) < 1e10 else f"{v:>16.4e}"
+
+    print(f"{'':>12}{'observed y':>16}{'gaussianized x':>16}")
     for key in ("min", "max", "mean", "median", "sd", "skewness", "kurtosis"):
-        print(f"{key:>12}{raw[key]:>16.4f}{gaussianized[key]:>16.4f}", file=out)
+        print(f"{key:>12}{cell(raw[key])}{cell(gaussianized[key])}")
 
 
 def _t_and_p(estimate: float, se: float | None) -> tuple[float, float]:
@@ -141,8 +163,7 @@ def _fit_report(y, args) -> dict:
             "p": p,
         }
 
-    ad_raw = anderson_darling(y)
-    ad_gauss = anderson_darling(x)
+    observed, gaussianized = _summary_block(y), _summary_block(x)
     report = {
         "method": args.method,
         "family": args.family,
@@ -156,16 +177,10 @@ def _fit_report(y, args) -> dict:
             "input": result.loglik_input,
             "penalty": result.loglik_penalty,
         },
-        "summary": {
-            "observed": _summary_block(y),
-            "gaussianized": _summary_block(x),
-        },
+        "summary": {"observed": observed, "gaussianized": gaussianized},
         "normality": {
-            "observed": {"statistic": ad_raw.statistic, "p": ad_raw.p_value},
-            "gaussianized": {
-                "statistic": ad_gauss.statistic,
-                "p": ad_gauss.p_value,
-            },
+            "observed": _normality(y, observed["sd"]),
+            "gaussianized": _normality(x, gaussianized["sd"]),
         },
         "lr_test": None,
     }
@@ -222,10 +237,8 @@ def _print_fit_report(report: dict) -> None:
     print()
     nr = report["normality"]
     print(
-        "Anderson-Darling: observed "
-        f"A2={nr['observed']['statistic']:.4f} (p={nr['observed']['p']:.4g}), "
-        f"gaussianized A2={nr['gaussianized']['statistic']:.4f} "
-        f"(p={nr['gaussianized']['p']:.4g})"
+        f"Anderson-Darling: observed {_normality_text(nr['observed'])}, "
+        f"gaussianized {_normality_text(nr['gaussianized'])}"
     )
 
 

@@ -25,13 +25,13 @@ Estimators provided here:
   the search steps in; standard errors come from the Hessian at the end of
   the search, taken to natural theta once.
 * :func:`igmm` / :func:`igmm_double_tail` -- iterative generalized method
-  of moments: alternate a moment-matching tail update with location and
-  scale updates from the back-transformed sample until the parameter
-  vector stabilizes.  Both share one tail update: the same damped Newton
-  step, on the Gauss-Newton Hessian, in the box [0, 10] per tail, on the
-  analytic derivative of the back-transformed moments in the tails (one W
-  per point).  One tail matches the kurtosis, two tails the skewness and
-  the kurtosis.
+  of moments, solved at its fixed point: the back-transformed sample has
+  mean 0 and sd 1, and the tails (in the box [0, 10]) are the
+  least-squares match of its kurtosis (one tail) or of its skewness and
+  kurtosis (two tails).  One damped Gauss-Newton search solves those
+  conditions on (mu, log sigma, tails) at once, from closed-form
+  derivatives of the moments (one W per point), until the Gauss-Newton
+  decrement of its unit-free rows is at most 1e-24.
 * :func:`taylor_delta`     -- rule-of-thumb tail start value from sample
   kurtosis.
 
@@ -96,11 +96,12 @@ class GMMDelta(NamedTuple):
     at_upper_bound: bool
 
 
-# IGMM stopping rule and search region: the loop stops when the Euclidean
-# norm of the change in the raw parameter vector drops to _IGMM_TOL, or
-# after _IGMM_MAX_ITERATIONS updates; tail estimates stay in _DELTA_BOUNDS.
-_IGMM_TOL = 1.22e-4
-_IGMM_MAX_ITERATIONS = 100
+# IGMM stopping rule and search region: the search stops when the
+# Gauss-Newton decrement of its fixed-point rows is at most
+# _IGMM_DECREMENT_TOL, or after _IGMM_MAX_ITERATIONS steps (W passes);
+# tail estimates stay in _DELTA_BOUNDS.
+_IGMM_DECREMENT_TOL = 1e-24
+_IGMM_MAX_ITERATIONS = 200
 _DELTA_BOUNDS = (0.0, 10.0)
 
 
@@ -146,54 +147,112 @@ def _check_series(data, min_n: int = 1) -> np.ndarray:
     return arr
 
 
-def _central_moments(x: np.ndarray):
-    """``c = x - mean(x)``, ``c^2`` and the central moments m2, m3, m4."""
+def _central_moment_stats(x: np.ndarray) -> tuple[float, float]:
+    """(skewness, kurtosis) as standardized central moments m3/m2^1.5, m4/m2^2."""
     c = x - x.mean()
     c2 = c * c
     m2 = np.mean(c2)
     if m2 == 0.0:
         raise DataError("degenerate data: zero variance")
-    return c, c2, m2, np.mean(c2 * c), np.mean(c2 * c2)
-
-
-def _central_moment_stats(x: np.ndarray) -> tuple[float, float]:
-    """(skewness, kurtosis) as standardized central moments m3/m2^1.5, m4/m2^2."""
-    _, _, m2, m3, m4 = _central_moments(x)
-    return float(m3 / m2**1.5), float(m4 / (m2 * m2))
+    return float(np.mean(c2 * c) / m2**1.5), float(np.mean(c2 * c2) / (m2 * m2))
 
 
 def _moment_residual(z: np.ndarray, delta, sides=None):
-    """Moment residual of a back-transformed sample and its Jacobian in the tails.
+    """Moment rows of the back-transformed ``z``, their Jacobian and curvature.
 
-    The sample is ``w_delta(z, delta)`` in ``z``'s order, with ``delta`` one
-    tail or the tail of each point (:func:`~heavytail.transform._tail_at`).
-    ``sides`` is None for one tail, or one index per tail (a slice or a
-    boolean mask) selecting the points it shapes.  Returns ``r =
-    (skewness, kurtosis - 3)``, the ``2 x tails`` matrix of ``dr /
-    ddelta_k`` and the sample.  W is evaluated once per point.  Each point
-    moves with its own tail by ``du/ddelta = -u^3 / (2 (1 + W))``, and the
-    central moments by ``dm_k = k (mean(c^(k-1) du) - m_(k-1) mean(du))``
-    with ``c = u - mean(u)``, ``m_1 = 0`` and ``du`` zero off the tail's
-    side.
+    The sample is ``u = w_delta(z, delta)``, with ``delta`` one tail or the
+    tail of each point (:func:`~heavytail.transform._tail_at`).  ``sides``
+    is None for one tail, or one boolean mask per tail selecting the points
+    it shapes.  Returns the rows ``r = (mean(u), var(u) - 1, skewness,
+    kurtosis - 3)``, the variance with n - 1; their Jacobian in the columns
+    (mu, log sigma, tails) of ``z = (y - mu) / sigma``, mu in units of
+    sigma; and ``curvature``, described below.  W is evaluated once per
+    point.  With ``W = W(delta z^2)``, ``i = 1 / (1 + W)`` and ``e =
+    exp(-W/2) = u / z``, each point moves by
+
+        du/dmu = -e i,  du/dlog sigma = -u i,  du/ddelta = -u^3 i / 2
+
+    (the last on the tail's own side), and the central moments by ``dm_k =
+    k (mean(c^(k-1) du) - m_(k-1) mean(du))`` with ``c = u - mean(u)`` and
+    ``m_1 = 0``.
+
+    ``curvature(fit)``, for a slice ``fit`` of the skewness and kurtosis
+    rows, is ``sum_j r_j d^2 r_j / (ddelta_k dtheta)`` over those rows: the
+    part of the Jacobian of the least-squares slopes ``J_k' r`` that the
+    Gauss-Newton ``J_k' J`` leaves out, one row per tail.  It takes the
+    second derivatives ``d^2 u / (ddelta dmu) = u^2 e i^2 (1/2 + i)``, ``d^2
+    u / (ddelta dlog sigma) = u^3 i^2 (1/2 + i)`` and ``d^2 u / ddelta^2 =
+    u^5 i^2 (3/4 + i/2)``, and no further W.
     """
-    wv, sample = _w_and_w_delta(z, delta)
-    du = -0.5 * sample * sample * sample / (1.0 + wv)
-    c, c2, m2, m3, m4 = _central_moments(sample)
-    c3 = c2 * c
-    n = c.size
-    sides = (slice(None),) if sides is None else sides
-    jac = np.empty((2, len(sides)))
-    for k, side in enumerate(sides):
-        du_k = du[side]
-        mean_du = np.sum(du_k) / n
-        dm2 = 2.0 * np.dot(c[side], du_k) / n
-        dm3 = 3.0 * (np.dot(c2[side], du_k) / n - m2 * mean_du)
-        dm4 = 4.0 * (np.dot(c3[side], du_k) / n - m3 * mean_du)
-        # The ratios m3 / m2 and m4 / m2 come first: m4 * dm2 overflows on
-        # heavy data whose moments are finite.
-        jac[0, k] = (dm3 - 1.5 * (m3 / m2) * dm2) / m2**1.5
-        jac[1, k] = (dm4 - 2.0 * (m4 / m2) * dm2) / (m2 * m2)
-    return np.array([m3 / m2**1.5, m4 / (m2 * m2) - 3.0]), jac, sample
+    wv, u = _w_and_w_delta(z, delta)
+    n = u.size
+    mean = u.sum() / n
+    inv = 1.0 / (1.0 + wv)
+    # Rows of -du per column, then c; with the rows 1, c, c^2, c^3 one
+    # product gives mean(c^j du) and the central moments m_(j+1).
+    cols = np.empty((3 + (1 if sides is None else len(sides)), n))
+    c = cols[-1]
+    np.subtract(u, mean, out=c)
+    np.exp(-0.5 * wv, out=cols[0])
+    cols[0] *= inv
+    np.multiply(u, inv, out=cols[1])
+    sides = (True,) if sides is None else sides
+    tail = 0.5 * u * u * cols[1]
+    for k, side in enumerate(sides, start=2):
+        np.multiply(tail, side, out=cols[k])
+    powers = np.empty((4, n))
+    powers[0] = 1.0
+    powers[1] = c
+    np.multiply(c, c, out=powers[2])
+    np.multiply(powers[2], c, out=powers[3])
+    sums = powers @ cols.T / n
+    m2, m3, m4 = sums[1:, -1]
+    if m2 == 0.0:
+        raise DataError("degenerate data: zero variance")
+    du = cols[:-1]
+    mean_du, dm2 = sums[0, :-1], 2.0 * sums[1, :-1]
+    dm3 = 3.0 * (sums[2, :-1] - m2 * mean_du)
+    dm4 = 4.0 * (sums[3, :-1] - m3 * mean_du)
+    var = m2 * (n / (n - 1.0))
+    # The ratios m3 / m2 and m4 / m2 come first: m4 * dm2 overflows on
+    # heavy data whose moments are finite.
+    jac = np.array([mean_du, dm2 * (var / m2), (dm3 - 1.5 * (m3 / m2) * dm2) / m2**1.5,
+                    (dm4 - 2.0 * (m4 / m2) * dm2) / (m2 * m2)])
+    r = np.array([mean, var - 1.0, m3 / m2**1.5, m4 / (m2 * m2) - 3.0])
+
+    def curvature(fit: slice) -> np.ndarray:
+        # phi = w3 m3 / m2^1.5 + w4 m4 / m2^2, its weights the residual of
+        # the fitted rows held fixed; the result is d^2 phi / (ddelta_k
+        # dtheta) = sum_j f_j d^2 m_j + sum_jl f_jl dm_j dm_l, with f_j =
+        # dphi / dm_j, f_jl = d^2 phi / (dm_j dm_l) (f_33 = f_34 = f_44 = 0)
+        # and d^2 m_j = j (j - 1) mean(c^(j-2) v_k v) + j mean(c^(j-1) w_k),
+        # where v = du - mean(du) and w_k is the centred second derivative
+        # of u.  psi and chi gather the powers of c.  The rows of du hold
+        # -du, which a product of two of them does not see.
+        w3, w4 = (r[2] if fit.start == 2 else 0.0), r[3]
+        f3, f4 = w3 / m2**1.5, w4 / (m2 * m2)
+        f2 = -1.5 * f3 * (m3 / m2) - 2.0 * f4 * (m4 / m2)
+        f22 = (3.75 * f3 * (m3 / m2) + 6.0 * f4 * (m4 / m2)) / m2
+        f23, f24 = -1.5 * f3 / m2, -2.0 * f4 / m2
+        psi = np.array([2.0 * f2, 6.0 * f3, 12.0 * f4, 0.0]) @ powers
+        chi = np.array([0.0, 2.0 * f2, 3.0 * f3, 4.0 * f4]) @ powers
+        mean_psi, mean_chi = 2.0 * f2 + 12.0 * f4 * m2, 3.0 * f3 * m2 + 4.0 * f4 * m3
+        psi_du = psi @ du.T / n
+        half = 0.5 + inv
+        u2i = u * cols[1]
+        second = np.array([u2i * cols[0] * half, u2i * cols[1] * half,
+                           u2i * u2i * u * (0.75 + 0.5 * inv)])
+        out = np.empty((len(sides), du.shape[0]))
+        for k, side in enumerate(sides):
+            a = k + 2
+            out[k] = ((psi * du[a]) @ du.T / n - mean_du[a] * psi_du - mean_du * psi_du[a]
+                      + mean_du[a] * mean_psi * mean_du + f22 * dm2[a] * dm2
+                      + f23 * (dm2[a] * dm3 + dm3[a] * dm2) + f24 * (dm2[a] * dm4 + dm4[a] * dm2))
+            chi_u, mean_u = np.array([chi, powers[0]]) @ (second * side).T / n
+            out[k, [0, 1, a]] += chi_u - mean_chi * mean_u
+        return out
+
+    return r, -jac, curvature
 
 
 def sample_moments(data) -> SampleMoments:
@@ -202,16 +261,19 @@ def sample_moments(data) -> SampleMoments:
     Kurtosis is the non-excess standardized fourth moment (Gaussian
     reference value 3); the standard deviation uses the unbiased N-1
     denominator.  Skewness and kurtosis are NaN for fewer than 4 points;
-    degenerate (zero-variance) data raises :class:`DataError`.
+    degenerate (zero-variance) data raises :class:`DataError`.  A moment
+    that overflows (a point beyond about 1e154 for the sd) is not finite
+    (inf or NaN), with no warning.
     """
     x = _check_series(data, min_n=2)
-    sd = float(np.std(x, ddof=1))
-    if sd == 0.0:
-        raise DataError("degenerate data: zero variance")
-    if x.size >= 4:
-        skew, kurt = _central_moment_stats(x)
-    else:
-        skew, kurt = math.nan, math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(x, ddof=1))
+        if sd == 0.0:
+            raise DataError("degenerate data: zero variance")
+        if x.size >= 4:
+            skew, kurt = _central_moment_stats(x)
+        else:
+            skew, kurt = math.nan, math.nan
     return SampleMoments(
         mean=float(np.mean(x)),
         sd=sd,
@@ -290,10 +352,10 @@ def grad_delta(delta: float, z_data) -> float:
 
 
 _DELTA_BRACKET_LIMIT = 1e8
-# The Newton searches (the tail-only root, the IGMM tail step, the joint
-# MLE) stop when a step is at most _STEP_XTOL + _STEP_RTOL |x|, or after
-# _STEP_MAX_ITERATIONS steps (_GMM_MAX_STEPS for the IGMM tail step, which
-# from a poor warm start can need more than 100 to reach a bound of its
+# The Newton searches (the tail-only root, the kurtosis match of delta_gmm,
+# the joint MLE) stop when a step is at most _STEP_XTOL + _STEP_RTOL |x|, or
+# after _STEP_MAX_ITERATIONS steps (_GMM_MAX_STEPS for the kurtosis match,
+# which from a poor start can need more than 100 to reach a bound of its
 # box); a coordinate within _BOUND_TOL of a bound of its box is held on
 # that bound.
 _STEP_XTOL = 1e-13
@@ -404,12 +466,14 @@ def delta_gmm(z_data) -> GMMDelta:
     kurtosis exceeds the target the match is a root-finding problem; when
     it does not, the mismatch is minimized at the lower bound and 0 is
     returned.  A mismatch still nonnegative at the upper bound gives that
-    bound, flagged.  The search is the one-tail case of the IGMM tail step
-    (:func:`_gmm_step`) from the rule-of-thumb :func:`taylor_delta` start;
-    it stops when the step is at most ``1e-13 + 8.9e-16 delta``.
+    bound, flagged.  The search (:func:`_gmm_step`) is a damped
+    Gauss-Newton one from the rule-of-thumb :func:`taylor_delta` start; it
+    stops when the step is at most ``1e-13 + 8.9e-16 delta``.  It is the
+    tail update of one classic IGMM step; :func:`igmm` solves for the fixed
+    point of those steps without taking them.
     """
     z = _check_series(z_data, min_n=4)
-    return GMMDelta(*_gmm_step(z, taylor_delta(_central_moment_stats(z)[1]))[:2])
+    return _gmm_step(z, taylor_delta(_central_moment_stats(z)[1]))
 
 
 def _dot(x, y) -> float:
@@ -469,13 +533,15 @@ class _Search(NamedTuple):
 
 
 def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
-                max_steps: int = _STEP_MAX_ITERATIONS) -> _Search:
+                max_steps: int = _STEP_MAX_ITERATIONS, pull=None) -> _Search:
     """Minimize ``f`` over the box ``lo <= x <= hi`` by damped Newton steps.
 
     ``evaluate(x)`` returns ``f(x)``, its gradient, its Hessian (or a
     Gauss-Newton approximation of it) and a payload; ``f = inf`` marks a
     point that is rejected.  A coordinate within 1e-12 of a bound whose
-    descent direction points out of the box is held exactly on that bound.
+    descent direction points out of the box is held exactly on that bound;
+    the direction is that of the gradient, or of ``-pull(payload)`` when
+    ``pull`` is given.
     The free coordinates take the step ``s`` of ``(H + lam D) s = -g``, with
     ``D`` the absolute diagonal of ``H`` (Marquardt), projected onto the
     box; ``lam`` grows until ``H + lam D`` is positive definite.  A step
@@ -501,7 +567,7 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
     lam, grow, rejected = 1e-6, 2.0, None
     for _ in range(max_steps):
         held, free = [], []
-        for k, (xk, g) in enumerate(zip(x, grad)):
+        for k, (xk, g) in enumerate(zip(x, grad if pull is None else pull(payload))):
             if xk <= lo[k] + _BOUND_TOL and g > 0.0:
                 xk = lo[k]
             elif xk >= hi[k] - _BOUND_TOL and g < 0.0:
@@ -562,65 +628,57 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
     return _Search(x, value, payload, passes, converged)
 
 
-class _TailStep(NamedTuple):
-    delta: float | tuple[float, float]
-    at_upper_bound: bool
-    sample: np.ndarray  # the back-transformed z at delta, left side first for two tails
+def _gmm_step(z: np.ndarray, start: float) -> GMMDelta:
+    """The tail whose back-transformed ``z`` has kurtosis 3, for :func:`delta_gmm`.
 
-
-def _gmm_step(z: np.ndarray, start: float | tuple[float, float]) -> _TailStep:
-    """The IGMM tail step: match the moments of the back-transformed ``z``.
-
-    A float ``start`` is one tail, which brings the kurtosis to 3.  A
-    (left, right) pair is two tails, which one kurtosis condition cannot
-    identify; they bring the skewness to 0 and the kurtosis to 3 in a
-    least-squares sense.  Either way the step minimizes ``phi = |r|^2 / 2``
-    over [0, 10] per tail, for those rows ``r`` of the residual ``(skewness,
-    kurtosis - 3)`` of :func:`_moment_residual`, by :func:`_box_newton` on
-    the Gauss-Newton Hessian ``J'J``, warm-started at ``start``.
-
-    A tail within 1e-12 of a bound whose descent direction points out of
-    the box is held exactly on that bound, which gives :func:`delta_gmm`
-    its end-point rules without evaluating the bounds.  Far from a match
-    the damped step shortens towards steepest descent.  It stops after 300
-    steps or when no tail moves by more than ``1e-13 + 8.9e-16 |delta|``,
-    which is also where repeated failures to lower ``phi`` end, so a tail
-    the data do not need comes back as exactly 0.  The back-transformed
-    sample of the last residual evaluation comes back with the tails; with
-    two tails, left side first.  That order fixes the order of the moment
-    sums, which matters: a least-squares match ends where rounding in
-    ``phi`` stops the descent, and another order moves it by up to about
-    3e-7 relative.
+    Minimizes ``phi = (kurtosis - 3)^2 / 2`` over [0, 10] by
+    :func:`_box_newton` on the Gauss-Newton Hessian, from ``start``, with
+    the kurtosis row of :func:`_moment_residual`.  A tail within 1e-12 of a
+    bound whose descent direction points out of the box is held exactly on
+    that bound, which gives :func:`delta_gmm` its end-point rules without
+    evaluating the bounds; a tail the data do not need comes back as
+    exactly 0.  Far from a match the damped step shortens towards steepest
+    descent.  It stops after 300 steps or when the tail moves by at most
+    ``1e-13 + 8.9e-16 delta``.
     """
     lo, hi = _DELTA_BOUNDS
-    double = isinstance(start, tuple)
-    if double:
-        left = z <= 0.0
-        split = int(np.count_nonzero(left))
-        z = np.concatenate([z[left], z[~left]])
-        sides, rows = (slice(0, split), slice(split, None)), slice(0, 2)
-    else:
-        sides, rows, start = None, slice(1, 2), (start,)
 
     def evaluate(d: list[float]):
-        r, jac, sample = _moment_residual(z, _tail_at(z, tuple(d)) if double else d[0], sides)
-        r, jac = r[rows], jac[rows]
-        return 0.5 * float(r @ r), jac.T @ r, jac.T @ jac, sample
+        r, jac, _ = _moment_residual(z, d[0])
+        r, jac = r[3], jac[3, 2:]
+        return 0.5 * r * r, jac * r, np.outer(jac, jac), None
 
-    d = [min(max(float(x), lo), hi) for x in start]
-    end = _box_newton(evaluate, d, [lo] * len(d), [hi] * len(d), 0.0, _GMM_MAX_STEPS)
-    return _TailStep(tuple(end.x) if double else end.x[0], max(end.x) >= hi, end.payload)
+    d = [min(max(float(start), lo), hi)]
+    end = _box_newton(evaluate, d, [lo], [hi], 0.0, _GMM_MAX_STEPS)
+    return GMMDelta(end.x[0], end.x[0] >= hi)
 
 
 def _igmm(data, double_tail: bool) -> FitResult:
-    """The IGMM loop shared by :func:`igmm` and :func:`igmm_double_tail`.
+    """The IGMM fixed point shared by :func:`igmm` and :func:`igmm_double_tail`.
 
-    Starts from :func:`_moment_start`: the median, the interquartile scale
-    and the kurtosis-matched tail, at least 1e-3; each iteration updates
-    the tail (one, or a left/right pair) by :func:`_gmm_step`, warm-started
-    at the current tail, and takes location and scale from the
-    back-transformed sample that the step's last residual evaluation made,
-    so no W pass is repeated.
+    The classic IGMM update standardizes ``z = (y - mu) / sigma``, matches
+    the tails to the moments of ``u = w_delta(z)`` and takes location and
+    scale from the back-transformed ``u sigma + mu``.  Its fixed point is
+    where ``mean(u) = 0``, ``sd(u) = 1`` (n - 1) and the tails are the
+    constrained least-squares match of the moment rows ``r`` of
+    :func:`_moment_residual`, the kurtosis for one tail and skewness and
+    kurtosis for two: a free tail k has the slope ``J_k' r = 0``, and a tail
+    on a bound of [0, 10] whose slope points out of the box is held there.
+    One :func:`_box_newton` search on (mu, log sigma, tails), with one W
+    pass per evaluation, solves those conditions at once.  Its rows are
+    ``mean(u)``, ``var(u) - 1`` and, per free tail, ``J_k' r / |J_k|``, with
+    the Gauss-Newton Jacobian rows ``J_k' J / |J_k|``; where the free tails
+    zero the moment rows this is Newton's method on all rows.  Beside a
+    held tail the rows keep a residual, and the free tail's row takes its
+    exact Jacobian, the curvature of :func:`_moment_residual` added, where
+    that keeps its own slope rising.  mu moves in units of the start scale
+    and sigma relative to it, so the steps and the stop are unit-free.
+
+    It starts from Tukey's letter values (:func:`_default_start`, as
+    :func:`mle_joint` does), and stops, converged, when the Gauss-Newton
+    decrement ``|rows|^2`` is at most 1e-24, or unconverged after 200
+    steps or when no coordinate moves above rounding.  ``iterations``
+    counts the steps tried, one W pass each, besides the pass at the start.
     """
     y = _check_series(data, min_n=10)
     # A point near the float maximum overflows the start moments.
@@ -639,59 +697,97 @@ def _igmm(data, double_tail: bool) -> FitResult:
             "the sample kurtosis of the data is not finite (its fourth moment "
             "is out of floating-point range); rescale the data"
         )
-    start = _moment_start(y, ("mu_x", "sigma_x", "delta"), g2)
-    mu, sigma, delta = start["mu_x"], start["sigma_x"], start["delta"]
-    delta = (delta, delta) if double_tail else delta
-    tau_vec = np.hstack([mu, sigma, delta])
-    prev = np.zeros_like(tau_vec)
-    at_bound = False
-    iterations = 0
-    converged = False
-    while iterations < _IGMM_MAX_ITERATIONS:
-        if np.linalg.norm(tau_vec - prev) <= _IGMM_TOL:
-            converged = True
-            break
-        iterations += 1
-        z = (y - mu) / sigma
-        delta, at_bound, u = _gmm_step(z, delta)
-        x = u * sigma + mu
-        mu = float(np.mean(x))
-        sigma = float(np.std(x, ddof=1))
-        prev = tau_vec
-        tau_vec = np.hstack([mu, sigma, delta])
+    names = ("mu_x", "sigma_x") + (("delta_left", "delta_right") if double_tail else ("delta",))
+    start = _default_start(y, names)
+    mu0, s0 = start["mu_x"], start["sigma_x"]
+    lo, hi = _DELTA_BOUNDS
+    moments = slice(2, 4) if double_tail else slice(3, 4)
 
-    tails = dict(zip(("delta_left", "delta_right"), delta)) if double_tail else {"delta": delta}
+    def evaluate(p: list[float]):
+        try:
+            mu, sigma = mu0 + s0 * p[0], s0 * math.exp(p[1])
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                z = (y - mu) / sigma
+                if double_tail:
+                    left = z <= 0.0
+                    r, jac, curvature = _moment_residual(z, _tail_at(z, tuple(p[2:])),
+                                                         (left, ~left))
+                else:
+                    r, jac, curvature = _moment_residual(z, p[2])
+            jac[:, 0] *= s0 / sigma
+        except (DataError, ArithmeticError):
+            return math.inf, None, None, None
+        r_m, j_m = r[moments], jac[moments]
+        slopes, gram = (r_m @ j_m).tolist(), (j_m.T @ j_m).tolist()
+        held = [d <= lo + _BOUND_TOL and slope > 0.0 or d >= hi - _BOUND_TOL and slope < 0.0
+                for d, slope in zip(p[2:], slopes[2:])]
+        rows, grads = r[:2].tolist(), jac[:2].tolist()
+        for k, hold in enumerate(held, start=2):
+            if hold:
+                continue
+            row = gram[k]
+            if any(held):
+                # Beside a held tail the moment rows keep a residual, and
+                # J_k' J misses the slope's second-order part.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    extra = curvature(moments)[k - 2].tolist()
+                extra[0] *= s0 / sigma
+                exact = [a + b for a, b in zip(row, extra)]
+                row = exact if exact[k] > 0.0 else row
+            norm = math.sqrt(gram[k][k]) or 1.0
+            rows.append(slopes[k] / norm)
+            grads.append([v / norm for v in row])
+        f, g = np.array(rows), np.array(grads)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, hess = 0.5 * float(f @ f), g.T @ g
+        if not (math.isfinite(value) and np.isfinite(hess).all()):
+            return math.inf, None, None, None
+        return value, g.T @ f, hess, slopes
+
+    x0 = [0.0, 0.0] + [min(start[name], hi) for name in names[2:]]
+    end = _box_newton(evaluate, x0, [-math.inf] * 2 + [lo] * (len(names) - 2),
+                      [math.inf] * 2 + [hi] * (len(names) - 2), _IGMM_DECREMENT_TOL,
+                      _IGMM_MAX_ITERATIONS, pull=lambda slopes: slopes)
+    mu, sigma = mu0 + s0 * end.x[0], s0 * math.exp(end.x[1])
+    delta = tuple(end.x[2:]) if double_tail else end.x[2]
     return _fit_result(
         y, LambertWDist(Gaussian(mu, sigma), delta), "igmm",
-        {"mu_x": mu, "sigma_x": sigma, **tails}, iterations, converged, at_upper=at_bound,
+        {"mu_x": mu, "sigma_x": sigma, **dict(zip(names[2:], end.x[2:]))}, end.passes,
+        end.converged, at_upper=max(end.x[2:]) >= hi,
     )
 
 
 def igmm(data) -> FitResult:
     """Iterative generalized method of moments for (mu_x, sigma_x, delta).
 
-    Alternates: standardize with the current location/scale, match the
-    input kurtosis as :func:`delta_gmm` does (warm-started at the current
-    tail), back-transform, and refresh
-    location/scale from the back-transformed sample (mean and unbiased
-    standard deviation), until the Euclidean change of the parameter
-    vector drops to 1.22e-4, or for at most 100 updates.  The tail search
-    runs over [0, 10]; a tail estimate at 0 is flagged ``delta_lower``, one
-    at the upper bound 10 ``delta_upper``.
+    The estimate is the fixed point of the classic IGMM update: standardize
+    with the current location and scale, match the kurtosis of the
+    back-transformed sample to 3 as :func:`delta_gmm` does, and refresh
+    location and scale from the back-transformed data (mean and unbiased
+    standard deviation).  That point is where the back-transformed sample
+    has mean 0, sd 1 and kurtosis 3, or, when no tail in [0, 10] matches the
+    kurtosis, the tail is on the bound nearest to a match.  It is solved
+    for directly, by one damped Gauss-Newton search on (mu, log sigma,
+    delta) with one W pass per step (:func:`_igmm`), so the end depends on
+    neither the start nor the data's units.  The search stops, converged,
+    when the Gauss-Newton decrement of the unit-free rows (mean, variance -
+    1, kurtosis - 3) is at most 1e-24; ``iterations`` counts its steps, one
+    W pass each.  A tail estimate at 0 is flagged ``delta_lower``, one at
+    the upper bound 10 ``delta_upper``.
     """
     return _igmm(data, False)
 
 
 def igmm_double_tail(data) -> FitResult:
-    """Double-tail variant of :func:`igmm` with a 2-D inner moment match.
+    """Double-tail variant of :func:`igmm`: a left and a right tail.
 
-    Each iteration chooses (delta_left, delta_right) in [0, 10]^2 to bring
-    the skewness and kurtosis of the back-transformed sample to 0 and 3,
-    by the tail step of :func:`igmm` with both moment conditions,
-    warm-started at the current tails.  Where the data skew one way only,
-    that match is a least-squares one with the other tail held exactly at
-    0.  ``delta_lower`` is flagged when either tail estimate is 0,
-    ``delta_upper`` when either is at 10.
+    At the fixed point the back-transformed sample has mean 0 and sd 1, and
+    (delta_left, delta_right) in [0, 10]^2 bring its skewness and kurtosis
+    to 0 and 3.  Where the data skew one way only, that match is a
+    least-squares one with the other tail held exactly at 0, and the free
+    tail zeroes the least-squares slope.  The search and its stop are those
+    of :func:`igmm`.  ``delta_lower`` is flagged when either tail estimate
+    is 0, ``delta_upper`` when either is at 10.
     """
     return _igmm(data, True)
 
@@ -820,7 +916,7 @@ def _moment_start(y: np.ndarray, names, g2: float) -> dict[str, float]:
 
 
 def _default_start(y: np.ndarray, names) -> dict[str, float] | None:
-    """The start of a likelihood search that is given none.
+    """The start of a likelihood search that is given none, and of IGMM.
 
     Gaussian input starts from the letter values
     (:func:`_letter_value_start`), or from the moment start on the sample

@@ -12,7 +12,8 @@ import pytest
 from scipy import stats as st
 
 import heavytail
-from heavytail.cli import _t_and_p, main, parse_tau, read_series, write_series
+from heavytail import Gaussian, LambertWDist, rlambertw
+from heavytail.cli import _summary_block, _t_and_p, main, parse_tau, read_series, write_series
 from util import child_env
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -345,6 +346,38 @@ class TestFit:
         assert run_cli("fit", str(sample_file), "--family", family) == 3
         assert "left the parameter space" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_far_point_report(self, tmp_path, capsys, as_json):
+        # One point at 1e200 fits, but the sample sd of the observed series
+        # overflows, and its Anderson-Darling test raised DataError: exit 2
+        # and no report.  That one test is now reported as unavailable.
+        y = rlambertw(200, LambertWDist(Gaussian(0.0, 1.0), 0.2), seed=1)
+        y[0] = 1e200
+        path = tmp_path / "far.txt"
+        write_series(y, path)
+        code, captured = run_cli_capture(capsys, "fit", str(path), *(["--json"] if as_json else []))
+        assert code == 0
+        if as_json:
+            report = json.loads(captured.out)
+            assert report["normality"]["observed"] == {
+                "statistic": None, "p": None, "reason": "sample scale not finite"}
+            assert report["normality"]["gaussianized"]["p"] >= 0.0
+            assert report["summary"]["observed"]["sd"] == "inf"
+        else:
+            lines = captured.out.splitlines()
+            assert lines[-1].startswith(
+                "Anderson-Darling: observed n/a (sample scale not finite), gaussianized A2=")
+            # every summary row keeps its three columns
+            assert all(len(line.split()) == 3 for line in lines[-9:-2]), lines[-9:-2]
+
+    def test_far_point_summary(self):
+        # The sample sd overflows with no RuntimeWarning (an error under the
+        # test suite's filter).
+        y = np.append(np.arange(20.0), 1e200)
+        summary = _summary_block(y)
+        assert summary["sd"] == math.inf and summary["max"] == 1e200
+        assert math.isnan(summary["kurtosis"])
 
     def test_linalg_failure_exits_3(self, sample_file, capsys, monkeypatch):
         # LinAlgError is a ValueError, which exits 2 when caught first.
