@@ -102,6 +102,10 @@ class GMMDelta(NamedTuple):
 # tail estimates stay in _DELTA_BOUNDS.
 _IGMM_DECREMENT_TOL = 1e-24
 _IGMM_MAX_ITERATIONS = 200
+# A search that has not converged after this many steps is crawling along a
+# minimum of its merit that is no fixed point (a converging one takes under
+# 20 on two-tail fits of 30 points), and restarts after classic updates.
+_IGMM_SEARCH_STEPS = 40
 _DELTA_BOUNDS = (0.0, 10.0)
 
 
@@ -176,11 +180,12 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
     k (mean(c^(k-1) du) - m_(k-1) mean(du))`` with ``c = u - mean(u)`` and
     ``m_1 = 0``.
 
-    ``curvature(fit)``, for a slice ``fit`` of the skewness and kurtosis
-    rows, is ``sum_j r_j d^2 r_j / (ddelta_k dtheta)`` over those rows: the
-    part of the Jacobian of the least-squares slopes ``J_k' r`` that the
-    Gauss-Newton ``J_k' J`` leaves out, one row per tail.  It takes the
-    second derivatives ``d^2 u / (ddelta dmu) = u^2 e i^2 (1/2 + i)``, ``d^2
+    ``curvature(w3, w4)`` is ``d^2 (w3 skewness + w4 kurtosis) / (ddelta_k
+    dtheta)`` in the same columns, one row per tail.  With the weights the
+    residual of the fitted rows it is the part of the Jacobian of the
+    least-squares slopes ``J_k' r`` that the Gauss-Newton ``J_k' J`` leaves
+    out; with the weights ``J_k`` it is ``J_k' dJ_k``.  It takes the second
+    derivatives ``d^2 u / (ddelta dmu) = u^2 e i^2 (1/2 + i)``, ``d^2
     u / (ddelta dlog sigma) = u^3 i^2 (1/2 + i)`` and ``d^2 u / ddelta^2 =
     u^5 i^2 (3/4 + i/2)``, and no further W.
     """
@@ -220,16 +225,15 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
                     (dm4 - 2.0 * (m4 / m2) * dm2) / (m2 * m2)])
     r = np.array([mean, var - 1.0, m3 / m2**1.5, m4 / (m2 * m2) - 3.0])
 
-    def curvature(fit: slice) -> np.ndarray:
-        # phi = w3 m3 / m2^1.5 + w4 m4 / m2^2, its weights the residual of
-        # the fitted rows held fixed; the result is d^2 phi / (ddelta_k
-        # dtheta) = sum_j f_j d^2 m_j + sum_jl f_jl dm_j dm_l, with f_j =
+    def curvature(w3: float, w4: float) -> np.ndarray:
+        # phi = w3 m3 / m2^1.5 + w4 m4 / m2^2, the weights held fixed; the
+        # result is d^2 phi / (ddelta_k dtheta) = sum_j f_j d^2 m_j +
+        # sum_jl f_jl dm_j dm_l, with f_j =
         # dphi / dm_j, f_jl = d^2 phi / (dm_j dm_l) (f_33 = f_34 = f_44 = 0)
         # and d^2 m_j = j (j - 1) mean(c^(j-2) v_k v) + j mean(c^(j-1) w_k),
         # where v = du - mean(du) and w_k is the centred second derivative
         # of u.  psi and chi gather the powers of c.  The rows of du hold
         # -du, which a product of two of them does not see.
-        w3, w4 = (r[2] if fit.start == 2 else 0.0), r[3]
         f3, f4 = w3 / m2**1.5, w4 / (m2 * m2)
         f2 = -1.5 * f3 * (m3 / m2) - 2.0 * f4 * (m4 / m2)
         f22 = (3.75 * f3 * (m3 / m2) + 6.0 * f4 * (m4 / m2)) / m2
@@ -473,7 +477,8 @@ def delta_gmm(z_data) -> GMMDelta:
     point of those steps without taking them.
     """
     z = _check_series(z_data, min_n=4)
-    return _gmm_step(z, taylor_delta(_central_moment_stats(z)[1]))
+    delta = _gmm_step(z, [taylor_delta(_central_moment_stats(z)[1])]).x[0]
+    return GMMDelta(delta, delta >= _DELTA_BOUNDS[1])
 
 
 def _dot(x, y) -> float:
@@ -628,40 +633,59 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
     return _Search(x, value, payload, passes, converged)
 
 
-def _gmm_step(z: np.ndarray, start: float) -> GMMDelta:
-    """The tail whose back-transformed ``z`` has kurtosis 3, for :func:`delta_gmm`.
+def _gmm_step(z: np.ndarray, start: list[float], max_steps: int = _GMM_MAX_STEPS,
+              tol: float = 0.0) -> _Search:
+    """The classic IGMM tail update: match the moments of the back-transformed ``z``.
 
-    Minimizes ``phi = (kurtosis - 3)^2 / 2`` over [0, 10] by
-    :func:`_box_newton` on the Gauss-Newton Hessian, from ``start``, with
-    the kurtosis row of :func:`_moment_residual`.  A tail within 1e-12 of a
-    bound whose descent direction points out of the box is held exactly on
-    that bound, which gives :func:`delta_gmm` its end-point rules without
-    evaluating the bounds; a tail the data do not need comes back as
-    exactly 0.  Far from a match the damped step shortens towards steepest
-    descent.  It stops after 300 steps or when the tail moves by at most
-    ``1e-13 + 8.9e-16 delta``.
+    One tail in ``start`` brings the kurtosis to 3 (:func:`delta_gmm`); a
+    (left, right) pair, ``z <= 0`` on the left, brings the skewness to 0 and
+    the kurtosis to 3 in a least-squares sense.  Either way it minimizes
+    ``phi = |r|^2 / 2`` over [0, 10] per tail, for those rows ``r`` of
+    :func:`_moment_residual`, by :func:`_box_newton` from ``start``, on the
+    Gauss-Newton Hessian near a match and on the exact one (the curvature
+    of :func:`_moment_residual` added) where ``|r|^2 > 1e-6``: on a match
+    that keeps a residual Gauss-Newton can take a hundred steps.  A tail
+    within 1e-12 of a bound whose descent
+    direction points out of the box is held exactly on that bound, which
+    gives :func:`delta_gmm` its end-point rules without evaluating the
+    bounds; a tail the data do not need comes back as exactly 0.  Far from
+    a match the damped step shortens towards steepest descent.  It stops
+    when the Gauss-Newton decrement of ``phi`` is at most ``tol``, after
+    ``max_steps`` steps, or when no tail moves by more than ``1e-13 +
+    8.9e-16 delta``.
     """
     lo, hi = _DELTA_BOUNDS
+    if len(start) == 1:
+        sides, rows = None, slice(3, 4)
+    else:
+        left = z <= 0.0
+        sides, rows = (left, ~left), slice(2, 4)
 
     def evaluate(d: list[float]):
-        r, jac, _ = _moment_residual(z, d[0])
-        r, jac = r[3], jac[3, 2:]
-        return 0.5 * r * r, jac * r, np.outer(jac, jac), None
+        r, jac, curvature = _moment_residual(
+            z, d[0] if sides is None else _tail_at(z, tuple(d)), sides)
+        r, jac = r[rows], jac[rows, 2:]
+        hess = jac.T @ jac
+        if r @ r > 1e-6:
+            # Gauss-Newton converges slowly on a least-squares match that
+            # keeps a residual; its exact Hessian adds r times the curvature.
+            c = curvature(*((r[0], r[1]) if sides is not None else (0.0, r[0])))[:, 2:]
+            hess += 0.5 * (c + c.T)
+        return 0.5 * float(r @ r), jac.T @ r, hess, None
 
-    d = [min(max(float(start), lo), hi)]
-    end = _box_newton(evaluate, d, [lo], [hi], 0.0, _GMM_MAX_STEPS)
-    return GMMDelta(end.x[0], end.x[0] >= hi)
+    d = [min(max(float(x), lo), hi) for x in start]
+    return _box_newton(evaluate, d, [lo] * len(d), [hi] * len(d), tol, max_steps)
 
 
 def _igmm(data, double_tail: bool) -> FitResult:
     """The IGMM fixed point shared by :func:`igmm` and :func:`igmm_double_tail`.
 
     The classic IGMM update standardizes ``z = (y - mu) / sigma``, matches
-    the tails to the moments of ``u = w_delta(z)`` and takes location and
-    scale from the back-transformed ``u sigma + mu``.  Its fixed point is
-    where ``mean(u) = 0``, ``sd(u) = 1`` (n - 1) and the tails are the
-    constrained least-squares match of the moment rows ``r`` of
-    :func:`_moment_residual`, the kurtosis for one tail and skewness and
+    the tails to the moments of ``u = w_delta(z)`` (:func:`_gmm_step`) and
+    takes location and scale from the back-transformed ``u sigma + mu``.
+    Its fixed point is where ``mean(u) = 0``, ``sd(u) = 1`` (n - 1) and the
+    tails are the constrained least-squares match of the moment rows ``r``
+    of :func:`_moment_residual`, the kurtosis for one tail and skewness and
     kurtosis for two: a free tail k has the slope ``J_k' r = 0``, and a tail
     on a bound of [0, 10] whose slope points out of the box is held there.
     One :func:`_box_newton` search on (mu, log sigma, tails), with one W
@@ -670,15 +694,19 @@ def _igmm(data, double_tail: bool) -> FitResult:
     the Gauss-Newton Jacobian rows ``J_k' J / |J_k|``; where the free tails
     zero the moment rows this is Newton's method on all rows.  Beside a
     held tail the rows keep a residual, and the free tail's row takes its
-    exact Jacobian, the curvature of :func:`_moment_residual` added, where
-    that keeps its own slope rising.  mu moves in units of the start scale
-    and sigma relative to it, so the steps and the stop are unit-free.
+    exact Jacobian (the curvature of :func:`_moment_residual`) where that
+    keeps its own slope rising.  mu moves in units of the start scale and
+    sigma relative to it, so the steps and the stop are unit-free.
 
     It starts from Tukey's letter values (:func:`_default_start`, as
     :func:`mle_joint` does), and stops, converged, when the Gauss-Newton
-    decrement ``|rows|^2`` is at most 1e-24, or unconverged after 200
-    steps or when no coordinate moves above rounding.  ``iterations``
-    counts the steps tried, one W pass each, besides the pass at the start.
+    decrement ``|rows|^2`` is at most 1e-24.  A search that stops short of
+    that, stalled or after 40 steps, is at or crawling along a minimum of
+    ``|rows|^2`` that is no fixed point (5 of 3000 random two-tail fits of
+    30 or 60 points); 2^k classic updates after the k-th such stop move it
+    off, and the search restarts.  All of it shares a budget of 200 W
+    passes, after which the fit is unconverged.  ``iterations`` counts
+    those passes besides the one at the start.
     """
     y = _check_series(data, min_n=10)
     # A point near the float maximum overflows the start moments.
@@ -703,6 +731,10 @@ def _igmm(data, double_tail: bool) -> FitResult:
     lo, hi = _DELTA_BOUNDS
     moments = slice(2, 4) if double_tail else slice(3, 4)
 
+    def pair(v) -> tuple[float, float]:
+        """The weights of a moment-rows vector on (skewness, kurtosis)."""
+        return (float(v[0]), float(v[1])) if double_tail else (0.0, float(v[0]))
+
     def evaluate(p: list[float]):
         try:
             mu, sigma = mu0 + s0 * p[0], s0 * math.exp(p[1])
@@ -725,16 +757,20 @@ def _igmm(data, double_tail: bool) -> FitResult:
         for k, hold in enumerate(held, start=2):
             if hold:
                 continue
+            norm = math.sqrt(gram[k][k]) or 1.0
             row = gram[k]
             if any(held):
-                # Beside a held tail the moment rows keep a residual, and
-                # J_k' J misses the slope's second-order part.
+                # Beside a held tail the moment rows keep a residual, so the
+                # row's Jacobian is not J_k' J / |J_k|: it adds the slope's
+                # second-order part and the change of |J_k|.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    extra = curvature(moments)[k - 2].tolist()
+                    extra = curvature(*pair(r_m))[k - 2]
+                    turn = curvature(*pair(j_m[:, k]))[k - 2]
                 extra[0] *= s0 / sigma
-                exact = [a + b for a, b in zip(row, extra)]
-                row = exact if exact[k] > 0.0 else row
-            norm = math.sqrt(gram[k][k]) or 1.0
+                turn[0] *= s0 / sigma
+                exact = [a + b for a, b in zip(row, extra.tolist())]
+                if exact[k] > 0.0:
+                    row = [a - slopes[k] / norm**2 * b for a, b in zip(exact, turn.tolist())]
             rows.append(slopes[k] / norm)
             grads.append([v / norm for v in row])
         f, g = np.array(rows), np.array(grads)
@@ -744,15 +780,48 @@ def _igmm(data, double_tail: bool) -> FitResult:
             return math.inf, None, None, None
         return value, g.T @ f, hess, slopes
 
-    x0 = [0.0, 0.0] + [min(start[name], hi) for name in names[2:]]
-    end = _box_newton(evaluate, x0, [-math.inf] * 2 + [lo] * (len(names) - 2),
-                      [math.inf] * 2 + [hi] * (len(names) - 2), _IGMM_DECREMENT_TOL,
-                      _IGMM_MAX_ITERATIONS, pull=lambda slopes: slopes)
+    def classic_update(p: list[float]) -> tuple[list[float], int]:
+        """One classic update from ``p``, and its W passes."""
+        mu, sigma = mu0 + s0 * p[0], s0 * math.exp(p[1])
+        z = (y - mu) / sigma
+        match = _gmm_step(z, p[2:], _IGMM_MAX_ITERATIONS - passes, 1e-16)
+        u = _w_and_w_delta(z, _tail_at(z, tuple(match.x)) if double_tail else match.x[0])[1]
+        return [p[0] + sigma / s0 * float(np.mean(u)),
+                p[1] + math.log(np.std(u, ddof=1))] + match.x, match.passes + 2
+
+    tails = len(names) - 2
+    box = [-math.inf] * 2 + [lo] * tails, [math.inf] * 2 + [hi] * tails
+    x, passes, stalls = [0.0, 0.0] + [min(start[name], hi) for name in names[2:]], 0, 0
+    while True:
+        steps = min(_IGMM_MAX_ITERATIONS - passes, _IGMM_SEARCH_STEPS)
+        end = _box_newton(evaluate, x, *box, _IGMM_DECREMENT_TOL, steps,
+                          pull=lambda slopes: slopes)
+        passes += end.passes
+        if end.converged or not math.isfinite(end.value):
+            break
+        # A search that stops short of the decrement, stalled or out of
+        # steps, is at or crawling along a minimum of |rows|^2 that is no
+        # fixed point.  Classic updates move it off, 2^k of them after the
+        # k-th stop, and the search restarts.
+        x = end.x
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(2**stalls):
+                    if passes >= _IGMM_MAX_ITERATIONS:
+                        break
+                    x, used = classic_update(x)
+                    passes += used
+        except (DataError, ArithmeticError, ValueError):
+            break
+        if passes >= _IGMM_MAX_ITERATIONS:
+            break
+        passes += 1
+        stalls += 1
     mu, sigma = mu0 + s0 * end.x[0], s0 * math.exp(end.x[1])
     delta = tuple(end.x[2:]) if double_tail else end.x[2]
     return _fit_result(
         y, LambertWDist(Gaussian(mu, sigma), delta), "igmm",
-        {"mu_x": mu, "sigma_x": sigma, **dict(zip(names[2:], end.x[2:]))}, end.passes,
+        {"mu_x": mu, "sigma_x": sigma, **dict(zip(names[2:], end.x[2:]))}, passes,
         end.converged, at_upper=max(end.x[2:]) >= hi,
     )
 
@@ -767,13 +836,13 @@ def igmm(data) -> FitResult:
     standard deviation).  That point is where the back-transformed sample
     has mean 0, sd 1 and kurtosis 3, or, when no tail in [0, 10] matches the
     kurtosis, the tail is on the bound nearest to a match.  It is solved
-    for directly, by one damped Gauss-Newton search on (mu, log sigma,
-    delta) with one W pass per step (:func:`_igmm`), so the end depends on
-    neither the start nor the data's units.  The search stops, converged,
-    when the Gauss-Newton decrement of the unit-free rows (mean, variance -
-    1, kurtosis - 3) is at most 1e-24; ``iterations`` counts its steps, one
-    W pass each.  A tail estimate at 0 is flagged ``delta_lower``, one at
-    the upper bound 10 ``delta_upper``.
+    for directly, by damped Gauss-Newton steps on (mu, log sigma, delta)
+    with one W pass each (:func:`_igmm`), so the end depends on neither
+    the start nor the data's units.  The search stops, converged, when the
+    Gauss-Newton decrement of the unit-free rows (mean, variance - 1,
+    kurtosis - 3) is at most 1e-24; ``iterations`` counts its W passes.  A
+    tail estimate at 0 is flagged ``delta_lower``, one at the upper bound
+    10 ``delta_upper``.
     """
     return _igmm(data, False)
 

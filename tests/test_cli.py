@@ -356,7 +356,8 @@ class TestFit:
         y[0] = 1e200
         path = tmp_path / "far.txt"
         write_series(y, path)
-        code, captured = run_cli_capture(capsys, "fit", str(path), *(["--json"] if as_json else []))
+        flags = ["--json"] if as_json else []
+        code, captured = run_cli_capture(capsys, "fit", str(path), *flags)
         assert code == 0
         if as_json:
             report = json.loads(captured.out)

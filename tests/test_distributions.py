@@ -632,19 +632,20 @@ class TestOneWPerPoint:
         # one W per point, and none at a point on a zero tail
         assert sum(w_elements) == np.count_nonzero(tails)
 
-    @pytest.mark.parametrize("delta", [1 / 3], ids=["h"])
+    @pytest.mark.parametrize("delta", [[1 / 3], [0.1, 0.5]], ids=["h", "hh"])
     def test_moment_step_near_its_root(self, w_elements, delta):
-        # The kurtosis match of delta_gmm warm-started at its own root
+        # The classic IGMM tail update warm-started at its own root
         # evaluates the residual once, and never at the bounds of the search.
-        z = rlambertw(1000, LambertWDist(Gaussian(0.0, 1.0), delta), seed=4)
-        root = _gmm_step(z, delta).delta
+        tails = delta[0] if len(delta) == 1 else tuple(delta)
+        z = rlambertw(1000, LambertWDist(Gaussian(0.0, 1.0), tails), seed=4)
+        root = _gmm_step(z, delta).x
         w_elements.clear()
-        assert _gmm_step(z, root).delta == root
+        assert _gmm_step(z, root).x == root
         assert sum(w_elements) == z.size
         # From 1 % off a moment match, Gauss-Newton converges quadratically.
-        off = 1.01 * root
+        off = [1.01 * x for x in root]
         w_elements.clear()
-        assert _gmm_step(z, off).delta == pytest.approx(root, rel=1e-12)
+        assert _gmm_step(z, off).x == pytest.approx(root, rel=1e-12)
         assert sum(w_elements) <= 4 * z.size
 
 

@@ -508,10 +508,19 @@ class TestMomentResidual:
             r, jac, _ = moment_residual(z, tails)
             return r[fit] @ jac[fit, 2:]
 
-        _, jac, curvature = moment_residual(z, tails)
-        exact = jac[fit, 2:].T @ jac[fit] + curvature(fit)
+        def pair(v):  # weights on (skewness, kurtosis)
+            return (v[0], v[1]) if len(tails) == 2 else (0.0, v[0])
+
+        r, jac, curvature = moment_residual(z, tails)
+        exact = jac[fit, 2:].T @ jac[fit] + curvature(*pair(r[fit]))
         fd = moment_differences(z, tails, slopes)
         np.testing.assert_allclose(exact, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+        # with the weights J_k, the change of |J_k|^2 / 2
+        for k in range(len(tails)):
+            fd = moment_differences(
+                z, tails, lambda z, t: 0.5 * np.sum(moment_residual(z, t)[1][fit, 2 + k] ** 2))
+            exact = curvature(*pair(jac[fit, 2 + k]))[k]
+            np.testing.assert_allclose(exact, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
     @pytest.mark.parametrize("delta", [0.0, 0.1, 1 / 3, 1.0])
     def test_equal_tails_add_up(self, delta):
@@ -558,23 +567,13 @@ def classic_update(y, fit):
     """One classic IGMM update from the end of ``fit``.
 
     Standardize by its location and scale, match the tails to the moments
-    of the back-transformed sample from its tails (:func:`_gmm_step` for
-    one tail; the same damped Gauss-Newton search on skewness and kurtosis
-    for two), and take location and scale from the back-transformed data.
-    Returns the new (mu, sigma, tails).
+    of the back-transformed sample from its tails by :func:`_gmm_step`, and
+    take location and scale from the back-transformed data.  Returns the
+    new (mu, sigma, tails).
     """
     mu, sigma, tails = fit.tau.mu_x, fit.tau.sigma_x, fit.tau.delta
-    z = (y - mu) / sigma
-    if not fit.tau.is_double:
-        tails = _gmm_step(z, tails).delta
-    else:
-        def evaluate(d):
-            r, jac, _ = moment_residual(z, d)
-            r, jac = r[2:], jac[2:, 2:]
-            return 0.5 * float(r @ r), jac.T @ r, jac.T @ jac, None
-
-        lo, hi = estimation._DELTA_BOUNDS
-        tails = tuple(_box_newton(evaluate, list(tails), [lo] * 2, [hi] * 2, 0.0, 300).x)
+    match = _gmm_step((y - mu) / sigma, list(np.atleast_1d(tails))).x
+    tails = tuple(match) if fit.tau.is_double else match[0]
     x = w_tau(y, TailParams(mu, sigma, tails))
     return float(np.mean(x)), float(np.std(x, ddof=1)), tails
 
@@ -743,7 +742,7 @@ class TestDeltaGMM:
         assert abs(res.delta - root) <= 1e-12
         # the tail step of igmm finds the same root from warm starts
         for start in (0.0, 0.5 * root, 2.0 * root, 10.0):
-            assert abs(_gmm_step(z, start).delta - root) <= 1e-12
+            assert abs(_gmm_step(z, [start]).x[0] - root) <= 1e-12
 
 
 class TestIGMM:
@@ -907,24 +906,35 @@ class TestIGMMFixedPoint:
 class TestIGMMDoubleTail:
     @settings(max_examples=40, deadline=None)
     @given(
-        delta=hst.floats(0.0, 1.0),
+        delta_left=hst.floats(0.0, 1.0),
+        delta_right=hst.floats(0.0, 1.0),
         n=hst.sampled_from([60, 400, 1000]),
-        start=hst.floats(0.0, 3.0),
+        start=hst.one_of(
+            hst.tuples(hst.floats(0.0, 3.0), hst.floats(0.0, 3.0)), hst.floats(0.0, 3.0)
+        ),
         seed=hst.integers(0, 2**32 - 1),
     )
-    # Held at 0, and a root reached from either side.
-    @example(delta=0.0, n=1000, start=0.0, seed=1001)
-    @example(delta=0.0, n=1000, start=3.0, seed=1001)
-    @example(delta=1.0, n=60, start=0.0, seed=4)
-    @example(delta=0.2, n=400, start=3.0, seed=4)
-    def test_inner_step_optimal(self, delta, n, start, seed):
-        # The kurtosis match of delta_gmm: either the kurtosis is 3 (to
-        # 1e-10, or to within a Gauss-Newton step below the stopping
-        # tolerance, where the Jacobian is steep), or the tail is on a bound
-        # with a slope that is zero or points out of the box.
-        z = standardized_sample(delta, n, seed)
-        d = _gmm_step(z, start).delta
-        assert_least_squares_match(z, (d,))
+    @example(delta_left=0.0, delta_right=0.3, n=1000, start=(0.0, 0.0), seed=0)
+    @example(delta_left=0.3, delta_right=0.0, n=60, start=(1e-17, 0.3), seed=1)
+    @example(delta_left=0.0, delta_right=0.0, n=1000, start=(0.0, 0.0), seed=1001)
+    # Undamped Gauss-Newton failed these: a zigzag with one tail on the upper
+    # bound and a large residual, and a stall with a tail 1e-9 above 0.
+    @example(delta_left=0.375, delta_right=0.99609375, n=400, start=(0.0, 0.0), seed=37901)
+    @example(delta_left=0.68359375, delta_right=0.6875, n=1000, start=(0.0, 0.0), seed=781)
+    @example(delta_left=0.0, delta_right=1.0, n=60, start=(1.0, 2.0), seed=203438620)
+    # One tail: held at 0, and a root reached from either side.
+    @example(delta_left=0.0, delta_right=0.0, n=1000, start=0.0, seed=1001)
+    @example(delta_left=0.0, delta_right=0.0, n=1000, start=3.0, seed=1001)
+    @example(delta_left=1.0, delta_right=1.0, n=60, start=0.0, seed=4)
+    @example(delta_left=0.5, delta_right=0.2, n=400, start=3.0, seed=4)
+    # From (1, 0) the match needs 151 evaluations to reach (10, 10): a
+    # 100-step budget ended it at (0.22, 0.047), residual (3.3, 34).
+    @example(delta_left=0.5, delta_right=0.75, n=1000, start=(1.0, 0.0), seed=41)
+    def test_inner_step_optimal(self, delta_left, delta_right, n, start, seed):
+        # The classic tail update: two tails match (skewness, kurtosis - 3),
+        # one tail the kurtosis only.
+        z = standardized_sample((delta_left, delta_right), n, seed)
+        assert_least_squares_match(z, tuple(_gmm_step(z, list(np.atleast_1d(start))).x))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -954,11 +964,11 @@ class TestIGMMDoubleTail:
         assert abs(rows[0]) <= 1e-10 and abs(rows[1]) <= 1e-10
         assert_least_squares_match(z, r.tau.delta)
 
-    @pytest.mark.parametrize("start", [1e-13], ids=["h"])
+    @pytest.mark.parametrize("start", [[1e-13], [1e-13, 1e-13]], ids=["h", "hh"])
     def test_step_sample_after_snap(self, start):
-        # A tail 1e-13 above 0 on data that need none snaps onto exactly 0.
+        # Tails 1e-13 above 0 on data that need none snap onto exactly 0.
         z = rlambertw(1000, LambertWDist(Gaussian(0, 1), 0.0), seed=1001)
-        assert _gmm_step(z, start) == (0.0, False)
+        assert _gmm_step(z, start).x == [0.0] * len(start)
 
     def test_heavy_moments_do_not_overflow(self):
         # m4 * dm2 overflowed in the kurtosis row of the tail step's
