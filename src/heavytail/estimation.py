@@ -470,9 +470,9 @@ def delta_gmm(z_data) -> GMMDelta:
     kurtosis exceeds the target the match is a root-finding problem; when
     it does not, the mismatch is minimized at the lower bound and 0 is
     returned.  A mismatch still nonnegative at the upper bound gives that
-    bound, flagged.  The search (:func:`_gmm_step`) is a damped
-    Gauss-Newton one from the rule-of-thumb :func:`taylor_delta` start; it
-    stops when the step is at most ``1e-13 + 8.9e-16 delta``.  It is the
+    bound, flagged.  The search (:func:`_gmm_step`) takes damped Newton
+    steps from the rule-of-thumb :func:`taylor_delta` start; it stops when
+    the step is at most ``1e-13 + 8.9e-16 delta``.  It is the
     tail update of one classic IGMM step; :func:`igmm` solves for the fixed
     point of those steps without taking them.
     """
