@@ -348,30 +348,43 @@ _T_SERIES_NU = 30.0
 _T_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224)
 
 
-def _t_log_norm(nu: float) -> tuple[float, float, float]:
-    """``log Gamma((nu+1)/2) - log Gamma(nu/2) - log(nu pi)/2`` and its first two nu derivatives.
+def _t_log_normalizer(nu: float) -> float:
+    """``log Gamma((nu+1)/2) - log Gamma(nu/2) - log(nu pi)/2``.
 
-    Below nu = 30: the lgamma, digamma and trigamma (``zeta(2, x)``)
-    differences.  They cancel as nu grows (at nu = 1e6 the lgamma one is
-    5.5e-10 off, the digamma one 3.7e-4 relative), so from nu = 30 on, with
-    x = nu/2, the three are ``S(x) - log sqrt(2 pi)`` (the Gaussian
-    normalizer plus a small correction), ``S'(x) / 2`` and ``S''(x) / 4``,
-    summed in one Horner pass.
+    Below nu = 30 the lgamma difference, which cancels as nu grows (at nu =
+    1e6 it is 5.5e-10 off); from nu = 30 on, with x = nu/2, ``S(x) - log
+    sqrt(2 pi)``: the Gaussian normalizer plus a small correction.
     """
     if nu < _T_SERIES_NU:
         return (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
-                - 0.5 * math.log(nu * math.pi),
+                - 0.5 * math.log(nu * math.pi))
+    x = 0.5 * nu
+    r, s = 1.0 / (x * x), 0.0
+    for c in reversed(_T_SERIES):
+        s = s * r + c
+    return s / x - _LOG_SQRT_2PI
+
+
+def _t_log_norm(nu: float) -> tuple[float, float, float]:
+    """:func:`_t_log_normalizer` and its first two nu derivatives.
+
+    Below nu = 30: the digamma and trigamma (``zeta(2, x)``) differences.
+    They cancel as nu grows (at nu = 1e6 the digamma one is 3.7e-4 off,
+    relative), so from nu = 30 on, with x = nu/2, the derivatives are
+    ``S'(x) / 2`` and ``S''(x) / 4``, summed in one Horner pass.
+    """
+    if nu < _T_SERIES_NU:
+        return (_t_log_normalizer(nu),
                 0.5 * float(sp.digamma(0.5 * (nu + 1.0)) - sp.digamma(0.5 * nu)) - 0.5 / nu,
                 0.25 * float(sp.zeta(2.0, 0.5 * (nu + 1.0)) - sp.zeta(2.0, 0.5 * nu))
                 + 0.5 / (nu * nu))
     x = 0.5 * nu
-    r, s, ds, d2s = 1.0 / (x * x), 0.0, 0.0, 0.0
+    r, ds, d2s = 1.0 / (x * x), 0.0, 0.0
     for k, c in reversed(list(enumerate(_T_SERIES))):
         j = 2 * k + 1
-        s = s * r + c
         ds = ds * r - j * c
         d2s = d2s * r + j * (j + 1) * c
-    return s / x - _LOG_SQRT_2PI, 0.5 * r * ds, 0.25 * r * d2s / x
+    return _t_log_normalizer(nu), 0.5 * r * ds, 0.25 * r * d2s / x
 
 
 @dataclass(frozen=True)
@@ -380,8 +393,9 @@ class StudentT(_Family):
 
     ``scale`` multiplies the raw t variate, so the standard deviation is
     ``scale * sqrt(nu / (nu - 2))``; ``nu > 2`` is required so that the
-    standardization is finite.  :func:`_t_log_norm` is computed once per
-    instance, for :meth:`logpdf` and the likelihood score.
+    standardization is finite.  The log-normalizer is computed once per
+    instance for :meth:`logpdf`, and with its nu derivatives
+    (:func:`_t_log_norm`) only for the likelihood score.
     """
 
     nu: float = 5.0
@@ -405,13 +419,17 @@ class StudentT(_Family):
         return self.mu
 
     @cached_property
+    def _log_normalizer(self) -> float:
+        return _t_log_normalizer(self.nu)
+
+    @cached_property
     def _log_norm(self) -> tuple[float, float, float]:
         return _t_log_norm(self.nu)
 
     def logpdf(self, x):
         t = (np.asarray(x, dtype=float) - self.mu) / self.scale
         nu = self.nu
-        log_norm = self._log_norm[0] - math.log(self.scale)
+        log_norm = self._log_normalizer - math.log(self.scale)
         with np.errstate(over="ignore"):
             s = t * t / nu
         log_term = np.log1p(s)

@@ -14,6 +14,7 @@ from heavytail import (
     DataError,
     DomainError,
     Gaussian,
+    HeavytailError,
     LambertWDist,
     StudentT,
     TailParams,
@@ -339,11 +340,15 @@ class TestStudentTScore:
         total, score, _ = natural_score(model, y, theta)
         fd, noise = loglik_differences(y, theta, family="student-t")
         assert np.all(np.abs(score - fd) <= 1e-5 * np.abs(fd) + noise), (score, fd)
-        assert total == loglik(y, _MODELS[("student-t", "h")].build(theta)).total
+        # The score sums its own log1p(q / (nu - 2)) terms, not loglik's
+        # logpdf of the back-transformed points: equal to rounding.
+        ref = loglik(y, _MODELS[("student-t", "h")].build(theta)).total
+        assert total == pytest.approx(ref, rel=1e-13)
 
     def test_normalizer_from_the_stored_triple(self, monkeypatch):
         # The normalizer's nu derivatives in the score are those of the
-        # one (log-normalizer, d/dnu, d2/dnu2) triple that logpdf computes.
+        # one (log-normalizer, d/dnu, d2/dnu2) triple the StudentT stores;
+        # its logpdf computes the log-normalizer alone.
         # At nu = 4, dnu/dr = nu (nu - 2) / 2 = 4 and d2nu/dr2 = (nu - 1) 4
         # = 12, so adding 1 to both nu derivatives adds n 4 to the r score
         # and n (4^2 + 12) to its curvature.
@@ -1268,8 +1273,12 @@ class TestMleJoint:
         # on log(nu - 2) and with a stop relative to |loglik| they summed to
         # 171 (h), 155 (hh) and 1262 (Student t); the letter-value start,
         # the r = log(1 - 2/nu) coordinate and the stop on n take them to
-        # 59, 70 and 727.  Pass counts are deterministic, unlike timings.
+        # 59, 70 and 719.  Projected steps and retired Student-t searches
+        # take them to 58, 70 and 491; the budgets leave 2 % for rounding
+        # that differs between machines.  Pass counts are deterministic,
+        # unlike timings.
         before = {("gaussian", "h"): 171, ("gaussian", "hh"): 155, ("student-t", "h"): 1262}
+        budget = {("gaussian", "h"): 58, ("gaussian", "hh"): 70, ("student-t", "h"): 491}
         passes = dict.fromkeys(before, 0)
         for delta in (0.0, 0.1, 1 / 3, 1.0):
             for seed in range(300, 305):
@@ -1278,6 +1287,7 @@ class TestMleJoint:
                     passes[model] += mle_joint(y, *model).iterations
         for model, count in before.items():
             assert passes[model] <= 0.7 * count, (model, passes[model])
+            assert passes[model] <= 1.02 * budget[model], (model, passes[model])
 
     def test_converged_rule(self, monkeypatch):
         # The search stops, converged, when the Newton decrement g' H^-1 g of
@@ -1309,9 +1319,9 @@ class TestMleJoint:
         # mle_joint hands each search 1e-12 n
         tols = []
 
-        def recording(evaluate, x, lo, hi, tol, *args):
+        def recording(evaluate, x, lo, hi, tol, *args, **kwargs):
             tols.append(tol)
-            return _box_newton(evaluate, x, lo, hi, tol, *args)
+            return _box_newton(evaluate, x, lo, hi, tol, *args, **kwargs)
 
         monkeypatch.setattr(estimation, "_box_newton", recording)
         for model in _MODELS:
@@ -1329,6 +1339,42 @@ class TestMleJoint:
 
         end = _box_newton(unbounded, [1.0], [0.0], [math.inf], tol)
         assert not end.converged and end.x[0] > 1e6
+
+    def test_projected_step(self):
+        # A free coordinate whose Newton step would cross its bound is held
+        # there and the damped step solved again for the rest.  On the
+        # quadratic of test_converged_rule from (2, 0) with x_0 >= 1.5, the
+        # Newton step ends at x_0 = 1; the first trial is then the
+        # constrained minimum (1.5, -0.75), where clipping the step after
+        # the solve gave (1.5, -0.5) and needed a second pass.
+        hess, centre = np.array([[4.0, 1.0], [1.0, 2.0]]), np.array([1.0, -0.5])
+
+        def evaluate(x):
+            d = np.array(x) - centre
+            return 0.5 * d @ hess @ d, hess @ d, hess, None
+
+        tol = estimation._DECREMENT_TOL * 1e6
+        end = _box_newton(evaluate, [2.0, 0.0], [1.5, -math.inf], [math.inf] * 2, tol)
+        assert end.converged and end.passes == 1 and end.x[0] == 1.5
+        assert end.x[1] == pytest.approx(-0.75, rel=1e-5)
+
+    def test_start_just_below_the_cap(self):
+        # A Student-t start at the Gaussian-h optimum with r 4e-12 below its
+        # cap, outside the 1e-12 band that holds a coordinate on its bound.
+        # With the step clipped after the solve, the other coordinates took
+        # the step computed for the unclipped r: 13 passes, unconverged.
+        y = rlambertw(1000, LambertWDist(Gaussian(0, 1), 0.1), seed=302)
+        gauss = mle_joint(y)
+        model = _MODELS[("student-t", "h")]
+        lo, hi = _search_bounds(model.names)
+        nu = _NU_CAP + 2.0
+        p0 = _to_search(model.names, [gauss.params["mu_x"],
+                                      gauss.params["sigma_x"] * math.sqrt((nu - 2.0) / nu),
+                                      gauss.params["delta"], nu])
+        p0[3] = hi[3] - 4e-12
+        end = _box_newton(lambda p: _objective(p, y, model), p0, lo, hi,
+                          estimation._DECREMENT_TOL * y.size)
+        assert end.converged and end.passes <= 2 and end.x[3] == hi[3]
 
     def test_std_errors_at_zero_tail(self):
         # delta snaps to 0: the tail gets NaN, and location and scale get
@@ -1417,6 +1463,50 @@ class TestMleJoint:
         if family == "gaussian":
             np.testing.assert_allclose([r.tau.mu_x, r.tau.sigma_x, r.tau.delta],
                                        [0.024, 0.586, 6.22], rtol=0.01, atol=1e-3)
+
+
+class TestFarPointWarnings:
+    """A few standard normals with one point at 10^e: no RuntimeWarning leaks.
+
+    The first three series leaked before their sites were fenced: the hh
+    Hessian's sigma^2 (``np.outer`` in :func:`_theta_derivatives`), the
+    IGMM Jacobian's ``jac[:, 0] *= s0 / sigma`` and the two-tail slopes
+    ``r_m @ j_m``.  The others reach the same sites on the current search
+    paths.  Each fit returns a result or raises a :class:`HeavytailError`,
+    and a fit whose sigma^2 overflows has a Hessian that is not finite, so
+    NaN standard errors.
+    """
+
+    FITS = {
+        "h": mle_joint,
+        "hh": functools.partial(mle_joint, tail="hh"),
+        "student-t": functools.partial(mle_joint, family="student-t"),
+        "igmm": igmm,
+        "igmm_double_tail": igmm_double_tail,
+    }
+
+    @pytest.mark.parametrize("fit, n, seed, e", [
+        ("hh", 10, 11, 250),
+        ("igmm", 10, 5, 20),
+        ("igmm_double_tail", 10, 8, 50),
+        ("h", 200, 0, 150),
+        ("hh", 20, 1, 200),
+        ("student-t", 200, 5, 150),
+        ("igmm", 200, 0, 50),
+        ("igmm_double_tail", 10, 18, 50),
+    ])
+    def test_no_leaked_warning(self, fit, n, seed, e):
+        y = np.random.default_rng(seed).standard_normal(n)
+        y[0] = 10.0**e
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                r = self.FITS[fit](y)
+            except HeavytailError:
+                return
+        assert math.isfinite(r.loglik_total)
+        if r.std_errors is not None and r.params["sigma_x"] > 1e155:
+            assert all(math.isnan(v) for v in r.std_errors.values())
 
 
 class TestFitModel:
