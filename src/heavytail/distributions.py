@@ -514,7 +514,8 @@ class LambertWDist:
         """``(W(delta z^2), w_tau(y))`` at the float array ``y``, from one W per point."""
         tau = self.tau
         z = (y - tau.mu_x) / tau.sigma_x
-        wv, u = _w_and_w_delta(z, _tail_at(z, tau.delta))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            wv, u = _w_and_w_delta(z, _tail_at(z, tau.delta))
         return wv, u * tau.sigma_x + tau.mu_x
 
     def pdf(self, y):

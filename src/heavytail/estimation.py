@@ -189,6 +189,10 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
     derivatives ``d^2 u / (ddelta dmu) = u^2 e i^2 (1/2 + i)``, ``d^2
     u / (ddelta dlog sigma) = u^3 i^2 (1/2 + i)`` and ``d^2 u / ddelta^2 =
     u^5 i^2 (3/4 + i/2)``, and no further W.
+
+    Like :func:`~heavytail.transform._w_and_w_delta` it runs under the
+    caller's ``np.errstate``, which ignores overflow, division by zero and
+    invalid operations.
     """
     wv, u = _w_and_w_delta(z, delta)
     n = u.size
@@ -202,10 +206,12 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
     np.exp(-0.5 * wv, out=cols[0])
     cols[0] *= inv
     np.multiply(u, inv, out=cols[1])
-    sides = (True,) if sides is None else sides
-    tail = 0.5 * u * u * cols[1]
-    for k, side in enumerate(sides, start=2):
-        np.multiply(tail, side, out=cols[k])
+    if sides is None:
+        np.multiply(0.5 * u * u, cols[1], out=cols[2])
+    else:
+        tail = 0.5 * u * u * cols[1]
+        for k, side in enumerate(sides, start=2):
+            np.multiply(tail, side, out=cols[k])
     powers = np.empty((4, n))
     powers[0] = 1.0
     powers[1] = c
@@ -215,16 +221,24 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
     m2, m3, m4 = sums[1:, -1]
     if m2 == 0.0:
         raise DataError("degenerate data: zero variance")
-    du = cols[:-1]
-    mean_du, dm2 = sums[0, :-1], 2.0 * sums[1, :-1]
-    dm3 = 3.0 * (sums[2, :-1] - m2 * mean_du)
-    dm4 = 4.0 * (sums[3, :-1] - m3 * mean_du)
     var = m2 * (n / (n - 1.0))
     # The ratios m3 / m2 and m4 / m2 come first: m4 * dm2 overflows on
-    # heavy data whose moments are finite.
-    jac = np.array([mean_du, dm2 * (var / m2), (dm3 - 1.5 * (m3 / m2) * dm2) / m2**1.5,
-                    (dm4 - 2.0 * (m4 / m2) * dm2) / (m2 * m2)])
-    r = np.array([mean, var - 1.0, m3 / m2**1.5, m4 / (m2 * m2) - 3.0])
+    # heavy data whose moments are finite.  The coefficients are numpy
+    # scalars, which overflow and divide by 0 as the columns would; the
+    # entries, taken one by one at 3 or 4 columns, are floats, which a
+    # product overflows to inf and which are divided by those coefficients
+    # only where they are not 0.
+    a2, c3, p3, c4, p4 = (float(v) for v in (
+        var / m2, 1.5 * (m3 / m2), m2**1.5, 2.0 * (m4 / m2), m2 * m2))
+    if p4 == 0.0 or p3 == 0.0:
+        raise DataError("degenerate data: the variance of the back-transformed data underflows")
+    f2, f3 = float(m2), float(m3)
+    mean_du, s1, s2, s3 = sums[:, :-1].tolist()
+    dm2 = [2.0 * v for v in s1]
+    jac = np.array([[-v for v in mean_du], [-(v * a2) for v in dm2],
+                    [-((3.0 * (b - f2 * a) - c3 * d) / p3) for a, b, d in zip(mean_du, s2, dm2)],
+                    [-((4.0 * (b - f3 * a) - c4 * d) / p4) for a, b, d in zip(mean_du, s3, dm2)]])
+    r = np.array([mean, var - 1.0, m3 / p3, m4 / p4 - 3.0])
 
     def curvature(w3: float, w4: float) -> np.ndarray:
         # phi = w3 m3 / m2^1.5 + w4 m4 / m2^2, the weights held fixed; the
@@ -235,6 +249,10 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
         # where v = du - mean(du) and w_k is the centred second derivative
         # of u.  psi and chi gather the powers of c.  The rows of du hold
         # -du, which a product of two of them does not see.
+        du = cols[:-1]
+        mean_du, dm2 = sums[0, :-1], 2.0 * sums[1, :-1]
+        dm3 = 3.0 * (sums[2, :-1] - m2 * mean_du)
+        dm4 = 4.0 * (sums[3, :-1] - m3 * mean_du)
         f3, f4 = w3 / m2**1.5, w4 / (m2 * m2)
         f2 = -1.5 * f3 * (m3 / m2) - 2.0 * f4 * (m4 / m2)
         f22 = (3.75 * f3 * (m3 / m2) + 6.0 * f4 * (m4 / m2)) / m2
@@ -247,8 +265,8 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
         u2i = u * cols[1]
         second = np.array([u2i * cols[0] * half, u2i * cols[1] * half,
                            u2i * u2i * u * (0.75 + 0.5 * inv)])
-        out = np.empty((len(sides), du.shape[0]))
-        for k, side in enumerate(sides):
+        out = np.empty((len(tails), du.shape[0]))
+        for k, side in enumerate(tails):
             a = k + 2
             out[k] = ((psi * du[a]) @ du.T / n - mean_du[a] * psi_du - mean_du * psi_du[a]
                       + mean_du[a] * mean_psi * mean_du + f22 * dm2[a] * dm2
@@ -257,7 +275,8 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
             out[k, [0, 1, a]] += chi_u - mean_chi * mean_u
         return out
 
-    return r, -jac, curvature
+    tails = (True,) if sides is None else sides
+    return r, jac, curvature
 
 
 def sample_moments(data) -> SampleMoments:
@@ -438,14 +457,16 @@ def _delta_slope(delta: float, z: np.ndarray) -> tuple[float, float]:
     """:func:`grad_delta` and its derivative in delta, from one W pass.
 
     They are the tail entries of the Gaussian score and Hessian at (mu,
-    sigma, delta) = (0, 1, delta), summed from the same per-point terms
-    (:func:`_tail_terms` with ``Phi = -q/2``).
+    sigma, delta) = (0, 1, delta), from the same sums
+    (:func:`_gaussian_derivatives`, :func:`_tail_entries`).
     """
-    wv, u = _w_and_w_delta(z, delta)
-    q = u * u
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_delta, f_dd = _tail_terms(q, 1.0 / (1.0 + wv), -q, 0.0)
-    return float(f_delta.sum()), float(f_dd.sum())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        wv, u = _w_and_w_delta(z, delta)
+        q = u * u
+        inv = 1.0 / (1.0 + wv)
+        qa = q * inv
+        cols = np.array([np.ones(q.size), inv, inv * inv, q, qa])
+        return _tail_entries(*(np.array([qa, qa * qa]) @ cols.T).tolist())
 
 
 def taylor_delta(sample_kurtosis: float) -> float:
@@ -599,7 +620,8 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
     |x|`` (where repeated failures to lower ``f`` end too) or after
     ``max_steps`` steps.  A coordinate held on a bound after the last
     evaluation is evaluated there once more, so the returned payload is
-    that of ``x``.  ``stop(x, f)``, when given, is asked before each step
+    that of ``x``; a value there that is not finite leaves the search
+    unconverged.  ``stop(x, f)``, when given, is asked before each step
     where ``H`` is positive definite, with the point the full Newton step
     reaches (in the box) and the value ``f - g' H^-1 g / 2`` the quadratic
     model predicts there; when it says so the search ends, retired and
@@ -674,7 +696,7 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
     if x != at:
         passes += 1
         value, _, _, payload = evaluate(x)
-    return _Search(x, value, payload, passes, converged)
+    return _Search(x, value, payload, passes, converged and math.isfinite(value))
 
 
 def _gmm_step(z: np.ndarray, start: list[float], max_steps: int = _GMM_MAX_STEPS,
@@ -706,8 +728,9 @@ def _gmm_step(z: np.ndarray, start: list[float], max_steps: int = _GMM_MAX_STEPS
         sides, rows = (left, ~left), slice(2, 4)
 
     def evaluate(d: list[float]):
-        r, jac, curvature = _moment_residual(
-            z, d[0] if sides is None else _tail_at(z, tuple(d)), sides)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            r, jac, curvature = _moment_residual(
+                z, d[0] if sides is None else _tail_at(z, tuple(d)), sides)
         r, jac = r[rows], jac[rows, 2:]
         hess = jac.T @ jac
         if r @ r > 1e-6:
@@ -748,8 +771,10 @@ def _igmm(data, double_tail: bool) -> FitResult:
     that, stalled or after 40 steps, is at or crawling along a minimum of
     ``|rows|^2`` that is no fixed point (5 of 3000 random two-tail fits of
     30 or 60 points); 2^k classic updates after the k-th such stop move it
-    off, and the search restarts.  All of it shares a budget of 200 W
-    passes, after which the fit is unconverged.  ``iterations`` counts
+    off, and the search restarts.  A restart from a point that is no valid
+    model ends the fit, unconverged, at the last search end with a finite
+    value.  All of it shares a budget of 200 W passes, after which the fit
+    is unconverged.  ``iterations`` counts
     those passes besides the one at the start.
     """
     y = _check_series(data, min_n=10)
@@ -836,13 +861,19 @@ def _igmm(data, double_tail: bool) -> FitResult:
 
     tails = len(names) - 2
     box = [-math.inf] * 2 + [lo] * tails, [math.inf] * 2 + [hi] * tails
-    x, passes, stalls = [0.0, 0.0] + [min(start[name], hi) for name in names[2:]], 0, 0
+    x, passes, stalls, end = [0.0, 0.0] + [min(start[name], hi) for name in names[2:]], 0, 0, None
     while True:
         steps = min(_IGMM_MAX_ITERATIONS - passes, _IGMM_SEARCH_STEPS)
-        end = _box_newton(evaluate, x, *box, _IGMM_DECREMENT_TOL, steps,
+        run = _box_newton(evaluate, x, *box, _IGMM_DECREMENT_TOL, steps,
                           pull=lambda slopes: slopes)
-        passes += end.passes
-        if end.converged or not math.isfinite(end.value):
+        passes += run.passes
+        # A restart whose start is no valid point (classic updates can
+        # overflow the scale) ends the fit at the last finite search end.
+        if not math.isfinite(run.value):
+            end = end or run
+            break
+        end = run
+        if end.converged:
             break
         # A search that stops short of the decrement, stalled or out of
         # steps, is at or crawling along a minimum of |rows|^2 that is no
@@ -850,7 +881,7 @@ def _igmm(data, double_tail: bool) -> FitResult:
         # k-th stop, and the search restarts.
         x = end.x
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 for _ in range(2**stalls):
                     if passes >= _IGMM_MAX_ITERATIONS:
                         break
@@ -957,9 +988,34 @@ def _search_bounds(names) -> tuple[list[float], list[float]]:
 # Gaussian-input start loads no scipy.
 _LETTER_Z = (0.6744897501960817, 1.1503493803760079, 1.5341205443525463,
              1.8627318674216515, 2.1538746940614564)
-# The percentiles 1 - p_6 .. 1 - p_2, the median and p_2 .. p_6.
-_LETTER_PERCENTILES = [100.0 * 2.0**-k for k in range(6, 1, -1)] + [50.0] + [
-    100.0 * (1.0 - 2.0**-k) for k in range(2, 7)]
+# The percentiles 1 - p_6 .. 1 - p_2, the median and p_2 .. p_6, as the
+# fractions np.percentile divides them to.
+_LETTER_FRACTIONS = tuple(p / 100 for p in [100.0 * 2.0**-k for k in range(6, 1, -1)] + [50.0]
+                          + [100.0 * (1.0 - 2.0**-k) for k in range(2, 7)])
+_QUARTILES = (0.25, 0.5, 0.75)
+
+
+def _percentiles(y: np.ndarray, fractions) -> np.ndarray:
+    """``np.percentile(y, 100 * fractions)`` bit for bit, from one sort of ``y``.
+
+    numpy's default (linear) rule for a fraction ``f`` in (0, 1) of ``n >=
+    2`` points: the index ``v = (n - 1) f`` falls between the order
+    statistics ``a = y_(floor v)`` and ``b`` the next, and with ``t = v -
+    floor v`` the value is ``a + (b - a) t``, or ``b - (b - a) (1 - t)``
+    where ``t >= 1/2``.  np.percentile reaches the same statistics by
+    partitions, at several times the cost on the small series of a fit;
+    they may order -0.0 and 0.0 otherwise, so a zero can differ in sign.
+    """
+    ordered = np.sort(y)
+    v = (y.size - 1) * np.array(fractions)
+    below = np.floor(v)
+    t = v - below
+    i = below.astype(np.intp)
+    a, b = ordered[i], ordered[i + 1]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1.0 - t), out=out, where=t >= 0.5)
+    return out
 
 
 def _line_fit(x) -> np.ndarray:
@@ -987,10 +1043,10 @@ def _letter_value_start(y: np.ndarray, names) -> dict[str, float] | None:
     of the mean intercept; mu is the median, and a tail is at least 1e-3.
     None when a half-spread is not positive (ties) or a value not finite.
     """
-    q = np.percentile(y, _LETTER_PERCENTILES)
-    med = float(q[5])
     tails = [n for n in names if n.startswith("delta")]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = _percentiles(y, _LETTER_FRACTIONS)
+        med = float(q[5])
         lower, upper = med - q[4::-1], q[6:] - med
         spreads = [0.5 * (lower + upper)] if len(tails) == 1 else [lower, upper]
         intercept, slope = _LETTER_FIT @ np.log(np.array(spreads) / _LETTER_Z).T
@@ -1029,7 +1085,7 @@ def _moment_start(y: np.ndarray, names, g2: float) -> dict[str, float]:
     # (to 2.4e12 on a t_5 series of 1000 points with delta = 1), a search
     # from such a start has far to go, and it can run off to a scale near
     # 0, where the Student-t likelihood of such data has no upper bound.
-    q1, q3 = np.percentile(y, [25.0, 75.0])
+    q1, _, q3 = _percentiles(y, _QUARTILES)
     start["sigma_x"] = float(q3 - q1) / (2.0 * q75) or sigma0
     return start
 
@@ -1050,30 +1106,95 @@ def _default_start(y: np.ndarray, names) -> dict[str, float] | None:
             with np.errstate(over="ignore", invalid="ignore"):
                 start = _moment_start(y, names, _central_moment_stats(y)[1])
         return start
-    q1, med, q3 = np.percentile(y, [25.0, 50.0, 75.0])
     with np.errstate(over="ignore", invalid="ignore"):
+        q1, med, q3 = _percentiles(y, _QUARTILES)
         x = (y - med) / (q3 - q1) if 0.0 < q3 - q1 < math.inf else y
         g2 = _central_moment_stats(x)[1]
     return _moment_start(y, names, g2) if math.isfinite(g2) else None
 
 
-def _tail_terms(q, inv, a, d):
-    """Per-point ``f_delta`` and ``f_dd`` of :func:`_log_scale_derivatives`."""
+def _tail_entries(qa_sums, qa2_sums) -> tuple[float, float]:
+    """The Gaussian tail score and curvature of one side, from its sums.
+
+    With ``i = 1 / (1 + W)`` and ``qa = q i``, per point ``f_delta = -qa (1
+    - q + 2 i) / 2`` and ``f_dd = qa^2 (1/2 + 3 i/2 + 2 i^2 - q - q i / 2)``
+    (:func:`_log_scale_derivatives` with ``Phi = -q/2``).  ``qa_sums`` and
+    ``qa2_sums`` are the sums of ``qa`` and of ``qa^2`` times the columns 1,
+    ``i``, ``i^2``, ``q`` and ``qa``, in that order.
+    """
+    return (-0.5 * qa_sums[0] + 0.5 * qa_sums[3] - qa_sums[1],
+            0.5 * qa2_sums[0] + 1.5 * qa2_sums[1] + 2.0 * qa2_sums[2] - qa2_sums[3]
+            - 0.5 * qa2_sums[4])
+
+
+def _gaussian_derivatives(u, wv, tails, sides, sigma):
+    """Sum, gradient and Hessian of the Gaussian terms in (mu, log sigma, tails).
+
+    Each point contributes ``f = -q/2 - W/2 - log1p(W)``, ``q = u^2``: the
+    derivatives are those of :func:`_log_scale_derivatives` with ``Phi =
+    -q/2``, ``a = -q``, ``c2 = -1`` and ``d = 0``, where, with ``i = 1 / (1
+    + W)`` and each side's own tail ``delta``, they are polynomials in
+    ``i`` and ``q``:
+
+        P     = -(1 + delta) - 2 delta i,
+        S     = 2 (delta - 1) i^2 - 8 delta i^3,
+        S - P = (1 + delta) + 2 delta i + 2 (delta - 1) i^2 - 8 delta i^3,
+        X     = i^2 - 4 i^3 + q i + q i^2,
+
+    with ``f_delta`` and ``f_dd`` as in :func:`_tail_entries`.  So every sum
+    is one entry of a single matrix product: the weight rows ``u e i``,
+    ``q i``, ``e^2 i`` and ``(q i)^2`` of each side (``e = exp(-W/2)``),
+    and a row of ones, against the columns 1, ``i``, ``i^2``, ``q``, ``q
+    i``, ``i^3``, ``q i^2``, ``W`` and ``log1p(W)``; the side's tail weighs
+    its sums.  ``tails`` holds one tail and ``sides`` is None, or a tail
+    and a 0/1 weight array per side.
+    """
+    n = u.size
+    q = u * u
+    inv = 1.0 / (1.0 + wv)
+    inv2 = inv * inv
     qa = q * inv
-    f_delta = -0.5 * qa * (a + 1.0 + 2.0 * inv)
-    f_dd = qa * qa * (d * q + a * (1.0 + 0.5 * inv) + 0.5 + inv * (1.5 + 2.0 * inv))
-    return f_delta, f_dd
+    e = np.exp(-0.5 * wv)
+    ue = u * e * inv
+    weights = [ue, qa, e * e * inv, qa * qa]
+    if sides is not None:
+        weights = [w * side for side in sides for w in weights]
+    ones = np.ones(n)
+    cols = np.array([ones, inv, inv2, q, qa, inv2 * inv, qa * inv, wv, np.log1p(wv)])
+    sums = (np.array(weights + [ones]) @ cols.T).tolist()
+    one = sums[-1]
+    g0 = g1 = h00 = h01 = h11 = 0.0
+    grad_t, h0t, h1t, htt = [], [], [], []
+    for k, d in enumerate(tails):
+        ue_s, qa_s, e2_s, qa2_s = sums[4 * k:4 * k + 4]
+        c1, c2, c3 = 1.0 + d, 2.0 * (d - 1.0), 8.0 * d
+        g0 += c1 * ue_s[0] + 2.0 * d * ue_s[1]
+        g1 += c1 * qa_s[0] + 2.0 * d * qa_s[1]
+        h00 += c1 * e2_s[0] + 2.0 * d * e2_s[1] + c2 * e2_s[2] - c3 * e2_s[5]
+        h01 += c2 * ue_s[2] - c3 * ue_s[5]
+        h11 += c2 * qa_s[2] - c3 * qa_s[5]
+        h0t.append(-(ue_s[2] - 4.0 * ue_s[5] + ue_s[4] + ue_s[6]) / sigma)
+        h1t.append(-(qa_s[2] - 4.0 * qa_s[5] + qa_s[4] + qa_s[6]))
+        grad, curvature = _tail_entries(qa_s, qa2_s)
+        grad_t.append(grad)
+        htt.append(curvature)
+    k = 2 + len(tails)
+    hess = [[h00 / (sigma * sigma), h01 / sigma, *h0t], [h01 / sigma, h11, *h1t]]
+    for j in range(2, k):
+        hess.append([h0t[j - 2], h1t[j - 2]] + [htt[j - 2] if i == j else 0.0 for i in range(2, k)])
+    total = -0.5 * one[3] - 0.5 * one[7] - one[8]
+    return total, np.array([g0 / sigma, g1 - n, *grad_t]), np.array(hess)
 
 
-def _log_scale_derivatives(u, wv, delta, sides, sigma, a, c2, d, nu_terms=None):
-    """Gradient and Hessian of ``sum_i f(z_i)`` in (mu, log sigma, tails[, nu]).
+def _log_scale_derivatives(u, q, wv, delta, sigma, phi, a, c2, d, nu_terms):
+    """Sum, gradient and Hessian of ``sum_i f(z_i)`` in (mu, log sigma, delta, nu).
 
     Each point contributes ``f = Phi(q) - W/2 - log1p(W)`` with ``q = u^2``,
-    ``u = w_delta(z)`` and ``W = W(delta z^2)``; ``a = 2 Phi'(q) q``, ``c2 =
-    2 Phi'(q)`` and ``d = Phi''(q) q`` are given per point (the Gaussian
-    has ``Phi = -q/2``).  With ``i = 1 / (1 + W)`` and ``e = exp(-W/2)``,
-    from ``dq/dz = 2 u e i``, ``dq/ddelta = -q^2 i``, ``dW/dz = delta
-    dq/dz``, ``dW/ddelta = q i`` and ``W i = 1 - i``:
+    ``u = w_delta(z)`` and ``W = W(delta z^2)``; ``phi = f``, ``a = 2
+    Phi'(q) q``, ``c2 = 2 Phi'(q)`` and ``d = Phi''(q) q`` are given per
+    point.  With ``i = 1 / (1 + W)`` and ``e = exp(-W/2)``, from ``dq/dz =
+    2 u e i``, ``dq/ddelta = -q^2 i``, ``dW/dz = delta dq/dz``, ``dW/ddelta
+    = q i`` and ``W i = 1 - i``:
 
         f_z      = u e i P,         P = c2 - delta (1 + 2 i),
         f_zz     = e^2 i (S - P),   S = 2 i^2 (P + 2 delta (1 - i)) + 4 d i,
@@ -1082,51 +1203,44 @@ def _log_scale_derivatives(u, wv, delta, sides, sigma, a, c2, d, nu_terms=None):
         f_dd     = (q i)^2 (d q + a (1 + i/2) + 1/2 + 3 i/2 + 2 i^2),
 
     and as ``z e = u``, the z-weighted sums ``z f_z = q i P`` and ``z f_z +
-    z^2 f_zz = q i S`` stay finite.  ``sides`` is None for one tail, or one
-    0/1 weight array per tail.  ``nu_terms`` = (Phi_nu, 2 Phi'_nu q, 2
-    Phi'_nu, Phi_nunu) per point adds a last coordinate nu that enters
-    through Phi at fixed z.  Without nu these are the search coordinates.
+    z^2 f_zz = q i S`` stay finite.  ``nu_terms`` = (Phi_nu, 2 Phi'_nu q, 2
+    Phi'_nu, Phi_nunu) per point give the last coordinate nu, which enters
+    through Phi at fixed z.  Every sum is one entry of a single matrix
+    product: the weight rows ``u e i``, ``q i`` and 1 against the per-point
+    columns.  The gradient and Hessian come as lists.  The Gaussian, whose ``Phi`` is a polynomial, has its own
+    cheaper form (:func:`_gaussian_derivatives`).
     """
     inv = 1.0 / (1.0 + wv)
     inv2 = inv * inv
-    q = u * u
     qa = q * inv
     e = np.exp(-0.5 * wv)
     ue = u * e * inv
+    dq = d * q
     p = c2 - delta * (1.0 + 2.0 * inv)
     s = 2.0 * inv2 * (p + 2.0 * delta * (1.0 - inv)) + 4.0 * d * inv
-    x = inv2 * (1.0 - 4.0 * inv) - a * inv * (1.0 + inv) - 2.0 * d * q * inv
-    f_delta, f_dd = _tail_terms(q, inv, a, d)
-    tails = 1 if sides is None else len(sides)
-    k = 2 + tails + (nu_terms is not None)
-    grad, hess = np.empty(k), np.zeros((k, k))
-    grad[0] = -(ue @ p) / sigma
-    grad[1] = -(qa @ p)
-    hess[0, 0] = (e * e * inv) @ (s - p) / (sigma * sigma)
-    hess[0, 1] = (ue @ s) / sigma
-    hess[1, 1] = qa @ s
-    if sides is None:
-        grad[2] = f_delta.sum()
-        hess[0, 2] = -(ue @ x) / sigma
-        hess[1, 2] = -(qa @ x)
-        hess[2, 2] = f_dd.sum()
-    else:
-        uex, qax = ue * x, qa * x
-        for j, side in enumerate(sides, start=2):
-            grad[j] = f_delta @ side
-            hess[0, j] = -(uex @ side) / sigma
-            hess[1, j] = -(qax @ side)
-            hess[j, j] = f_dd @ side
-    if nu_terms is not None:
-        phi_nu, r, t, phi_nunu = nu_terms
-        grad[-1] = phi_nu.sum()
-        hess[0, -1] = -(t @ ue) / sigma
-        hess[1, -1] = -(r @ inv)
-        hess[2, -1] = -0.5 * (r @ qa)
-        hess[-1, -1] = phi_nunu.sum()
-    hess += hess.T
-    hess.flat[:: k + 1] *= 0.5
-    return grad, hess
+    x = inv2 * (1.0 - 4.0 * inv) - a * inv * (1.0 + inv) - 2.0 * dq * inv
+    f_delta = -0.5 * qa * (a + 1.0 + 2.0 * inv)
+    f_dd = qa * qa * (dq + a * (1.0 + 0.5 * inv) + 0.5 + inv * (1.5 + 2.0 * inv))
+    phi_nu, r, t, phi_nunu = nu_terms
+    cols = np.array([p, s, x, f_delta, f_dd, e * e * inv * (s - p), phi,
+                     t, r, r * inv, phi_nu, phi_nunu])
+    (ue_s, qa_s, one) = (np.array([ue, qa, np.ones(u.size)]) @ cols.T).tolist()
+    grad = [-ue_s[0] / sigma, -qa_s[0], one[3], one[10]]
+    hess = [[one[5] / (sigma * sigma), ue_s[1] / sigma, -ue_s[2] / sigma, -ue_s[7] / sigma],
+            [0.0, qa_s[1], -qa_s[2], -one[9]],
+            [0.0, 0.0, one[4], -0.5 * qa_s[8]],
+            [0.0, 0.0, 0.0, one[11]]]
+    for i in range(4):
+        for j in range(i):
+            hess[i][j] = hess[j][i]
+    return one[6], grad, hess
+
+
+def _check_model(mu, sigma, tails) -> None:
+    """Raise :class:`DomainError` where ``TailParams(mu, sigma, tails)`` would."""
+    if not (math.isfinite(mu) and 0.0 < sigma < math.inf
+            and all(0.0 <= d < math.inf for d in tails)):
+        raise DomainError(f"no valid model at mu={mu!r}, sigma={sigma!r}, tails={tails!r}")
 
 
 def _gaussian_loglik_score(y: np.ndarray, theta):
@@ -1150,19 +1264,17 @@ def _gaussian_loglik_score(y: np.ndarray, theta):
     point to the log-scale score; with two tails each point's tail
     derivatives add to its own side.
     """
-    tau = TailParams(theta[0], theta[1], theta[2] if len(theta) == 3 else tuple(theta[2:]))
-    sigma = tau.sigma_x
-    z = (y - tau.mu_x) / sigma
-    delta = _tail_at(z, tau.delta)
-    wv, u = _w_and_w_delta(z, delta)
-    left = z <= 0.0
-    sides = (left * 1.0, ~left * 1.0) if tau.is_double else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = u * u
-        total = float(np.sum(-0.5 * q - 0.5 * wv - np.log1p(wv)))
-        total -= y.size * (math.log(sigma) + _LOG_SQRT_2PI)
-        grad, hess = _log_scale_derivatives(u, wv, delta, sides, sigma, -q, -1.0, 0.0)
-    grad[1] -= y.size
+    mu, sigma, *tails = theta
+    _check_model(mu, sigma, tails)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = (y - mu) / sigma
+        sides = None
+        if len(tails) == 2:
+            left = z <= 0.0
+            sides = (left * 1.0, ~left * 1.0)
+        wv, u = _w_and_w_delta(z, _tail_at(z, tuple(tails)) if sides else tails[0])
+        total, grad, hess = _gaussian_derivatives(u, wv, tails, sides, sigma)
+    total -= y.size * (math.log(sigma) + _LOG_SQRT_2PI)
     return total, grad, hess
 
 
@@ -1202,42 +1314,45 @@ def _student_t_loglik_score(y: np.ndarray, theta):
     """
     mu, s, delta, nu = theta
     t = StudentT(nu=nu, mu=mu, scale=s)
-    # TailParams rejects the points loglik's model would (mu, sigma, delta).
-    sigma = TailParams(mu, t.sd_x, delta).sigma_x
-    z = (y - mu) / sigma
-    wv, u = _w_and_w_delta(z, delta)
+    sigma = t.sd_x
+    _check_model(mu, sigma, (delta,))
     n, nu2, nu1 = y.size, nu - 2.0, nu + 1.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = (y - mu) / sigma
+        wv, u = _w_and_w_delta(z, delta)
         q = u * u
         # log1p(t^2 / nu) of the t variate; inf where q overflows, which
         # rejects the point.
         log_term = np.log1p(q / nu2)
-        total = float(np.sum(-0.5 * nu1 * log_term - 0.5 * wv - np.log1p(wv)))
         inv_q = 1.0 / (nu2 + q)
         # rho is 0 at u = 0 and 1 where q overflows; omega = (3 - q) inv_q.
         rho = 1.0 / (1.0 + nu2 / q)
         omega = nu1 * inv_q - 1.0
         nu_terms = (nu1 * rho / (2.0 * nu2) - 0.5 * log_term, omega * rho,
                     omega * inv_q, rho * (nu1 * rho - 6.0) / (2.0 * nu2 * nu2))
-        grad, hess = _log_scale_derivatives(
-            u, wv, delta, None, sigma, -nu1 * rho, -nu1 * inv_q,
-            0.5 * nu1 * rho * inv_q, nu_terms)
+        total, grad, hess = _log_scale_derivatives(
+            u, q, wv, delta, sigma, -0.5 * nu1 * log_term - 0.5 * wv - np.log1p(wv),
+            -nu1 * rho, -nu1 * inv_q, 0.5 * nu1 * rho * inv_q, nu_terms)
     # log sigma = log s - r / 2, so d log sigma / dr = -1/2 with no second
-    # derivative; the other coordinates carry over.
+    # derivative, and nu moves by dnu per unit of r; the other coordinates
+    # carry over.  So the r column of the Hessian is -H_1 / 2 + dnu H_3, and
+    # its r entry the same combination of that column.
     dnu, d2nu = _search_slopes("nu", nu)
-    jac = np.eye(4)
-    jac[1, 3], jac[3, 3] = -0.5, dnu
-    curv = jac.T @ hess @ jac
-    curv = 0.5 * (curv + curv.T)
-    curv[3, 3] += d2nu * grad[3]
-    grad = jac.T @ grad
+    r_of_nu_row = -0.5 * hess[3][1] + dnu * hess[3][3]
+    for row in hess[:3]:
+        row[3] = -0.5 * row[1] + dnu * row[3]
+    # plus the curvature of the map nu(r)
+    hess[3][3] = -0.5 * hess[1][3] + dnu * r_of_nu_row + d2nu * grad[3]
+    for i in range(3):
+        hess[3][i] = hess[i][3]
+    grad[3] = -0.5 * grad[1] + dnu * grad[3]
     # the normalizer n (log-normalizer(nu) - log s)
     norm, norm_dnu, norm_d2nu = t._log_norm
     total += n * (norm - math.log(s))
     grad[1] -= n
     grad[3] += n * dnu * norm_dnu
-    curv[3, 3] += n * (d2nu * norm_dnu + dnu * dnu * norm_d2nu)
-    return total, grad, curv
+    hess[3][3] += n * (d2nu * norm_dnu + dnu * dnu * norm_d2nu)
+    return total, np.array(grad), np.array(hess)
 
 
 class _Model(NamedTuple):
@@ -1279,10 +1394,8 @@ def _objective(p: np.ndarray, y: np.ndarray, model: _Model):
     derivatives are not finite (a scale whose square underflows), gives +inf.
     """
     try:
-        theta = _to_theta(model.names, p)
-        # A scale that underflows or overflows gives non-finite derivatives
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            total, score, hess = model.score(y, theta)
+        # A scale that underflows or overflows gives non-finite derivatives.
+        total, score, hess = model.score(y, _to_theta(model.names, p))
     except (DomainError, ArithmeticError):
         return math.inf, None, None, None
     if not (math.isfinite(total) and np.all(np.isfinite(hess)) and np.all(np.isfinite(score))):
@@ -1373,19 +1486,26 @@ def _std_errors(hess: np.ndarray, free: list[bool]) -> list[float]:
     Coordinates not in ``free`` (a tail estimate at 0, a nu on its cap) are
     held fixed and get NaN.  The observed information of the others is
     scaled to a unit diagonal (Jacobi) and pseudo-inverted with a
-    condition-number guard, so a parameter on a very different scale, such
+    condition-number guard (eigenvalues below 1e-10 of the largest in
+    magnitude are dropped), so a parameter on a very different scale, such
     as a large nu, keeps its variance; a nonpositive variance, or an
     information that is not finite (its sigma^2 overflowed), gives NaN.
     """
     out = [math.nan] * len(hess)
-    info = -hess[np.ix_(free, free)]
-    diag = np.diag(info)
-    if info.size and np.all(np.isfinite(info)) and np.all(diag > 0.0):
+    live = [k for k, f in enumerate(free) if f]
+    info = -hess[live][:, live]
+    diag = info.diagonal()
+    if live and np.isfinite(info).all() and (diag > 0.0).all():
         root = np.sqrt(diag)
-        cov = np.linalg.pinv(info / np.outer(root, root), rcond=1e-10, hermitian=True)
-        var = np.diag(cov) / diag
-        for k, v in zip(np.flatnonzero(free), var):
-            out[k] = float(math.sqrt(v)) if v > 0 else math.nan
+        # The pseudo-inverse's diagonal from one eigh: sum_k U_ik^2 / lam_k
+        # over the eigenvalues above 1e-10 of the largest in magnitude, as
+        # np.linalg.pinv(..., rcond=1e-10, hermitian=True) keeps them.
+        lam, vec = np.linalg.eigh(info / (root[:, None] * root))
+        size = np.abs(lam)
+        keep = size > 1e-10 * size.max()
+        var = (vec * vec) @ np.divide(1.0, lam, out=np.zeros_like(lam), where=keep) / diag
+        for k, v in zip(live, var.tolist()):
+            out[k] = math.sqrt(v) if v > 0 else math.nan
     return out
 
 

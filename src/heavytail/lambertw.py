@@ -202,18 +202,21 @@ def lambert_w0(x):
     scalar = arr.ndim == 0
     z = np.atleast_1d(arr)
 
-    if (z < BRANCH_POINT - _ABS_TOL).any():
-        bad = float(np.nanmin(z))
+    # The least argument, NaN aside: one reduction checks the domain and
+    # tells whether any argument needs the clamp.
+    low = float(np.fmin.reduce(z, axis=None, initial=np.inf))
+    if low < BRANCH_POINT - _ABS_TOL:
         raise DomainError(
-            f"lambert_w0 argument {bad!r} below the branch point -1/e"
+            f"lambert_w0 argument {low!r} below the branch point -1/e"
         )
+    if low < BRANCH_POINT:
+        z = np.maximum(z, BRANCH_POINT)
     w = _blocked(_w0, z)
     return float(w[0]) if scalar else w
 
 
 def _w0(z: np.ndarray) -> np.ndarray:
-    """W0 at ``z``, already checked against the branch point."""
-    z = np.maximum(z, BRANCH_POINT)
+    """W0 at ``z``, already checked against and clamped to the branch point."""
     w, ok = _fast_path(z)
     if not ok.all():
         redo = ~ok

@@ -239,34 +239,49 @@ def _aggregate(
     estimates: dict[str, list[float]],
     na_ratio: float,
 ) -> list[TableRow]:
+    """The table rows of one cell, one per estimated parameter.
+
+    Each statistic of every parameter comes from one axis-1 reduction over
+    the cell's (parameter, replication) array.  Each row is reduced as
+    ``np.sum`` reduces it on its own, so the table holds the bits of
+    ``np.mean`` and ``np.std(ddof=1)`` per parameter.  Bias, sd and RMSE
+    are NaN for a parameter with a non-finite estimate or truth, and sd
+    for a single replication.
+    """
     n, delta, estimator = cell
-    rows = []
-    for parameter, values in estimates.items():
-        v = np.asarray(values, dtype=float)
-        truth = _truth(parameter, delta)
-        mean = float(np.mean(v))
-        finite = np.isfinite(v) & math.isfinite(truth)
-        if finite.all():
-            bias = mean - truth
-            sd = float(np.std(v, ddof=1)) * math.sqrt(n) if v.size > 1 else math.nan
-            rmse = float(np.sqrt(np.mean((v - truth) ** 2))) * math.sqrt(n)
-        else:
-            bias = sd = rmse = math.nan
+    names = list(estimates)
+    v = np.array([estimates[p] for p in names], dtype=float)
+    truth = np.array([_truth(p, delta) for p in names])
+    reps = v.shape[1]
+    root_n = math.sqrt(n)
+    # Rows with an inf estimate or truth give inf - inf here, and their
+    # statistics are replaced below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = v.sum(axis=1) / reps
+        centred = v - mean[:, None]
+        sd = np.sqrt((centred * centred).sum(axis=1) / max(reps - 1, 1)) * root_n
+        err = v - truth[:, None]
+        rmse = np.sqrt((err * err).sum(axis=1) / reps) * root_n
         # "<=" so that estimates pinned exactly at a boundary truth
         # (delta = 0) count as not-above, mirroring how the study reports
         # boundary estimators.
-        prop_below = float(np.mean(v <= truth)) if math.isfinite(truth) else math.nan
+        below = (v <= truth[:, None]).sum(axis=1) / reps
+    finite = (np.isfinite(v).all(axis=1) & np.isfinite(truth)).tolist()
+    rows = []
+    for k, parameter in enumerate(names):
+        t = float(truth[k])
+        ok = finite[k]
         rows.append(
             TableRow(
                 N=n,
                 delta=delta,
                 estimator=estimator,
                 parameter=parameter,
-                mean=mean,
-                bias=bias,
-                prop_below=prop_below,
-                sd_sqrtN=sd,
-                rmse_sqrtN=rmse,
+                mean=float(mean[k]),
+                bias=float(mean[k]) - t if ok else math.nan,
+                prop_below=float(below[k]) if math.isfinite(t) else math.nan,
+                sd_sqrtN=float(sd[k]) if ok and reps > 1 else math.nan,
+                rmse_sqrtN=float(rmse[k]) if ok else math.nan,
                 na_ratio=na_ratio,
             )
         )

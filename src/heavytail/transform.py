@@ -19,6 +19,7 @@ so blocking changes no output bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ __all__ = [
 
 def _check_delta(delta: float) -> float:
     delta = float(delta)
-    if not np.isfinite(delta) or delta < 0.0:
+    if not 0.0 <= delta < math.inf:
         raise DomainError(f"tail parameter must be finite and >= 0, got {delta!r}")
     return delta
 
@@ -112,7 +113,8 @@ def w_of_delta_z_sq(z, delta):
     log scale instead of overflowing to ``inf``.  It is the W of
     :func:`_w_and_w_delta` for one tail.
     """
-    return _w_and_w_delta(z, _check_delta(delta))[0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _w_and_w_delta(z, _check_delta(delta))[0]
 
 
 def _w_of_arg(arg, z, delta):
@@ -121,15 +123,15 @@ def _w_of_arg(arg, z, delta):
     Where ``arg`` exceeds ``_OVERFLOW_ARG`` (or overflowed to inf), W is
     taken on the log scale from ``log(delta) + 2 log|z|``.
     """
-    huge = arg > _OVERFLOW_ARG
-    if not huge.any():
+    # The max is NaN where arg has a NaN, which takes the masked path.
+    if arg.max(initial=-np.inf) <= _OVERFLOW_ARG:
         return lambert_w0(arg)
+    huge = arg > _OVERFLOW_ARG
     out = np.empty_like(arg)
     safe = ~huge
     if safe.any():
         out[safe] = lambert_w0(arg[safe])
-    with np.errstate(divide="ignore"):
-        log_arg = np.log(_pick(delta, huge)) + 2.0 * np.log(np.abs(z[huge]))
+    log_arg = np.log(_pick(delta, huge)) + 2.0 * np.log(np.abs(z[huge]))
     finite = np.isfinite(log_arg)
     vals = np.full(log_arg.shape, np.inf)
     if finite.any():
@@ -150,29 +152,38 @@ def _w_and_w_delta(z, delta):
     (``z == 0`` or underflow: the identity to double precision), inf (huge
     ``z``: ``sgn(z) sqrt(W / delta)``) or NaN; only those points take a
     second formula.
+
+    It runs under the caller's ``np.errstate``, which must ignore overflow,
+    division by zero and invalid operations: each public map and each
+    search evaluation enters that state once.  A 1-d float array, what every
+    search passes, is evaluated as it is; any other input is flattened and
+    the results take its shape (a float for a scalar).
     """
-    z, scalar = _as_float_array(z)
+    if not (isinstance(z, np.ndarray) and z.ndim == 1 and z.dtype == np.float64):
+        z, scalar = _as_float_array(z)
+        if isinstance(delta, np.ndarray) and delta.ndim:
+            delta = delta.reshape(-1)
+        wv, u = _w_and_w_delta(z.reshape(-1), delta)
+        return _ret(wv.reshape(z.shape), scalar), _ret(u.reshape(z.shape), scalar)
     if not isinstance(delta, np.ndarray) or delta.ndim == 0:
         delta = _check_delta(delta)
         if delta == 0.0:
-            return _ret(np.zeros_like(z), scalar), _ret(z + 0.0, scalar)
+            return np.zeros_like(z), z + 0.0
     elif not (live := delta != 0.0).all():
         wv, u = np.zeros_like(z), z + 0.0
         wv[live], u[live] = _w_and_w_delta(z[live], delta[live])
         return wv, u
-    z1 = np.atleast_1d(z)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        arg = delta * z1 * z1
-        wv = _w_of_arg(arg, z1, delta)
-        ratio = wv / arg
-    u = z1 * np.sqrt(ratio)
-    if not (ratio > 0.0).all():
+    arg = delta * z * z
+    wv = _w_of_arg(arg, z, delta)
+    ratio = wv / arg
+    u = z * np.sqrt(ratio)
+    # The min is NaN where ratio has a NaN, which takes the second formula.
+    if not ratio.min(initial=np.inf) > 0.0:
         redo = ~(ratio > 0.0)
-        zr = z1[redo]
+        zr = z[redo]
         u[redo] = np.where(arg[redo] == 0.0, zr,
                            np.sign(zr) * np.sqrt(wv[redo] / _pick(delta, redo)))
-    shape = np.shape(z)
-    return _ret(wv.reshape(shape), scalar), _ret(u.reshape(shape), scalar)
+    return wv, u
 
 
 def _pick(delta, mask):
@@ -210,7 +221,8 @@ def w_delta(z, delta):
     ``|w_delta(z, delta)| <= |z|`` and equality only for ``delta = 0`` or
     ``z = 0``.  Evaluated by :func:`_w_and_w_delta`.
     """
-    return _w_and_w_delta(z, delta)[1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _w_and_w_delta(z, delta)[1]
 
 
 def _tail_at(v, delta):
@@ -251,7 +263,8 @@ def w_tau(y, tau: TailParams):
     ``mu_x``.
     """
     y, scalar = _as_float_array(y)
-    return _ret(np.asarray(_blocked(_w_tau, y, tau)), scalar)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _ret(np.asarray(_blocked(_w_tau, y, tau)), scalar)
 
 
 def _w_tau(y, tau: TailParams):

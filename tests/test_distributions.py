@@ -625,7 +625,7 @@ class TestOneWPerPoint:
             "w_tau": lambda: w_tau(y, dist.tau),
             "loglik": lambda: loglik(y, dist),
             "score": lambda: _gaussian_loglik_score(y, dist.tau.as_array()),
-            "moments": lambda: _moment_residual(z, tails, (left, ~left)),
+            "moments": lambda: moment_pass(z, tails, (left, ~left)),
         }
         w_elements.clear()
         calls[call]()
@@ -647,6 +647,12 @@ class TestOneWPerPoint:
         w_elements.clear()
         assert _gmm_step(z, off).x == pytest.approx(root, rel=1e-12)
         assert sum(w_elements) <= 4 * z.size
+
+
+def moment_pass(*args):
+    """:func:`_moment_residual` under the error state an IGMM pass gives it."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _moment_residual(*args)
 
 
 def split_sides(func, v, delta_left, delta_right):

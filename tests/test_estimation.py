@@ -45,7 +45,9 @@ from heavytail.estimation import (
     _gmm_step,
     _moment_residual,
     _objective,
+    _percentiles,
     _search_bounds,
+    _std_errors,
     _student_t_loglik_score,
     _theta_derivatives,
     _to_search,
@@ -437,11 +439,13 @@ def moment_residual(z, tails):
     """``_moment_residual`` of ``z`` at one tail ``(delta,)`` or a (left, right) pair.
 
     A pair is given to it as one tail per point, ``z <= 0`` on the left.
+    It runs under the error state an IGMM pass gives it.
     """
-    if len(tails) == 1:
-        return _moment_residual(z, tails[0])
-    left = z <= 0.0
-    return _moment_residual(z, np.where(left, *tails), (left, ~left))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if len(tails) == 1:
+            return _moment_residual(z, tails[0])
+        left = z <= 0.0
+        return _moment_residual(z, np.where(left, *tails), (left, ~left))
 
 
 def moment_differences(z, tails, f=lambda z, tails: moment_residual(z, tails)[0]):
@@ -1340,6 +1344,17 @@ class TestMleJoint:
         end = _box_newton(unbounded, [1.0], [0.0], [math.inf], tol)
         assert not end.converged and end.x[0] > 1e6
 
+    def test_not_converged_at_a_value_that_is_not_finite(self):
+        # A start in the 1e-12 band of its bound, whose slope pushes out of
+        # the box, is held on the bound with no coordinate left free, and
+        # evaluated there once more: a NaN there is no converged end.
+        def evaluate(x):
+            value = math.nan if x[0] == 0.0 else x[0]
+            return value, np.array([1.0]), np.array([[1.0]]), None
+
+        end = _box_newton(evaluate, [1e-13], [0.0], [1.0], 1e-12)
+        assert end.x == [0.0] and math.isnan(end.value) and not end.converged
+
     def test_projected_step(self):
         # A free coordinate whose Newton step would cross its bound is held
         # there and the damped step solved again for the rest.  On the
@@ -1508,6 +1523,21 @@ class TestFarPointWarnings:
         if r.std_errors is not None and r.params["sigma_x"] > 1e155:
             assert all(math.isnan(v) for v in r.std_errors.values())
 
+    @pytest.mark.parametrize("fit", ["igmm", "igmm_double_tail"])
+    def test_restart_from_an_overflowed_scale(self, fit):
+        # The first search stalls at log sigma near -284 (-296 for two
+        # tails); the classic updates from there end their tail match at a
+        # NaN value and overflow the scale, so the restart has no valid
+        # start.  The fit ends, unconverged, at the stalled search's end,
+        # where it raised DomainError from an infinite sigma.
+        y = np.random.default_rng(0).standard_normal(200)
+        y[0] = 1e50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = self.FITS[fit](y)
+        assert not r.converged and 0.0 < r.params["sigma_x"] < 1e-100
+        assert math.isfinite(r.loglik_total)
+
 
 class TestFitModel:
     """``fit_model`` owns the choice of estimator."""
@@ -1623,3 +1653,128 @@ class TestSampleMoments:
     def test_unbiased_sd(self):
         m = sample_moments([0.0, 2.0])
         np.testing.assert_allclose(m.sd, math.sqrt(2.0))
+
+
+class TestPercentiles:
+    """The start's order statistics: ``np.percentile`` from one sort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=hst.integers(10, 2000),
+        levels=hst.sampled_from([2, 3, 5, 0]),
+        scale=hst.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300, 1.7e308]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @example(n=10, levels=2, scale=1.7e308, seed=0)
+    def test_equals_np_percentile(self, n, levels, scale, seed):
+        # Points in [-1, 1] times scale: levels > 0 of them spaced evenly
+        # (heavy ties), or uniform for 0; at 1.7e308 the gap between two
+        # order statistics can overflow to inf.
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.0, 1.0, n)
+        y = (np.round(u * levels) / levels if levels else u) * scale
+        for fractions in (estimation._LETTER_FRACTIONS, estimation._QUARTILES):
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = np.percentile(y, [100.0 * f for f in fractions])
+                ours = _percentiles(y, fractions)
+            # equal as floats: a zero can differ in sign, as sorting and
+            # partitioning order -0.0 and 0.0 differently
+            assert np.array_equal(ours, ref, equal_nan=True)
+
+
+def pinv_std_errors(hess, free):
+    """The standard errors as np.linalg.pinv gave them: the reference of :func:`_std_errors`."""
+    out = [math.nan] * len(hess)
+    info = -hess[np.ix_(free, free)]
+    diag = np.diag(info)
+    if info.size and np.all(np.isfinite(info)) and np.all(diag > 0.0):
+        root = np.sqrt(diag)
+        cov = np.linalg.pinv(info / np.outer(root, root), rcond=1e-10, hermitian=True)
+        var = np.diag(cov) / diag
+        for k, v in zip(np.flatnonzero(free), var):
+            out[k] = float(math.sqrt(v)) if v > 0 else math.nan
+    return out
+
+
+class TestStdErrors:
+    """Standard errors from one eigh, against the pseudo-inverse they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        size=hst.integers(2, 4),
+        kind=hst.sampled_from(["definite", "near-singular", "indefinite"]),
+        held=hst.integers(0, 4),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_matches_pinv(self, size, kind, held, seed):
+        # An information Q diag(lam) Q' on scales 1e-4..1e4: definite, with
+        # one eigenvalue 1e-20..1e-13 of the others (the 1e-10 cut drops
+        # it), or with one negative eigenvalue; one coordinate may be held.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        lam = 10.0 ** rng.uniform(-3.0, 3.0, size)
+        if kind == "near-singular":
+            lam = 10.0 ** rng.uniform(0.0, 1.0, size)
+            lam[0] = 10.0 ** rng.uniform(-20.0, -13.0)
+        elif kind == "indefinite":
+            lam[0] = -lam[0]
+        scale = 10.0 ** rng.uniform(-4.0, 4.0, size)
+        info = (q * lam) @ q.T * np.outer(scale, scale)
+        info = 0.5 * (info + info.T)
+        free = [k != held for k in range(size)]
+        if kind == "near-singular" and all(free):
+            root = np.sqrt(np.diag(info))
+            size_lam = np.abs(np.linalg.eigvalsh(info / np.outer(root, root)))
+            assume(size_lam.min() <= 1e-10 * size_lam.max())
+        ours, ref = _std_errors(-info, free), pinv_std_errors(-info, free)
+        assert [math.isnan(v) for v in ours] == [math.isnan(v) for v in ref]
+        for a, b in zip(ours, ref):
+            if not math.isnan(b):
+                assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+    def test_not_finite_or_not_positive(self):
+        hess = -np.eye(3)
+        assert all(math.isnan(v) for v in _std_errors(hess, [False] * 3))
+        for bad in (math.inf, math.nan):
+            h = hess.copy()
+            h[0, 1] = h[1, 0] = bad
+            assert all(math.isnan(v) for v in _std_errors(h, [True] * 3))
+        h = hess.copy()
+        h[2, 2] = 1.0
+        assert all(math.isnan(v) for v in _std_errors(h, [True] * 3))
+        assert _std_errors(h, [True, True, False])[:2] == [1.0, 1.0]
+
+
+class TestWPasses:
+    """Every search pass reaches W through ``heavytail.transform.lambert_w0``.
+
+    A benchmark tracer rebinds that name to count W calls per fit; a fit
+    that took its passes' W another way would count fewer calls than its
+    passes.  Student-t fits are left out: their searches can step the tail
+    onto 0, where a pass takes no W.
+    """
+
+    FITS = {
+        "h": mle_joint,
+        "hh": functools.partial(mle_joint, tail="hh"),
+        "igmm": igmm,
+        "igmm_double_tail": igmm_double_tail,
+        "delta_only": mle_delta_only,
+    }
+
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("delta, n", [(0.1, 100), (1 / 3, 1000), (1.0, 300)])
+    def test_at_least_one_call_per_pass(self, monkeypatch, fit, delta, n):
+        from heavytail import transform
+
+        calls = [0]
+        original = transform.lambert_w0
+
+        def counting(x):
+            calls[0] += 1
+            return original(x)
+
+        monkeypatch.setattr(transform, "lambert_w0", counting)
+        r = self.FITS[fit](make_sample(delta, n, seed=7))
+        assert min(r.tau.delta_left, r.tau.delta_right) > 0.0
+        assert calls[0] >= r.iterations + 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from heavytail import (
     w_tau,
 )
 from heavytail import simulate
-from heavytail.simulate import TABLE_COLUMNS, _cauchy_quantile, _rng_for
+from heavytail.simulate import TABLE_COLUMNS, TableRow, _cauchy_quantile, _rng_for, _truth
 
 
 class TestRlambertw:
@@ -337,3 +338,51 @@ class TestStudyErrors:
         monkeypatch.setattr(simulate, "_estimate_once", failing)
         rows = run_study(self.PLAN).rows
         assert [r.parameter for r in rows] == ["failed"]
+
+
+def loop_aggregate(cell, estimates, na_ratio):
+    """The cell's rows from one parameter at a time: the reference of ``_aggregate``."""
+    n, delta, estimator = cell
+    rows = []
+    for parameter, values in estimates.items():
+        v = np.asarray(values, dtype=float)
+        truth = _truth(parameter, delta)
+        mean = float(np.mean(v))
+        finite = np.isfinite(v) & math.isfinite(truth)
+        if finite.all():
+            bias = mean - truth
+            sd = float(np.std(v, ddof=1)) * math.sqrt(n) if v.size > 1 else math.nan
+            rmse = float(np.sqrt(np.mean((v - truth) ** 2))) * math.sqrt(n)
+        else:
+            bias = sd = rmse = math.nan
+        prop_below = float(np.mean(v <= truth)) if math.isfinite(truth) else math.nan
+        rows.append(TableRow(N=n, delta=delta, estimator=estimator, parameter=parameter,
+                             mean=mean, bias=bias, prop_below=prop_below, sd_sqrtN=sd,
+                             rmse_sqrtN=rmse, na_ratio=na_ratio))
+    return rows
+
+
+class TestAggregate:
+    """A cell's statistics from one reduction per statistic over all its parameters."""
+
+    # numpy's pairwise sum unrolls by 8, so 7, 8 and 9 replications sum
+    # their rows in different orders.
+    @pytest.mark.parametrize("replications", [1, 2, 7, 8, 9, 200])
+    @pytest.mark.parametrize("delta", [0.0, 1 / 3, 0.5, 1.0])
+    def test_matches_the_loop(self, replications, delta):
+        # delta >= 1/2 has an infinite sigma_y truth, and some replications
+        # an infinite sigma_y estimate.
+        rng = np.random.default_rng(replications)
+        estimates = {
+            "mu_x": list(rng.standard_normal(replications) * 1e-3),
+            "sigma_x": list(1.0 + 0.1 * rng.standard_normal(replications)),
+            "delta": list(np.abs(delta + 0.05 * rng.standard_normal(replications))),
+            "sigma_y": list(np.where(rng.random(replications) < 0.3, np.inf,
+                                     1.0 + rng.random(replications))),
+        }
+        cell = (100, delta, "igmm")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = simulate._aggregate(cell, estimates, 0.25)
+        # repr tells NaN, -0.0 and every bit apart
+        assert repr(rows) == repr(loop_aggregate(cell, estimates, 0.25))
