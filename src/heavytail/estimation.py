@@ -223,11 +223,10 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
         raise DataError("degenerate data: zero variance")
     var = m2 * (n / (n - 1.0))
     # The ratios m3 / m2 and m4 / m2 come first: m4 * dm2 overflows on
-    # heavy data whose moments are finite.  The coefficients are numpy
-    # scalars, which overflow and divide by 0 as the columns would; the
-    # entries, taken one by one at 3 or 4 columns, are floats, which a
-    # product overflows to inf and which are divided by those coefficients
-    # only where they are not 0.
+    # heavy data whose moments are finite.  The coefficients are taken on
+    # numpy scalars, which overflow to inf as the columns did; the 3 or 4
+    # entries per row on floats, which cost less than calls on the columns
+    # and give the same bits, but cannot divide by 0.
     a2, c3, p3, c4, p4 = (float(v) for v in (
         var / m2, 1.5 * (m3 / m2), m2**1.5, 2.0 * (m4 / m2), m2 * m2))
     if p4 == 0.0 or p3 == 0.0:
@@ -239,6 +238,7 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
                     [-((3.0 * (b - f2 * a) - c3 * d) / p3) for a, b, d in zip(mean_du, s2, dm2)],
                     [-((4.0 * (b - f3 * a) - c4 * d) / p4) for a, b, d in zip(mean_du, s3, dm2)]])
     r = np.array([mean, var - 1.0, m3 / p3, m4 / p4 - 3.0])
+    tails = (True,) if sides is None else sides
 
     def curvature(w3: float, w4: float) -> np.ndarray:
         # phi = w3 m3 / m2^1.5 + w4 m4 / m2^2, the weights held fixed; the
@@ -275,7 +275,6 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
             out[k, [0, 1, a]] += chi_u - mean_chi * mean_u
         return out
 
-    tails = (True,) if sides is None else sides
     return r, jac, curvature
 
 
@@ -372,7 +371,9 @@ def grad_delta(delta: float, z_data) -> float:
     delta = float(delta)
     if delta < 0:
         raise DomainError("delta must be >= 0")
-    return _delta_slope(delta, _check_series(z_data, min_n=1))[0]
+    z = _check_series(z_data, min_n=1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _delta_slope(delta, z)[0]
 
 
 _DELTA_BRACKET_LIMIT = 1e8
@@ -415,34 +416,36 @@ def mle_delta_only(z_data) -> FitResult:
     if ratio <= 3.0:
         delta_hat, iterations = 0.0, 0
     else:
-        hi = 0.5
-        while _delta_slope(hi, z)[0] > 0.0:
-            hi *= 2.0
-            if hi > _DELTA_BRACKET_LIMIT:
-                raise ConvergenceError(
-                    "tail-parameter bracket left the representable search "
-                    "region; data too extreme for a finite estimate"
-                )
-        # grad_delta is positive at lo (at 0, since the ratio exceeds 3)
-        lo = 0.5 * hi if hi > 0.5 else 0.0
-        delta_hat = 0.5 * (lo + hi)
-        for iterations in range(1, _STEP_MAX_ITERATIONS + 1):
-            slope, curvature = _delta_slope(delta_hat, z)
-            if slope == 0.0:
-                break
-            if slope > 0.0:
-                lo = delta_hat
-            else:
-                hi = delta_hat
-            step = -slope / curvature if curvature < 0.0 else math.inf
-            if abs(step) <= _STEP_XTOL + _STEP_RTOL * delta_hat:
+        # One error state for the whole search: each pass runs under it.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            hi = 0.5
+            while _delta_slope(hi, z)[0] > 0.0:
+                hi *= 2.0
+                if hi > _DELTA_BRACKET_LIMIT:
+                    raise ConvergenceError(
+                        "tail-parameter bracket left the representable search "
+                        "region; data too extreme for a finite estimate"
+                    )
+            # grad_delta is positive at lo (at 0, since the ratio exceeds 3)
+            lo = 0.5 * hi if hi > 0.5 else 0.0
+            delta_hat = 0.5 * (lo + hi)
+            for iterations in range(1, _STEP_MAX_ITERATIONS + 1):
+                slope, curvature = _delta_slope(delta_hat, z)
+                if slope == 0.0:
+                    break
+                if slope > 0.0:
+                    lo = delta_hat
+                else:
+                    hi = delta_hat
+                step = -slope / curvature if curvature < 0.0 else math.inf
+                if abs(step) <= _STEP_XTOL + _STEP_RTOL * delta_hat:
+                    delta_hat += step
+                    break
+                if not lo < delta_hat + step < hi:
+                    step = 0.5 * (lo + hi) - delta_hat
                 delta_hat += step
-                break
-            if not lo < delta_hat + step < hi:
-                step = 0.5 * (lo + hi) - delta_hat
-            delta_hat += step
-        else:
-            raise ConvergenceError("gradient root refinement did not converge")
+            else:
+                raise ConvergenceError("gradient root refinement did not converge")
         if delta_hat > 0.0 and -math.inf < curvature < 0.0:
             se = 1.0 / math.sqrt(-curvature)
 
@@ -458,15 +461,15 @@ def _delta_slope(delta: float, z: np.ndarray) -> tuple[float, float]:
 
     They are the tail entries of the Gaussian score and Hessian at (mu,
     sigma, delta) = (0, 1, delta), from the same sums
-    (:func:`_gaussian_derivatives`, :func:`_tail_entries`).
+    (:func:`_gaussian_derivatives`, :func:`_tail_entries`).  It runs under
+    the caller's ``np.errstate``, as :func:`_moment_residual` does.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        wv, u = _w_and_w_delta(z, delta)
-        q = u * u
-        inv = 1.0 / (1.0 + wv)
-        qa = q * inv
-        cols = np.array([np.ones(q.size), inv, inv * inv, q, qa])
-        return _tail_entries(*(np.array([qa, qa * qa]) @ cols.T).tolist())
+    wv, u = _w_and_w_delta(z, delta)
+    q = u * u
+    inv = 1.0 / (1.0 + wv)
+    qa = q * inv
+    cols = np.array([np.ones(q.size), inv, inv * inv, q, qa])
+    return _tail_entries(*(np.array([qa, qa * qa]) @ cols.T).tolist())
 
 
 def taylor_delta(sample_kurtosis: float) -> float:
@@ -774,8 +777,8 @@ def _igmm(data, double_tail: bool) -> FitResult:
     off, and the search restarts.  A restart from a point that is no valid
     model ends the fit, unconverged, at the last search end with a finite
     value.  All of it shares a budget of 200 W passes, after which the fit
-    is unconverged.  ``iterations`` counts
-    those passes besides the one at the start.
+    is unconverged.  ``iterations`` counts those passes besides the one at
+    the start.
     """
     y = _check_series(data, min_n=10)
     # A point near the float maximum overflows the start moments.
@@ -1207,8 +1210,9 @@ def _log_scale_derivatives(u, q, wv, delta, sigma, phi, a, c2, d, nu_terms):
     Phi'_nu, Phi_nunu) per point give the last coordinate nu, which enters
     through Phi at fixed z.  Every sum is one entry of a single matrix
     product: the weight rows ``u e i``, ``q i`` and 1 against the per-point
-    columns.  The gradient and Hessian come as lists.  The Gaussian, whose ``Phi`` is a polynomial, has its own
-    cheaper form (:func:`_gaussian_derivatives`).
+    columns.  The gradient and Hessian come as lists.  The Gaussian, whose
+    ``Phi`` is a polynomial, has its own cheaper form
+    (:func:`_gaussian_derivatives`).
     """
     inv = 1.0 / (1.0 + wv)
     inv2 = inv * inv

@@ -200,7 +200,7 @@ def lambert_w0(x):
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    z = np.atleast_1d(arr)
+    z = arr.reshape(1) if scalar else arr
 
     # The least argument, NaN aside: one reduction checks the domain and
     # tells whether any argument needs the clamp.
