@@ -231,12 +231,12 @@ def _moment_residual(z: np.ndarray, delta, sides=None):
         var / m2, 1.5 * (m3 / m2), m2**1.5, 2.0 * (m4 / m2), m2 * m2))
     if p4 == 0.0 or p3 == 0.0:
         raise DataError("degenerate data: the variance of the back-transformed data underflows")
-    f2, f3 = float(m2), float(m3)
+    fm2, fm3 = float(m2), float(m3)
     mean_du, s1, s2, s3 = sums[:, :-1].tolist()
     dm2 = [2.0 * v for v in s1]
     jac = np.array([[-v for v in mean_du], [-(v * a2) for v in dm2],
-                    [-((3.0 * (b - f2 * a) - c3 * d) / p3) for a, b, d in zip(mean_du, s2, dm2)],
-                    [-((4.0 * (b - f3 * a) - c4 * d) / p4) for a, b, d in zip(mean_du, s3, dm2)]])
+                    [-((3.0 * (b - fm2 * a) - c3 * d) / p3) for a, b, d in zip(mean_du, s2, dm2)],
+                    [-((4.0 * (b - fm3 * a) - c4 * d) / p4) for a, b, d in zip(mean_du, s3, dm2)]])
     r = np.array([mean, var - 1.0, m3 / p3, m4 / p4 - 3.0])
     tails = (True,) if sides is None else sides
 

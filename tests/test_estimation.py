@@ -1529,8 +1529,8 @@ class TestFarPointWarnings:
         # The first search stalls at log sigma near -284 (-296 for two
         # tails); the classic updates from there end their tail match at a
         # NaN value and overflow the scale, so the restart has no valid
-        # start.  The fit ends, unconverged, at the stalled search's end,
-        # where it raised DomainError from an infinite sigma.
+        # start.  The fit ends, unconverged, at the stalled search's end
+        # rather than at a model with an infinite sigma.
         y = np.random.default_rng(0).standard_normal(200)
         y[0] = 1e50
         with warnings.catch_warnings():
@@ -1734,6 +1734,8 @@ class TestStdErrors:
                 assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_not_finite_or_not_positive(self):
+        # No free coordinate, an information that is not finite or whose
+        # diagonal is not positive: NaN; a held coordinate leaves the rest.
         hess = -np.eye(3)
         assert all(math.isnan(v) for v in _std_errors(hess, [False] * 3))
         for bad in (math.inf, math.nan):
