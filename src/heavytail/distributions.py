@@ -219,9 +219,6 @@ class Uniform(_Family):
     def _scale(self) -> float:
         return self.b - self.a
 
-    def _pdf(self, t):
-        return np.ones_like(t)
-
     def _logpdf(self, t):
         return np.zeros_like(t)
 
@@ -323,9 +320,6 @@ class Exponential(_Family):
     @property
     def _scale(self) -> float:
         return 1.0 / self.rate
-
-    def _pdf(self, t):
-        return np.exp(-t)
 
     def _logpdf(self, t):
         return -t

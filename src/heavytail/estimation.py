@@ -554,6 +554,12 @@ def _backward(low: list[list[float]], b: list[float]) -> list[float]:
     return out
 
 
+def _finite(value: float, grad, hess) -> bool:
+    """Whether an evaluation's value, gradient and Hessian are all finite."""
+    return (math.isfinite(value) and all(map(math.isfinite, grad))
+            and all(all(map(math.isfinite, row)) for row in hess))
+
+
 class _Search(NamedTuple):
     x: list[float]
     value: float
@@ -595,9 +601,12 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
                 max_steps: int = _STEP_MAX_ITERATIONS, pull=None, stop=None) -> _Search:
     """Minimize ``f`` over the box ``lo <= x <= hi`` by damped Newton steps.
 
-    ``evaluate(x)`` returns ``f(x)``, its gradient, its Hessian (or a
-    Gauss-Newton approximation of it) and a payload; ``f = inf`` marks a
-    point that is rejected.  A coordinate within 1e-12 of a bound whose
+    ``evaluate(x)`` returns ``f(x)`` as a float, its gradient as a list, its
+    Hessian (or a Gauss-Newton approximation) as a list of rows, and a
+    payload.  Here alone an evaluation whose value, gradient or Hessian is
+    not finite (``f = inf`` included) is rejected: at the start, which then
+    ends the search with ``f = inf``, at every trial point and at the last
+    evaluation.  A coordinate within 1e-12 of a bound whose
     descent direction points out of the box is held exactly on that bound;
     the direction is that of the gradient, or of ``-pull(payload)`` when
     ``pull`` is given.
@@ -623,7 +632,7 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
     |x|`` (where repeated failures to lower ``f`` end too) or after
     ``max_steps`` steps.  A coordinate held on a bound after the last
     evaluation is evaluated there once more, so the returned payload is
-    that of ``x``; a value there that is not finite leaves the search
+    that of ``x``; an evaluation there that is rejected leaves the search
     unconverged.  ``stop(x, f)``, when given, is asked before each step
     where ``H`` is positive definite, with the point the full Newton step
     reaches (in the box) and the value ``f - g' H^-1 g / 2`` the quadratic
@@ -631,9 +640,8 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
     unconverged, at the last point evaluated.
     """
     value, grad, hess, payload = evaluate(x)
-    if not math.isfinite(value):
-        return _Search(x, value, payload, 0, False)
-    grad, hess = grad.tolist(), hess.tolist()
+    if not _finite(value, grad, hess):
+        return _Search(x, math.inf, payload, 0, False)
     at, passes, converged = x, 0, False
     lam, grow, rejected = 1e-6, 2.0, None
     for _ in range(max_steps):
@@ -683,14 +691,13 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
             out = evaluate(trial)
             move = [trial[k] - x[k] for k in free]
             predicted = -(_dot(g, move) + 0.5 * _dot(move, [_dot(row, move) for row in h]))
-            accepted = out[0] < value and predicted > 0.0
+            accepted = out[0] < value and predicted > 0.0 and _finite(*out[:3])
         if accepted:
             gain = (value - out[0]) / predicted
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             grow = 2.0
             x = at = trial
             value, grad, hess, payload = out
-            grad, hess = grad.tolist(), hess.tolist()
             rejected = None
         else:
             lam *= grow
@@ -698,8 +705,9 @@ def _box_newton(evaluate, x: list[float], lo, hi, tol: float,
             rejected = trial
     if x != at:
         passes += 1
-        value, _, _, payload = evaluate(x)
-    return _Search(x, value, payload, passes, converged and math.isfinite(value))
+        value, grad, hess, payload = evaluate(x)
+        converged = converged and _finite(value, grad, hess)
+    return _Search(x, value, payload, passes, converged)
 
 
 def _gmm_step(z: np.ndarray, start: list[float], max_steps: int = _GMM_MAX_STEPS,
@@ -741,7 +749,7 @@ def _gmm_step(z: np.ndarray, start: list[float], max_steps: int = _GMM_MAX_STEPS
             # keeps a residual; its exact Hessian adds r times the curvature.
             c = curvature(*((r[0], r[1]) if sides is not None else (0.0, r[0])))[:, 2:]
             hess += 0.5 * (c + c.T)
-        return 0.5 * float(r @ r), jac.T @ r, hess, None
+        return 0.5 * float(r @ r), (jac.T @ r).tolist(), hess.tolist(), None
 
     d = [min(max(float(x), lo), hi) for x in start]
     return _box_newton(evaluate, d, [lo] * len(d), [hi] * len(d), tol, max_steps)
@@ -810,7 +818,7 @@ def _igmm(data, double_tail: bool) -> FitResult:
     def evaluate(p: list[float]):
         # One errstate for the whole pass: a row or Jacobian entry that is
         # not finite (heavy data at a far scale) makes the value or the
-        # Hessian not finite, which rejects the point.
+        # Hessian not finite, and _box_newton rejects the point.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             try:
                 mu, sigma = mu0 + s0 * p[0], s0 * math.exp(p[1])
@@ -848,10 +856,7 @@ def _igmm(data, double_tail: bool) -> FitResult:
                 rows.append(slopes[k] / norm)
                 grads.append([v / norm for v in row])
             f, g = np.array(rows), np.array(grads)
-            value, hess = 0.5 * float(f @ f), g.T @ g
-        if not (math.isfinite(value) and np.isfinite(hess).all()):
-            return math.inf, None, None, None
-        return value, g.T @ f, hess, slopes
+            return 0.5 * float(f @ f), (g.T @ f).tolist(), (g.T @ g).tolist(), slopes
 
     def classic_update(p: list[float]) -> tuple[list[float], int]:
         """One classic update from ``p``, and its W passes."""
@@ -1186,7 +1191,7 @@ def _gaussian_derivatives(u, wv, tails, sides, sigma):
     for j in range(2, k):
         hess.append([h0t[j - 2], h1t[j - 2]] + [htt[j - 2] if i == j else 0.0 for i in range(2, k)])
     total = -0.5 * one[3] - 0.5 * one[7] - one[8]
-    return total, np.array([g0 / sigma, g1 - n, *grad_t]), np.array(hess)
+    return total, [g0 / sigma, g1 - n, *grad_t], hess
 
 
 def _log_scale_derivatives(u, q, wv, delta, sigma, phi, a, c2, d, nu_terms):
@@ -1356,13 +1361,13 @@ def _student_t_loglik_score(y: np.ndarray, theta):
     grad[1] -= n
     grad[3] += n * dnu * norm_dnu
     hess[3][3] += n * (d2nu * norm_dnu + dnu * dnu * norm_d2nu)
-    return total, np.array(grad), np.array(hess)
+    return total, grad, hess
 
 
 class _Model(NamedTuple):
     names: tuple[str, ...]
     build: Callable  # natural theta -> LambertWDist
-    # (y, natural theta) -> (loglik, its gradient and Hessian in the search coordinates)
+    # (y, natural theta) -> loglik, its gradient and Hessian rows in the search coordinates
     score: Callable
 
 
@@ -1388,23 +1393,21 @@ _MODELS = {
 }
 
 
-def _objective(p: np.ndarray, y: np.ndarray, model: _Model):
+def _objective(p: list[float], y: np.ndarray, model: _Model):
     """-loglik, its gradient and Hessian at search coordinates ``p``.
 
-    ``model.score`` gives them in these coordinates, so this only negates
-    them; the fourth item is the log-likelihood's own (gradient, Hessian).
-    A point that is no valid model, such as nu == 2.0 where ``expm1``
-    rounds to -1 or r >= 0 beyond nu = inf, or whose likelihood or
-    derivatives are not finite (a scale whose square underflows), gives +inf.
+    ``model.score`` gives them in these coordinates, as a float and lists,
+    so this only negates them; the fourth item is the log-likelihood's own
+    (gradient, Hessian).  A point that is no valid model, such as nu == 2.0
+    where ``expm1`` rounds to -1 or r >= 0 beyond nu = inf, gives +inf.  A
+    likelihood or derivatives that are not finite (a scale whose square
+    underflows) are rejected by :func:`_box_newton`.
     """
     try:
-        # A scale that underflows or overflows gives non-finite derivatives.
         total, score, hess = model.score(y, _to_theta(model.names, p))
     except (DomainError, ArithmeticError):
         return math.inf, None, None, None
-    if not (math.isfinite(total) and np.all(np.isfinite(hess)) and np.all(np.isfinite(score))):
-        return math.inf, None, None, None
-    return -total, -score, -hess, (score, hess)
+    return -total, [-g for g in score], [[-v for v in row] for row in hess], (score, hess)
 
 
 def _score_search(y, model: _Model, starts, family: str):
@@ -1470,12 +1473,12 @@ def _score_search(y, model: _Model, starts, family: str):
 
 
 def _theta_derivatives(names, theta, grad, hess):
-    """The log-likelihood's gradient and Hessian in natural ``theta``.
+    """The log-likelihood's gradient and Hessian in natural ``theta``, as arrays.
 
-    ``grad`` and ``hess`` are in the search coordinates.  With ``J =
-    dtheta/dp`` and ``K = d^2 theta/dp^2`` per coordinate
-    (:func:`_search_slopes`), ``g_p = J g_theta`` and ``H_p = H_theta J J'
-    + diag(K g_theta)``.
+    ``grad`` and ``hess`` are the score's list and rows in the search
+    coordinates.  With ``J = dtheta/dp`` and ``K = d^2 theta/dp^2`` per
+    coordinate (:func:`_search_slopes`), ``g_p = J g_theta`` and ``H_p =
+    H_theta J J' + diag(K g_theta)``.
     """
     jac, curv = np.array([_search_slopes(n, t) for n, t in zip(names, theta)]).T
     # sigma^2 overflows at a far scale: that Hessian is not finite.

@@ -62,12 +62,9 @@ def rlambertw(n: int, dist: LambertWDist, seed=None) -> np.ndarray:
     (equivalent to seed 0: sampling is deterministic by default).  At
     ``delta = 0`` the output equals the raw input-family stream exactly.
     """
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else _rng_for(
-        0 if seed is None else int(seed), ()
-    )
-    return dist.sample(int(n), rng)
+    if not isinstance(seed, np.random.Generator):
+        seed = 0 if seed is None else int(seed)
+    return dist.sample(int(n), seed)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,8 @@ class StudyPlan:
             raise DomainError("replications must be at least 1")
         if not self.sample_sizes or any(n < 10 for n in self.sample_sizes):
             raise DomainError("sample sizes must all be >= 10")
-        if any(d < 0 for d in self.delta_values):
-            raise DomainError("delta values must be >= 0")
+        if not all(0.0 <= d < math.inf for d in self.delta_values):
+            raise DomainError("delta values must be finite and >= 0")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise DomainError(
@@ -108,13 +105,19 @@ class StudyPlan:
                 raise DataError(f"study plan field {key!r} must be a list, got {kind}")
             return tuple(map(convert, value))
 
+        def integer(value) -> int:
+            # int() would truncate 20.9 to 20; 2.0 is still the count 2.
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{value!r} is not a whole number")
+            return int(value)
+
         try:
             kwargs = dict(
-                sample_sizes=items("sample_sizes", int),
+                sample_sizes=items("sample_sizes", integer),
                 delta_values=items("delta_values", float),
-                replications=int(raw.get("replications", 200)),
+                replications=integer(raw.get("replications", 200)),
                 estimators=items("estimators", str, cls.estimators),
-                seed=int(raw.get("seed", 0)),
+                seed=integer(raw.get("seed", 0)),
             )
         except KeyError as exc:
             raise DataError(f"study plan is missing required key {exc}") from None

@@ -483,8 +483,14 @@ class TestReplicate:
             ({"sample_sizes": [100], "delta_values": [0.1], "estimators": "igmm"},
              "'estimators' must be a list, got str"),
             ({"sample_sizes": [None], "delta_values": [0.1]}, "malformed value"),
+            ({"sample_sizes": [20], "delta_values": [math.nan, math.inf], "replications": 1,
+              "estimators": ["median"]}, "delta values must be finite"),
+            ({"sample_sizes": [20.9], "delta_values": [0.1]}, "20.9 is not a whole number"),
+            ({"sample_sizes": [20], "delta_values": [0.1], "replications": 1.9},
+             "1.9 is not a whole number"),
         ],
-        ids=["top-level-list", "number-field", "string-field", "null-item"],
+        ids=["top-level-list", "number-field", "string-field", "null-item",
+             "non-finite-delta", "fractional-size", "fractional-replications"],
     )
     def test_malformed_plan_exits_2(self, tmp_path, capsys, plan, message):
         # A malformed plan is a data error with a message, not a traceback.

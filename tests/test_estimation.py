@@ -356,7 +356,7 @@ class TestStudentTScore:
         # and n (4^2 + 12) to its curvature.
         y = make_sample(0.2, 300, seed=3)
         theta, dnu, d2nu = [0.1, 1.2, 0.2, 4.0], 4.0, 12.0
-        _, grad, hess = _student_t_loglik_score(y, theta)
+        grad, hess = map(np.asarray, _student_t_loglik_score(y, theta)[1:])
         calls = []
         original = distributions._t_log_norm
 
@@ -366,7 +366,7 @@ class TestStudentTScore:
             return value, dnu + 1.0, d2nu + 1.0
 
         monkeypatch.setattr(distributions, "_t_log_norm", shifted)
-        _, grad2, hess2 = _student_t_loglik_score(y, theta)
+        grad2, hess2 = map(np.asarray, _student_t_loglik_score(y, theta)[1:])
         assert calls == [4.0]
         np.testing.assert_array_equal(grad2[:3], grad[:3])
         np.testing.assert_array_equal(hess2[:, :3], hess[:, :3])
@@ -427,7 +427,7 @@ class TestHessian:
             # crosses mu; the location stencil must not straddle a point.
             assume(tail == "h" or np.min(np.abs(y - mu)) > 4e-4 * max(1.0, abs(mu)))
         # symmetric in the search coordinates, and so in natural theta
-        search_hess = _MODELS[model].score(y, theta)[2]
+        search_hess = np.asarray(_MODELS[model].score(y, theta)[2])
         assert np.array_equal(search_hess, search_hess.T)
         _, _, hess = natural_score(_MODELS[model], y, theta)
         fd, noise = score_differences(y, theta, family)
@@ -1306,7 +1306,7 @@ class TestMleJoint:
         def quadratic(f0):
             def evaluate(x):
                 d = np.array(x) - centre
-                return f0 + 0.5 * d @ hess @ d, hess @ d, hess, None
+                return f0 + 0.5 * d @ hess @ d, (hess @ d).tolist(), hess.tolist(), None
             return evaluate
 
         free = [-math.inf] * 2, [math.inf] * 2
@@ -1340,7 +1340,7 @@ class TestMleJoint:
 
         # -log x: its decrement is 1 at every x
         def unbounded(x):
-            return -math.log(x[0]), np.array([-1.0 / x[0]]), np.array([[x[0] ** -2]]), None
+            return -math.log(x[0]), [-1.0 / x[0]], [[x[0] ** -2]], None
 
         end = _box_newton(unbounded, [1.0], [0.0], [math.inf], tol)
         assert not end.converged and end.x[0] > 1e6
@@ -1351,10 +1351,27 @@ class TestMleJoint:
         # evaluated there once more: a NaN there is no converged end.
         def evaluate(x):
             value = math.nan if x[0] == 0.0 else x[0]
-            return value, np.array([1.0]), np.array([[1.0]]), None
+            return value, [1.0], [[1.0]], None
 
         end = _box_newton(evaluate, [1e-13], [0.0], [1.0], 1e-12)
         assert end.x == [0.0] and math.isnan(end.value) and not end.converged
+
+    def test_rejects_derivatives_that_are_not_finite(self):
+        # f = x^2 / 2 with a finite value everywhere, but a Hessian that is
+        # NaN below x = -1 and underestimated (0.6) from x = 2 up, so the
+        # first Newton step from 4 lands at -2.67, lower in f.  That point
+        # is rejected like one with f = inf, the damped steps shorten, and
+        # the search ends converged at 0.  A start below -1 is rejected and
+        # ends the search with f = inf.
+        def evaluate(x):
+            curvature = math.nan if x[0] < -1.0 else 0.6 if x[0] >= 2.0 else 1.0
+            return 0.5 * x[0] ** 2, [x[0]], [[curvature]], None
+
+        tol = 1e-12
+        end = _box_newton(evaluate, [4.0], [-5.0], [5.0], tol)
+        assert end.converged and 0.5 * end.x[0] ** 2 <= tol
+        start = _box_newton(evaluate, [-3.0], [-5.0], [5.0], tol)
+        assert start.value == math.inf and start.passes == 0 and not start.converged
 
     def test_projected_step(self):
         # A free coordinate whose Newton step would cross its bound is held
@@ -1367,7 +1384,7 @@ class TestMleJoint:
 
         def evaluate(x):
             d = np.array(x) - centre
-            return 0.5 * d @ hess @ d, hess @ d, hess, None
+            return 0.5 * d @ hess @ d, (hess @ d).tolist(), hess.tolist(), None
 
         tol = estimation._DECREMENT_TOL * 1e6
         end = _box_newton(evaluate, [2.0, 0.0], [1.5, -math.inf], [math.inf] * 2, tol)

@@ -10,6 +10,7 @@ from scipy import stats as st
 
 from heavytail import (
     ConvergenceError,
+    DataError,
     DomainError,
     Gaussian,
     LambertWDist,
@@ -78,6 +79,10 @@ class TestStudyPlan:
             StudyPlan(sample_sizes=(5,))
         with pytest.raises(DomainError):
             StudyPlan(delta_values=(-0.1,))
+        # A NaN or infinite delta ran and wrote "failed" rows.
+        for delta in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                StudyPlan(delta_values=(0.1, delta))
         with pytest.raises(DomainError):
             StudyPlan(estimators=("bogus",))
 
@@ -96,6 +101,19 @@ class TestStudyPlan:
         )
         plan = StudyPlan.from_json(p)
         assert plan.sample_sizes == (100,) and plan.seed == 3
+
+    def test_from_json_whole_numbers(self, tmp_path):
+        # 2.0 is the count 2; 20.9 was truncated to 20.
+        p = tmp_path / "plan.json"
+        plan = {"sample_sizes": [20.0], "delta_values": [0.1], "replications": 2.0, "seed": 3.0}
+        p.write_text(json.dumps(plan))
+        got = StudyPlan.from_json(p)
+        assert (got.sample_sizes, got.replications, got.seed) == ((20,), 2, 3)
+        assert all(type(v) is int for v in (*got.sample_sizes, got.replications, got.seed))
+        for key, value in (("sample_sizes", [20.9]), ("replications", 1.9), ("seed", 3.5)):
+            p.write_text(json.dumps({**plan, key: value}))
+            with pytest.raises(DataError, match="not a whole number"):
+                StudyPlan.from_json(p)
 
     def test_from_json_missing_key(self, tmp_path):
         p = tmp_path / "plan.json"
