@@ -36,7 +36,10 @@ Estimators provided here:
 * :func:`taylor_delta`     -- rule-of-thumb tail start value from sample
   kurtosis.
 
-Every search is in the package: no path imports ``scipy.optimize``.
+:func:`mle_joint` and both IGMMs search on ``x = (y - m) / s``
+(:func:`_standardized`, the one gate on which data can be fitted) and map
+mu, sigma and their standard errors back, so ``fit(a y + b) = a fit(y) +
+b``.  Every search is in the package: no path imports ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .distributions import (
     Gaussian,
     LambertWDist,
     StudentT,
-    variance_factor,
 )
 from .exceptions import ConvergenceError, DataError, DomainError
 from .lambertw import _blocked
@@ -773,40 +775,28 @@ def _igmm(data, double_tail: bool) -> FitResult:
     zero the moment rows this is Newton's method on all rows.  Beside a
     held tail the rows keep a residual, and the free tail's row takes its
     exact Jacobian (the curvature of :func:`_moment_residual`) where that
-    keeps its own slope rising.  mu moves in units of the start scale and
-    sigma relative to it, so the steps and the stop are unit-free.
+    keeps its own slope rising.  It runs on the standardized data
+    (:func:`_standardized`), mu in units of the start scale and sigma
+    relative to it.
 
     It starts from Tukey's letter values (:func:`_default_start`, as
     :func:`mle_joint` does), and stops, converged, when the Gauss-Newton
-    decrement ``|rows|^2`` is at most 1e-24.  A search that stops short of
+    decrement ``|rows|^2`` is at most 1e-24, unless sigma is below 1e-8 in
+    the units of the standardized data.  A search that stops short of
     that, stalled or after 40 steps, is at or crawling along a minimum of
     ``|rows|^2`` that is no fixed point (5 of 3000 random two-tail fits of
     30 or 60 points); 2^k classic updates after the k-th such stop move it
     off, and the search restarts.  A restart from a point that is no valid
     model ends the fit, unconverged, at the last search end with a finite
-    value.  All of it shares a budget of 200 W passes, after which the fit
-    is unconverged.  ``iterations`` counts those passes besides the one at
-    the start.
+    value; a first start that is none raises :class:`ConvergenceError`.
+    All of it shares a budget of 200 W passes, after which the fit is
+    unconverged.  ``iterations`` counts those passes besides the one at the
+    start.
     """
     y = _check_series(data, min_n=10)
-    # A point near the float maximum overflows the start moments.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(np.std(y, ddof=1))
-    if sd == 0.0:
-        raise DataError("degenerate data: zero variance")
-    if not math.isfinite(sd):
-        raise DataError(
-            f"the sample scale of the data is not finite (sd = {sd}); rescale the data"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        g2 = _central_moment_stats(y)[1]
-    if not math.isfinite(g2):
-        raise DataError(
-            "the sample kurtosis of the data is not finite (its fourth moment "
-            "is out of floating-point range); rescale the data"
-        )
+    x, m, s, q = _standardized(y)
     names = ("mu_x", "sigma_x") + (("delta_left", "delta_right") if double_tail else ("delta",))
-    start = _default_start(y, names)
+    start = _default_start(x, q, names)
     mu0, s0 = start["mu_x"], start["sigma_x"]
     lo, hi = _DELTA_BOUNDS
     moments = slice(2, 4) if double_tail else slice(3, 4)
@@ -822,7 +812,7 @@ def _igmm(data, double_tail: bool) -> FitResult:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             try:
                 mu, sigma = mu0 + s0 * p[0], s0 * math.exp(p[1])
-                z = (y - mu) / sigma
+                z = (x - mu) / sigma
                 if double_tail:
                     left = z <= 0.0
                     r, jac, curvature = _moment_residual(z, _tail_at(z, tuple(p[2:])),
@@ -861,7 +851,7 @@ def _igmm(data, double_tail: bool) -> FitResult:
     def classic_update(p: list[float]) -> tuple[list[float], int]:
         """One classic update from ``p``, and its W passes."""
         mu, sigma = mu0 + s0 * p[0], s0 * math.exp(p[1])
-        z = (y - mu) / sigma
+        z = (x - mu) / sigma
         match = _gmm_step(z, p[2:], _IGMM_MAX_ITERATIONS - passes, 1e-16)
         u = _w_and_w_delta(z, _tail_at(z, tuple(match.x)) if double_tail else match.x[0])[1]
         return [p[0] + sigma / s0 * float(np.mean(u)),
@@ -869,16 +859,17 @@ def _igmm(data, double_tail: bool) -> FitResult:
 
     tails = len(names) - 2
     box = [-math.inf] * 2 + [lo] * tails, [math.inf] * 2 + [hi] * tails
-    x, passes, stalls, end = [0.0, 0.0] + [min(start[name], hi) for name in names[2:]], 0, 0, None
+    p, passes, stalls, end = [0.0, 0.0] + [min(start[name], hi) for name in names[2:]], 0, 0, None
     while True:
         steps = min(_IGMM_MAX_ITERATIONS - passes, _IGMM_SEARCH_STEPS)
-        run = _box_newton(evaluate, x, *box, _IGMM_DECREMENT_TOL, steps,
+        run = _box_newton(evaluate, p, *box, _IGMM_DECREMENT_TOL, steps,
                           pull=lambda slopes: slopes)
         passes += run.passes
         # A restart whose start is no valid point (classic updates can
         # overflow the scale) ends the fit at the last finite search end.
         if not math.isfinite(run.value):
-            end = end or run
+            if end is None:
+                raise ConvergenceError("the IGMM start gives no valid model on this data")
             break
         end = run
         if end.converged:
@@ -887,13 +878,13 @@ def _igmm(data, double_tail: bool) -> FitResult:
         # steps, is at or crawling along a minimum of |rows|^2 that is no
         # fixed point.  Classic updates move it off, 2^k of them after the
         # k-th stop, and the search restarts.
-        x = end.x
+        p = end.x
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 for _ in range(2**stalls):
                     if passes >= _IGMM_MAX_ITERATIONS:
                         break
-                    x, used = classic_update(x)
+                    p, used = classic_update(p)
                     passes += used
         except (DataError, ArithmeticError, ValueError):
             break
@@ -901,13 +892,13 @@ def _igmm(data, double_tail: bool) -> FitResult:
             break
         passes += 1
         stalls += 1
-    mu, sigma = mu0 + s0 * end.x[0], s0 * math.exp(end.x[1])
+    sigma = s0 * math.exp(end.x[1])
+    converged = end.converged and sigma >= _COLLAPSED_SCALE
+    mu, sigma = m + s * (mu0 + s0 * end.x[0]), s * sigma
     delta = tuple(end.x[2:]) if double_tail else end.x[2]
-    return _fit_result(
-        y, LambertWDist(Gaussian(mu, sigma), delta), "igmm",
-        {"mu_x": mu, "sigma_x": sigma, **dict(zip(names[2:], end.x[2:]))}, passes,
-        end.converged, at_upper=max(end.x[2:]) >= hi,
-    )
+    return _fit_result(y, LambertWDist(Gaussian(mu, sigma), delta), "igmm",
+                       {"mu_x": mu, "sigma_x": sigma, **dict(zip(names[2:], end.x[2:]))},
+                       passes, converged, at_upper=max(end.x[2:]) >= hi)
 
 
 def igmm(data) -> FitResult:
@@ -920,13 +911,14 @@ def igmm(data) -> FitResult:
     standard deviation).  That point is where the back-transformed sample
     has mean 0, sd 1 and kurtosis 3, or, when no tail in [0, 10] matches the
     kurtosis, the tail is on the bound nearest to a match.  It is solved
-    for directly, by damped Gauss-Newton steps on (mu, log sigma, delta)
-    with one W pass each (:func:`_igmm`), so the end depends on neither
-    the start nor the data's units.  The search stops, converged, when the
-    Gauss-Newton decrement of the unit-free rows (mean, variance - 1,
-    kurtosis - 3) is at most 1e-24; ``iterations`` counts its W passes.  A
-    tail estimate at 0 is flagged ``delta_lower``, one at the upper bound
-    10 ``delta_upper``.
+    for directly, on ``(y - m) / s`` for the median m and a letter-value
+    spread s (:func:`_standardized`), by damped Gauss-Newton steps on (mu,
+    log sigma, delta) with one W pass each (:func:`_igmm`), so the end
+    depends on neither the start nor the data's units.  The search stops,
+    converged, when the Gauss-Newton decrement of the unit-free rows (mean,
+    variance - 1, kurtosis - 3) is at most 1e-24 at a sigma of at least
+    1e-8 s; ``iterations`` counts its W passes.  A tail estimate at 0 is
+    flagged ``delta_lower``, one at 10 ``delta_upper``.
     """
     return _igmm(data, False)
 
@@ -956,39 +948,38 @@ _RETIRE_STEP = 1e-3
 _RETIRE_VALUE = 1e-7
 
 
+class _Coordinate(NamedTuple):
+    """A search coordinate p: maps to and from theta, ``(dtheta/dp, d^2 theta/dp^2)``, box."""
+    to_search: Callable
+    to_theta: Callable
+    slopes: Callable
+    lo: float = -math.inf
+    hi: float = math.inf
+
+
+_LINEAR = _Coordinate(float, float, lambda theta: (1.0, 0.0))
+_TAIL = _LINEAR._replace(lo=0.0)
+# sigma on log sigma, the tails at least 0, and nu on r = log(1 - 2/nu),
+# with dnu/dr = nu (nu - 2) / 2, up to the r of nu = 2 + _NU_CAP.
+_COORDINATES = {
+    "mu_x": _LINEAR, "delta": _TAIL, "delta_left": _TAIL, "delta_right": _TAIL,
+    "sigma_x": _Coordinate(math.log, math.exp, lambda sigma: (sigma, sigma)),
+    "nu": _Coordinate(lambda nu: math.log1p(-2.0 / nu), lambda r: -2.0 / math.expm1(r),
+                      lambda nu: (0.5 * nu * (nu - 2.0), (nu - 1.0) * (0.5 * nu * (nu - 2.0))),
+                      hi=math.log1p(-2.0 / (_NU_CAP + 2.0))),
+}
+
+
 def _to_search(names, theta) -> list[float]:
-    """Natural theta to the search coordinates: log sigma, r = log(1 - 2/nu)."""
-    return [math.log(v) if n == "sigma_x" else math.log1p(-2.0 / v) if n == "nu" else float(v)
-            for n, v in zip(names, theta)]
+    return [_COORDINATES[n].to_search(v) for n, v in zip(names, theta)]
 
 
 def _to_theta(names, p) -> list[float]:
-    return [math.exp(v) if n == "sigma_x" else -2.0 / math.expm1(v) if n == "nu" else float(v)
-            for n, v in zip(names, p)]
-
-
-def _search_slopes(name: str, theta: float) -> tuple[float, float]:
-    """``dtheta/dp`` and ``d^2 theta/dp^2`` of one coordinate's search map.
-
-    ``sigma = exp(p)`` gives ``(sigma, sigma)``; ``nu = -2 / expm1(r)`` gives
-    ``nu (nu - 2) / 2`` and ``(nu - 1)`` times that.
-    """
-    if name == "sigma_x":
-        return theta, theta
-    if name == "nu":
-        slope = 0.5 * theta * (theta - 2.0)
-        return slope, (theta - 1.0) * slope
-    return 1.0, 0.0
+    return [_COORDINATES[n].to_theta(v) for n, v in zip(names, p)]
 
 
 def _search_bounds(names) -> tuple[list[float], list[float]]:
-    """The lower and upper ends of the search box, per coordinate.
-
-    The tails are at least 0, and r at most the r of nu = 2 + _NU_CAP.
-    """
-    lo = [0.0 if n.startswith("delta") else -math.inf for n in names]
-    hi = [math.log1p(-2.0 / (_NU_CAP + 2.0)) if n == "nu" else math.inf for n in names]
-    return lo, hi
+    return [_COORDINATES[n].lo for n in names], [_COORDINATES[n].hi for n in names]
 
 
 # Tukey's letter values p_k = 1 - 2^-k, k = 2..6, as standard normal
@@ -1000,11 +991,13 @@ _LETTER_Z = (0.6744897501960817, 1.1503493803760079, 1.5341205443525463,
 # fractions np.percentile divides them to.
 _LETTER_FRACTIONS = tuple(p / 100 for p in [100.0 * 2.0**-k for k in range(6, 1, -1)] + [50.0]
                           + [100.0 * (1.0 - 2.0**-k) for k in range(2, 7)])
-_QUARTILES = (0.25, 0.5, 0.75)
+# An end whose scale is below this in the units of x (:func:`_standardized`)
+# has collapsed onto tied points: it is no fit, and not converged.
+_COLLAPSED_SCALE = 1e-8
 
 
-def _percentiles(y: np.ndarray, fractions) -> np.ndarray:
-    """``np.percentile(y, 100 * fractions)`` bit for bit, from one sort of ``y``.
+def _percentiles(ordered: np.ndarray, fractions) -> np.ndarray:
+    """``np.percentile(ordered, 100 * fractions)`` bit for bit, of sorted data.
 
     numpy's default (linear) rule for a fraction ``f`` in (0, 1) of ``n >=
     2`` points: the index ``v = (n - 1) f`` falls between the order
@@ -1014,8 +1007,7 @@ def _percentiles(y: np.ndarray, fractions) -> np.ndarray:
     partitions, at several times the cost on the small series of a fit;
     they may order -0.0 and 0.0 otherwise, so a zero can differ in sign.
     """
-    ordered = np.sort(y)
-    v = (y.size - 1) * np.array(fractions)
+    v = (ordered.size - 1) * np.array(fractions)
     below = np.floor(v)
     t = v - below
     i = below.astype(np.intp)
@@ -1024,6 +1016,34 @@ def _percentiles(y: np.ndarray, fractions) -> np.ndarray:
     out = a + diff * t
     np.subtract(b, diff * (1.0 - t), out=out, where=t >= 0.5)
     return out
+
+
+def _standardized(y: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """The data the searches run on, ``x = (y - m) / s``, m, s and the letter values of x.
+
+    m is the median and s the first positive letter-value spread ``(q(1 -
+    2^-k) - q(2^-k)) / (2 z_k)``, k = 2..6, or half the range: order
+    statistics, which no power of y overflows, and one sort gives those of
+    x too.  Constant data, and data whose x is not finite (1e308 beside a
+    spread of 1e-10), raise :class:`DataError` with no warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ordered = np.sort(y)
+        q = _percentiles(ordered, _LETTER_FRACTIONS)
+        m = float(q[5])
+        for lo, hi, z in zip(q[4::-1].tolist(), q[6:].tolist(), _LETTER_Z):
+            s = (hi - lo) / (2.0 * z)
+            if s > 0.0:
+                break
+        else:
+            top, bottom = float(ordered[-1]), float(ordered[0])
+            if top == bottom:
+                raise DataError("degenerate data: every value is the same")
+            s = 0.5 * top - 0.5 * bottom
+        x = (y - m) / s
+    if not (s < math.inf and np.isfinite(x).all()):
+        raise DataError("the data's standardized values are not finite")
+    return x, m, s, _percentiles((ordered - m) / s, _LETTER_FRACTIONS)
 
 
 def _line_fit(x) -> np.ndarray:
@@ -1039,8 +1059,8 @@ def _line_fit(x) -> np.ndarray:
 _LETTER_FIT = _line_fit([0.5 * z * z for z in _LETTER_Z])
 
 
-def _letter_value_start(y: np.ndarray, names) -> dict[str, float] | None:
-    """Tukey's letter-value estimate of (mu, sigma, tails) for Gaussian input.
+def _letter_value_start(q: np.ndarray, names) -> dict[str, float] | None:
+    """Tukey's estimate of (mu, sigma, tails) for Gaussian input from its letter values ``q``.
 
     Hoaglin (1985), "Summarizing shape numerically: the g-and-h
     distributions": the h transform of a Gaussian has the half-spreads
@@ -1053,7 +1073,6 @@ def _letter_value_start(y: np.ndarray, names) -> dict[str, float] | None:
     """
     tails = [n for n in names if n.startswith("delta")]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        q = _percentiles(y, _LETTER_FRACTIONS)
         med = float(q[5])
         lower, upper = med - q[4::-1], q[6:] - med
         spreads = [0.5 * (lower + upper)] if len(tails) == 1 else [lower, upper]
@@ -1066,59 +1085,44 @@ def _letter_value_start(y: np.ndarray, names) -> dict[str, float] | None:
             **{n: max(float(d), 1e-3) for n, d in zip(tails, slope)}}
 
 
-def _moment_start(y: np.ndarray, names, g2: float) -> dict[str, float]:
-    """The start from the sample kurtosis ``g2``: median, IQR scale, Taylor tail.
+def _moment_start(q: np.ndarray, names, g2: float) -> dict[str, float]:
+    """The start from the kurtosis ``g2`` and letter values ``q``: median, IQR scale, Taylor tail.
 
     The tail is :func:`taylor_delta` of ``g2``, at least 1e-3.  With nu in
     ``names`` the observed tail weight is split: nu from the kurtosis of a
-    t, within [2.5, 100], and half the tail.  The scale is the
-    interquartile range over that of the input, or the sample sd over
-    :func:`~heavytail.distributions.variance_factor` when the IQR is 0.
+    t, within [2.5, 100], and half the tail.  The scale is the interquartile
+    range over that of the input, or 1.0, the unit of standardized data
+    (:func:`_standardized`), where the IQR is 0.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(np.std(y, ddof=1))
+    q1, med, q3 = q[4:7].tolist()
     delta0 = max(taylor_delta(g2), 1e-3)
-    vf = variance_factor(min(delta0, 0.499)) or 1.0
-    sigma0 = max(sd / vf, 1e-12)
-    start = {"mu_x": float(np.median(y))}
-    start.update({name: delta0 for name in names if name.startswith("delta")})
+    start = {"mu_x": med, **{n: delta0 for n in names if n.startswith("delta")}}
     q75 = _LETTER_Z[0]  # the standard normal's upper quartile
     if "nu" in names:
         nu0 = (4.0 * g2 - 6.0) / (g2 - 3.0) if g2 > 3.5 else 30.0
         start["nu"] = float(min(max(nu0, 2.5), 100.0))
         start["delta"] = max(delta0 / 2.0, 1e-3)
         q75 = float(StudentT(start["nu"]).quantile(0.75))
-        sigma0 /= math.sqrt(start["nu"] / (start["nu"] - 2.0))
-    # The scale from the interquartile range: heavy tails inflate the sd
-    # (to 2.4e12 on a t_5 series of 1000 points with delta = 1), a search
-    # from such a start has far to go, and it can run off to a scale near
-    # 0, where the Student-t likelihood of such data has no upper bound.
-    q1, _, q3 = _percentiles(y, _QUARTILES)
-    start["sigma_x"] = float(q3 - q1) / (2.0 * q75) or sigma0
+    start["sigma_x"] = (q3 - q1) / (2.0 * q75) or 1.0
     return start
 
 
-def _default_start(y: np.ndarray, names) -> dict[str, float] | None:
+def _default_start(y: np.ndarray, q: np.ndarray, names) -> dict[str, float] | None:
     """The start of a likelihood search that is given none, and of IGMM.
 
-    Gaussian input starts from the letter values
-    (:func:`_letter_value_start`), or from the moment start on the sample
-    kurtosis where ties leave a half-spread at 0.  Student-t input starts
-    from the moment start on the kurtosis of ``(y - median) / IQR``, which
-    stays finite where the fourth moment of ``y`` itself overflows or
-    underflows; None when it is not finite either.
+    ``y`` is the standardized data and ``q`` its letter values
+    (:func:`_standardized`).  Gaussian input starts from the letter values
+    (:func:`_letter_value_start`), or where ties zero a half-spread from the
+    moment start, as Student-t input does; that takes a kurtosis of 3 where
+    that of ``y`` is not finite, or is None for nu.
     """
-    if "nu" not in names:
-        start = _letter_value_start(y, names)
-        if start is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                start = _moment_start(y, names, _central_moment_stats(y)[1])
-        return start
-    with np.errstate(over="ignore", invalid="ignore"):
-        q1, med, q3 = _percentiles(y, _QUARTILES)
-        x = (y - med) / (q3 - q1) if 0.0 < q3 - q1 < math.inf else y
-        g2 = _central_moment_stats(x)[1]
-    return _moment_start(y, names, g2) if math.isfinite(g2) else None
+    start = None if "nu" in names else _letter_value_start(q, names)
+    if start is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            g2 = _central_moment_stats(y)[1]
+        if math.isfinite(g2) or "nu" not in names:
+            start = _moment_start(q, names, g2 if math.isfinite(g2) else 3.0)
+    return start
 
 
 def _tail_entries(qa_sums, qa2_sums) -> tuple[float, float]:
@@ -1309,7 +1313,7 @@ def _student_t_loglik_score(y: np.ndarray, theta):
     which :func:`_log_scale_derivatives` turns into derivatives in (mu, log
     sigma, delta, nu).  One chain rule takes them to the search
     coordinates, through ``log sigma = log s - r/2`` and ``nu = -2 /
-    expm1(r)`` (:func:`_search_slopes`), and the normalizer ``n
+    expm1(r)`` (:data:`_COORDINATES`), and the normalizer ``n
     (log-normalizer(nu) - log s)`` is added there.  The input density is
     summed from the same ``log1p(q / (nu - 2))`` as ``Phi_nu``, not from a
     second pass of ``logpdf`` over the back-transformed points; a point
@@ -1346,7 +1350,7 @@ def _student_t_loglik_score(y: np.ndarray, theta):
     # derivative, and nu moves by dnu per unit of r; the other coordinates
     # carry over.  So the r column of the Hessian is -H_1 / 2 + dnu H_3, and
     # its r entry the same combination of that column.
-    dnu, d2nu = _search_slopes("nu", nu)
+    dnu, d2nu = _COORDINATES["nu"].slopes(nu)
     r_of_nu_row = -0.5 * hess[3][1] + dnu * hess[3][3]
     for row in hess[:3]:
         row[3] = -0.5 * row[1] + dnu * row[3]
@@ -1372,8 +1376,7 @@ class _Model(NamedTuple):
 
 
 # Joint-MLE models keyed by (family, tail).  Adding a model is one entry
-# here (and a new parameter name may need its map in _to_search, _to_theta,
-# _search_slopes and _search_bounds).
+# here (and a new parameter name one in _COORDINATES).
 _MODELS = {
     ("gaussian", "h"): _Model(
         ("mu_x", "sigma_x", "delta"),
@@ -1410,25 +1413,24 @@ def _objective(p: list[float], y: np.ndarray, model: _Model):
     return -total, [-g for g in score], [[-v for v in row] for row in hess], (score, hess)
 
 
-def _score_search(y, model: _Model, starts, family: str):
+def _score_search(y, model: _Model, starts, default, family: str):
     """The damped Newton search (:func:`_box_newton`) of ``model`` from each start.
 
-    A start of ``None`` is :func:`_default_start`, which also replaces a
-    first start that gives no valid model; a default start that does not
-    exist, and a start that gives no valid model, are skipped.  Each search
+    A start of ``None`` is ``default`` (:func:`_default_start`), which also
+    replaces a first start that gives no valid model; a default start that
+    does not exist, and a start that gives no valid model, are skipped.  Each search
     stops when the Newton decrement is at most ``1e-12 n``.  A search is
     retired, and cannot win, once its next Newton step would enter the
     converged neighbourhood of an end that an earlier search reached
     converged: the Newton point has every coordinate within 1e-3 of that
-    end's (mu in units of its sigma, so the rule does not depend on the
-    data's units), and the value the quadratic model predicts there is
-    within 1e-7 n of the end's.  Both bounds sit between one end reached
-    from several starts (up to 2.9e-4 apart, values within 4e-13 n) and
-    two distinct ends (at least 0.018 apart, values 6.1e-7 n apart), over
-    the Student-t fits of Gaussian and t_5 series at n = 60 to 1000.  The
-    run that ends lowest wins.  Returns it and the likelihood passes summed
-    over the runs; :class:`ConvergenceError` when no start gives a valid
-    model.
+    end's (mu in units of its sigma), and the value the quadratic model
+    predicts there is within 1e-7 n of the end's.  Both bounds sit between
+    one end reached from several starts (up to 2.9e-4 apart, values within
+    4e-13 n) and two distinct ends (at least 0.018 apart, values 6.1e-7 n
+    apart), over the Student-t fits of Gaussian and t_5 series at n = 60 to
+    1000.  The run that ends lowest wins.  Returns it and the likelihood
+    passes summed over the runs; :class:`ConvergenceError` when no start
+    gives a valid model.
     """
     def objective(p):
         return _objective(p, y, model)
@@ -1445,17 +1447,15 @@ def _score_search(y, model: _Model, starts, family: str):
 
     def search(start):
         if start is None:
-            start = _default_start(y, model.names)
-            if start is None:
-                return None
+            return None
         p0 = _to_search(model.names, [start[n] for n in model.names])
         return _box_newton(objective, p0, lo, hi, tol, stop=found)
 
     best, passes = None, 0
     for k, start in enumerate(starts):
-        run = search(start)
+        run = search(default if start is None else start)
         if k == 0 and start is not None and (run is None or not math.isfinite(run.value)):
-            run = search(None)
+            run = search(default)
         if run is None or not math.isfinite(run.value):
             continue
         passes += run.passes
@@ -1477,10 +1477,10 @@ def _theta_derivatives(names, theta, grad, hess):
 
     ``grad`` and ``hess`` are the score's list and rows in the search
     coordinates.  With ``J = dtheta/dp`` and ``K = d^2 theta/dp^2`` per
-    coordinate (:func:`_search_slopes`), ``g_p = J g_theta`` and ``H_p =
+    coordinate (:data:`_COORDINATES`), ``g_p = J g_theta`` and ``H_p =
     H_theta J J' + diag(K g_theta)``.
     """
-    jac, curv = np.array([_search_slopes(n, t) for n, t in zip(names, theta)]).T
+    jac, curv = np.array([_COORDINATES[n].slopes(t) for n, t in zip(names, theta)]).T
     # sigma^2 overflows at a far scale: that Hessian is not finite.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         g = grad / jac
@@ -1524,7 +1524,10 @@ def mle_joint(
 ) -> FitResult:
     """Joint maximum likelihood over location, scale and tail parameters.
 
-    Every model has a closed-form score and Hessian, from one W pass per
+    The search runs on ``x = (y - m) / s`` (:func:`_standardized`); mu,
+    sigma, their standard errors and a given ``start`` are mapped between
+    the units of y and x, so ``fit(a y + b) = a fit(y) + b``, and the
+    likelihood is that of y.  Every model has a closed-form score and Hessian, from one W pass per
     point.  The log-likelihood is maximized by projected Newton steps with
     Levenberg-Marquardt damping (:func:`_box_newton`) on (mu, log sigma,
     delta[, delta_r][, r = log(1 - 2/nu)]) in the box delta >= 0, which
@@ -1534,13 +1537,11 @@ def mle_joint(
     linear in r, so a start far from the cap reaches it in a step or two.
     The search stops when the Newton decrement of the free coordinates
     (twice the predicted gain of a full Newton step) is at most ``1e-12
-    n`` for n observations, which does not change with the data's units
-    (the log-likelihood itself shifts by ``-n log a`` when the data are
-    scaled by ``a``), and ``converged`` says that it did; a search that
-    runs out of steps (100) or of progress above rounding is not
-    converged.  ``iterations`` counts the Newton steps tried, one
-    likelihood pass (score and Hessian) each, besides the pass at each
-    start.
+    n`` for n observations, and ``converged`` says that it did; a search
+    that runs out of steps (100) or of progress above rounding, or ends at
+    a scale below 1e-8 s (collapsed onto tied points), is not converged.
+    ``iterations`` counts the Newton steps tried, one likelihood pass
+    (score and Hessian) each, besides the pass at each start.
 
     ``params`` is the searched theta keyed by the model's names: (mu_x,
     sigma_x, delta), (mu_x, sigma_x, delta_left, delta_right) or, for
@@ -1551,50 +1552,43 @@ def mle_joint(
     a condition-number guard; a tail estimate at 0 or a nu on its cap is
     held fixed and gets a NaN standard error.
 
-    Without ``start``, Gaussian input starts from Tukey's letter values:
-    the median, and the line through the log half-spreads at the tail
-    probabilities 2^-k, k = 2..6, against z^2 / 2, whose slope is delta and
-    whose intercept is log sigma (:func:`_letter_value_start`; Hoaglin
-    1985).  Ties that leave a half-spread at 0 fall back to the moment
-    start: the median, the interquartile scale and the tail from the
-    sample kurtosis (:func:`_moment_start`).
+    Without ``start``, Gaussian input starts from Tukey's letter values
+    (:func:`_letter_value_start`; Hoaglin 1985), or where ties leave a
+    half-spread at 0 from the moment start: the median, the interquartile
+    scale and the tail from the sample kurtosis (:func:`_moment_start`).
 
     Student-t input has more than one local maximum in nu (a heavy t with
     a small tail against the Gaussian limit), so it is searched from the
-    moment start (or ``start``), whose kurtosis is that of ``(y - median)
-    / IQR``, and from the Gaussian ``tail="h"`` optimum at nu = 3, 10 and
-    1e6, in that order, and the best end is kept; a moment start whose
-    kurtosis is not finite is skipped.  A later search is retired once its
-    next Newton step would come within 1e-3 per search coordinate (mu in
-    units of sigma) and 1e-7 n in predicted log-likelihood of an end that
-    an earlier search reached converged: it would end there too
-    (:func:`_score_search`).  Its
-    ``iterations`` sum over these searches and the Gaussian one.
+    moment start (or ``start``), and from the Gaussian ``tail="h"`` optimum
+    at nu = 3, 10 and 1e6, in that order, and the best end is kept; a
+    moment start whose kurtosis is not finite is skipped.  A later search
+    is retired once its next Newton step would come within 1e-3 per search
+    coordinate (mu in units of sigma) and 1e-7 n in predicted
+    log-likelihood of an end that an earlier search reached converged: it
+    would end there too (:func:`_score_search`).  Its ``iterations`` sum
+    over these searches and the Gaussian one.
 
     A start point that gives no valid model is replaced by the default
     start; :class:`ConvergenceError` is raised when no start gives a valid
     model.
     """
     y = _check_series(data, min_n=10)
-    # A point near the float maximum overflows the sample variance.
-    with np.errstate(over="ignore", invalid="ignore"):
-        degenerate = np.std(y, ddof=1) == 0.0
-    if degenerate:
-        raise DataError("degenerate data: zero variance")
-    try:
-        model = _MODELS[(family, tail)]
-    except KeyError:
-        raise DomainError(
-            f"unsupported joint MLE model: family={family!r}, tail={tail!r}"
-        ) from None
+    x, m, s, q = _standardized(y)
+    model = _MODELS.get((family, tail))
+    if model is None:
+        raise DomainError(f"unsupported joint MLE model: family={family!r}, tail={tail!r}")
 
+    if start is not None:
+        start = {**start, "mu_x": (start["mu_x"] - m) / s, "sigma_x": start["sigma_x"] / s}
     starts, passes = [start], 0
     if "nu" in model.names:
         # Also start at the Gaussian-h optimum's location, tail and input
         # sd, at nu = 3, 10 and on the cap, where a likelihood that still
         # rises in nu holds r on its bound from the first step.
         try:
-            gauss, passes = _score_search(y, _MODELS[("gaussian", "h")], [None], "gaussian")
+            gauss_h = _MODELS[("gaussian", "h")]
+            gauss, passes = _score_search(x, gauss_h, [None], _default_start(x, q, gauss_h.names),
+                                          "gaussian")
         except ConvergenceError:
             pass  # the moment start reports the failure
         else:
@@ -1604,15 +1598,16 @@ def mle_joint(
                  "delta": delta, "nu": nu}
                 for nu in (3.0, 10.0, _NU_CAP + 2.0)
             ]
-    best, searched = _score_search(y, model, starts, family)
+    best, searched = _score_search(x, model, starts, _default_start(x, q, model.names), family)
     theta = _to_theta(model.names, best.x)
     lo, hi = _search_bounds(model.names)
     hess = _theta_derivatives(model.names, theta, *best.payload)[1]
-    se = _std_errors(hess, [a < x < b for a, x, b in zip(lo, best.x, hi)])
-    return _fit_result(
-        y, model.build(theta), f"mle_{family}_{tail}", dict(zip(model.names, theta)),
-        passes + searched, best.converged, dict(zip(model.names, se)),
-    )
+    se = _std_errors(hess, [a < p < b for a, p, b in zip(lo, best.x, hi)])
+    converged = best.converged and theta[1] >= _COLLAPSED_SCALE
+    theta[:2] = m + s * theta[0], s * theta[1]
+    se[:2] = s * se[0], s * se[1]
+    return _fit_result(y, model.build(theta), f"mle_{family}_{tail}", dict(zip(model.names, theta)),
+                       passes + searched, converged, dict(zip(model.names, se)))
 
 
 def fit_model(data, family: str, tail: str, method: str) -> FitResult:

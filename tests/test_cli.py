@@ -425,13 +425,26 @@ class TestGaussianize:
                 "--out", str(src))
         assert run_cli("gaussianize", str(src), "--tau", "0,-1,0") == 2
 
-    def test_non_finite_kurtosis_exits_2(self, tmp_path, capsys):
+    def test_non_finite_kurtosis_fits(self, tmp_path, capsys):
         # The fourth moment of this series overflows (max |y| = 5.1e123).
+        # IGMM refused it with exit status 2; it fits the standardized data.
         src = tmp_path / "src.txt"
+        out = tmp_path / "out.txt"
         dist = heavytail.LambertWDist(heavytail.StudentT(5.0), 1.0)
         write_series(heavytail.rlambertw(1000, dist, seed=143), src)
-        assert run_cli("gaussianize", str(src), "--fit", "--method", "igmm") == 2
-        assert "sample kurtosis of the data is not finite" in capsys.readouterr().err
+        assert run_cli("gaussianize", str(src), "--fit", "--method", "igmm",
+                       "--out", str(out)) == 0
+        assert np.isfinite(np.loadtxt(out)).all()
+        assert capsys.readouterr().err == ""
+
+    def test_data_beyond_floating_point_exits_2(self, tmp_path, capsys):
+        # A spread of 1e-10 beside a point at 1e308: the standardized data
+        # overflow.  mle_joint raised ConvergenceError (exit status 3).
+        src = tmp_path / "src.txt"
+        y = 1e-10 * np.random.default_rng(0).standard_normal(20)
+        write_series(np.append(y, 1e308), src)
+        assert run_cli("fit", str(src)) == 2
+        assert "standardized values are not finite" in capsys.readouterr().err
 
 
 class TestReplicate:

@@ -13,6 +13,7 @@ from heavytail import (
     ConvergenceError,
     DataError,
     DomainError,
+    FitResult,
     Gaussian,
     HeavytailError,
     LambertWDist,
@@ -47,12 +48,18 @@ from heavytail.estimation import (
     _objective,
     _percentiles,
     _search_bounds,
+    _standardized,
     _std_errors,
     _student_t_loglik_score,
     _theta_derivatives,
     _to_search,
     _to_theta,
 )
+
+
+def letter_values(y):
+    """The letter values the starts take (:func:`estimation._standardized` gives those of x)."""
+    return _percentiles(np.sort(y), estimation._LETTER_FRACTIONS)
 
 
 def make_sample(delta, n, seed, mu=0.0, sigma=1.0):
@@ -806,21 +813,27 @@ class TestIGMM:
 
     @pytest.mark.parametrize("fit", [igmm, igmm_double_tail], ids=["h", "hh"])
     def test_non_finite_sample_scale(self, fit):
-        # One point at 1e200 overflows the sample variance: one DataError
-        # that says so, and no RuntimeWarning on the way.
+        # One point at 1e200 overflows the sample variance, and IGMM raised
+        # a DataError asking to rescale the data.  The standardized data
+        # have a finite spread: a fit, and no RuntimeWarning on the way.
         y = make_sample(0.2, 200, seed=1)
         y[0] = 1e200
-        with pytest.raises(DataError, match="sample scale .* not finite"):
-            fit(y)
+        r = fit(y)
+        assert isinstance(r, FitResult) and math.isfinite(r.loglik_total)
+        assert 0.0 < r.tau.sigma_x < math.inf
 
     @pytest.mark.parametrize("fit", [igmm, igmm_double_tail], ids=["h", "hh"])
     def test_non_finite_sample_kurtosis(self, fit):
-        # max |y| is 5.1e123 and the sd finite, but the fourth moment
-        # overflows: the NaN Taylor start tail reached the model
-        # constructors, which raised a DomainError about the model.
+        # max |y| is 5.1e123 and the fourth moment overflows.  IGMM raised a
+        # DataError on that kurtosis, which neither its start nor its rows
+        # use.  igmm now converges with its tail on 10; igmm_double_tail
+        # returns a fit, unconverged after its 200 passes.
         y = rlambertw(1000, LambertWDist(StudentT(5.0), 1.0), seed=143)
-        with pytest.raises(DataError, match="sample kurtosis of the data is not finite"):
-            fit(y)
+        r = fit(y)
+        assert isinstance(r, FitResult) and math.isfinite(r.loglik_total)
+        if fit is igmm:
+            assert r.converged and r.tau.delta == 10.0 and r.boundary_hit == "delta_upper"
+            assert r.loglik_total == pytest.approx(-4008.96, abs=0.01)
 
     def test_heavy_input_start_scale(self):
         # A t_5 input with delta = 1: the sample sd is 1.1e17.  From that sd
@@ -883,7 +896,7 @@ class TestIGMMFixedPoint:
         ref = fit(y)
         g2 = _central_moment_stats(y)[1]
         monkeypatch.setattr(estimation, "_default_start",
-                            lambda y, names: estimation._moment_start(y, names, g2))
+                            lambda y, q, names: estimation._moment_start(q, names, g2))
         r = fit(y)
         assert r.converged
         sigma = ref.tau.sigma_x
@@ -1215,7 +1228,7 @@ class TestMleJoint:
         assert 0.5 < r.tau.sigma_x < 2.0 and 1.0 < r.tau.delta < 2.0
         assert r.converged
         for model in (("gaussian", "h"), ("gaussian", "hh")):
-            start = estimation._default_start(y, _MODELS[model].names)["sigma_x"]
+            start = estimation._default_start(y, letter_values(y), _MODELS[model].names)["sigma_x"]
             assert 0.5 < start / r.tau.sigma_x < 2.0, model
 
     def test_gaussian_start_quartile(self):
@@ -1236,8 +1249,8 @@ class TestMleJoint:
         y = rlambertw(10**5, LambertWDist(Gaussian(0.5, 2.0), delta), seed=6)
         double = isinstance(delta, tuple)
         names = _MODELS[("gaussian", "hh" if double else "h")].names
-        start = estimation._default_start(y, names)
-        assert start == estimation._letter_value_start(y, names)
+        start = estimation._default_start(y, letter_values(y), names)
+        assert start == estimation._letter_value_start(letter_values(y), names)
         assert start["mu_x"] == float(np.median(y))
         assert abs(start["mu_x"] - 0.5) <= 0.03 and abs(start["sigma_x"] / 2.0 - 1.0) <= 0.03
         tails = [start[n] for n in names[2:]]
@@ -1249,16 +1262,17 @@ class TestMleJoint:
         y = np.concatenate([np.zeros(60), np.ones(30), np.linspace(-3.0, 5.0, 10)])
         for model in (("gaussian", "h"), ("gaussian", "hh")):
             names = _MODELS[model].names
-            assert estimation._letter_value_start(y, names) is None
+            q = letter_values(y)
+            assert estimation._letter_value_start(q, names) is None
             g2 = _central_moment_stats(y)[1]
-            assert estimation._default_start(y, names) == estimation._moment_start(y, names, g2)
+            assert estimation._default_start(y, q, names) == estimation._moment_start(q, names, g2)
 
     def test_heavy_series_fits(self):
         # max |y| = 5.1e123: the sample kurtosis is not finite, and from the
         # moment start every model raised ConvergenceError.  The Student-t
-        # moment start takes the kurtosis of (y - median) / IQR, which is
-        # finite for data scaled by 1e150 but not here, so the three starts
-        # at the Gaussian optimum remain.
+        # moment start takes the kurtosis of the standardized data, which
+        # is finite for data scaled by 1e150 but not here, so the three
+        # starts at the Gaussian optimum remain.
         y = rlambertw(1000, LambertWDist(StudentT(5.0), 1.0), seed=143)
         for model, floor in [(("gaussian", "h"), -3007.9231387914),
                              (("gaussian", "hh"), -2971.8100922731),
@@ -1266,11 +1280,12 @@ class TestMleJoint:
             r = mle_joint(y, *model)
             assert r.converged and r.loglik_total >= floor - 1e-6, model
         names = _MODELS[("student-t", "h")].names
-        assert estimation._default_start(y, names) is None
-        ref = estimation._default_start(TestScaleEquivariance.Y, names)
-        scaled = estimation._default_start(1e150 * TestScaleEquivariance.Y, names)
+        assert estimation._default_start(*_standardized(y)[::3], names) is None
+        ref = estimation._default_start(*_standardized(TestScaleEquivariance.Y)[::3], names)
+        scaled = estimation._default_start(*_standardized(1e150 * TestScaleEquivariance.Y)[::3],
+                                           names)
         assert (scaled["delta"], scaled["nu"]) == pytest.approx((ref["delta"], ref["nu"]))
-        assert scaled["sigma_x"] / 1e150 == pytest.approx(ref["sigma_x"])
+        assert scaled["sigma_x"] == pytest.approx(ref["sigma_x"])
 
     def test_fewer_passes(self):
         # Likelihood passes summed over 20 Gaussian-input series (n = 1000,
@@ -1584,16 +1599,78 @@ class TestFitModel:
             estimation.fit_model(make_sample(0.2, 300, seed=9), family, tail, method)
 
 
+# Three points beside 17 zeros, on which every fit collapses its scale.
+COLLAPSING = [-0.15518113263191194, -0.2547654546817906, -0.5490484899641733]
+
+
+class TestStandardized:
+    """Every fit of location and scale runs on the median and a letter-value
+    spread: one gate decides which data can be fitted."""
+
+    FITS = TestFarPointWarnings.FITS
+
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("y, match", [
+        (np.full(20, 3.0), "every value is the same"),
+        # The spread of the normals is below 1, so the end points overflow.
+        (np.append([-1.7e308, 1.7e308], np.random.default_rng(0).standard_normal(20)),
+         "standardized values are not finite"),
+        (np.append(1e-10 * np.random.default_rng(0).standard_normal(20), 1e308),
+         "standardized values are not finite"),
+    ], ids=["constant", "both-ends", "far-point"])
+    def test_data_error(self, fit, y, match):
+        # mle_joint raised ConvergenceError on the last two (exit status 3
+        # in the CLI), and the IGMMs a DataError on the sample scale.
+        with pytest.raises(DataError, match=match):
+            self.FITS[fit](y)
+
+    def test_spread(self):
+        # The interquartile spread, else the first positive letter-value
+        # spread (here the eighths: 17 zeros), else half the range.
+        y = rlambertw(400, LambertWDist(Gaussian(0.5, 2.0), 0.0), seed=1)
+        q1, med, q3 = np.percentile(y, [25, 50, 75])
+        x, m, s, q = _standardized(y)
+        assert m == med and s == pytest.approx((q3 - q1) / (2 * 0.6744897501960817))
+        np.testing.assert_array_equal(x, (y - m) / s)
+        np.testing.assert_array_equal(q, letter_values(x))
+        ties = np.append(np.zeros(17), COLLAPSING)
+        lo, hi = np.percentile(ties, [12.5, 87.5])
+        assert _standardized(ties)[1:3] == (0.0, pytest.approx((hi - lo) / (2 * 1.1503493803760079)))
+        assert _standardized(np.append(np.zeros(99), 4.0))[1:3] == (0.0, 2.0)
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_collapsed_scale_not_converged(self, fit):
+        # Both IGMMs reported converged at sigma 2.46e-13 (6e-12 in the units
+        # of the eighths' spread), loglik +429 and +460; the MLEs run out of
+        # steps at sigma 1e-25 and below.
+        r = self.FITS[fit](np.append(np.zeros(17), COLLAPSING))
+        assert r.tau.sigma_x < 1e-12 and not r.converged
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_no_valid_start(self, fit):
+        # 19 normals and a point at 1e300: the letter values of 20 points
+        # reach the far point, and the start's scale (2e-93 for igmm) makes
+        # z overflow.  IGMM raised a DataError on the sample scale.  Without
+        # that gate it would return its start, unconverged with a
+        # log-likelihood of -inf; it raises as mle_joint does.
+        y = np.random.default_rng(3).standard_normal(20)
+        y[0] = 1e300
+        with pytest.raises(ConvergenceError, match="valid"):
+            self.FITS[fit](y)
+
+
 class TestScaleEquivariance:
     """Fits of a y and of y agree: the search and its stop rule are unit-free."""
 
     Y = rlambertw(400, LambertWDist(Gaussian(0, 1), 1 / 3), seed=3)
+    # Scales over the whole float range; the last puts max |a y| at 1e300.
+    FAR = [2.0**-1000, 1e-300, 1e-150, 1e150, 1e300 / np.abs(Y).max()]
 
     @pytest.fixture(scope="class")
     def reference(self):
         return {model: mle_joint(self.Y, *model) for model in _MODELS}
 
-    @pytest.mark.parametrize("a", [1e-150, 1e-6, 1e-3, 1e3, 1e6, 1e150])
+    @pytest.mark.parametrize("a", [1e-150, 1e-6, 1e-3, 1e3, 1e6, 1e150] + FAR[:2] + FAR[4:])
     @pytest.mark.parametrize("model", sorted(_MODELS), ids="-".join)
     def test_scaled_data(self, reference, model, a):
         # With a stop rule relative to |loglik|, h ended 298 loglik units low
@@ -1611,11 +1688,14 @@ class TestScaleEquivariance:
         shifted = r.loglik_total + self.Y.size * math.log(a)
         assert abs(shifted - ref.loglik_total) <= 1e-8 * abs(ref.loglik_total)
 
-    @pytest.mark.parametrize("a", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 1e3, 1e6] + FAR)
     @pytest.mark.parametrize("fit", [igmm, igmm_double_tail], ids=["h", "hh"])
     def test_scaled_igmm(self, fit, a):
         # The loop stopped on a step of 1.22e-4 in data units: igmm moved by
-        # 8.3e-5 at a = 1e-6 and igmm_double_tail by 1.2e-5 at a = 1e3.
+        # 8.3e-5 at a = 1e-6 and igmm_double_tail by 1.2e-5 at a = 1e3.  At
+        # a = 1e-150 and 1e150 the fourth moment underflows or overflows,
+        # and IGMM raised a DataError on the kurtosis; at 1e-300 on the
+        # variance.
         ref, r = fit(self.Y), fit(a * self.Y)
         assert r.converged
         for name, value in ref.params.items():
@@ -1623,6 +1703,19 @@ class TestScaleEquivariance:
             assert scaled == pytest.approx(value, rel=1e-9, abs=1e-300), name
         shifted = r.loglik_total + self.Y.size * math.log(a)
         assert abs(shifted - ref.loglik_total) <= 1e-8 * abs(ref.loglik_total)
+
+    @pytest.mark.parametrize("a", [2.0**-1000, 2.0**-8, 2.0**990])
+    @pytest.mark.parametrize("fit", TestStandardized.FITS)
+    def test_power_of_two(self, fit, a):
+        # Scaling by a power of two is exact, so the median, the spread and
+        # the standardized data are a times, 1 times and the same: every
+        # search takes the same steps, and its estimates are a times the
+        # same bits.
+        fit = TestStandardized.FITS[fit]
+        ref, r = fit(self.Y), fit(a * self.Y)
+        assert (r.iterations, r.converged) == (ref.iterations, ref.converged)
+        for name, value in ref.params.items():
+            assert r.params[name] / (a if name in ("mu_x", "sigma_x") else 1.0) == value, name
 
 
 FITS = {
@@ -1691,10 +1784,10 @@ class TestPercentiles:
         rng = np.random.default_rng(seed)
         u = rng.uniform(-1.0, 1.0, n)
         y = (np.round(u * levels) / levels if levels else u) * scale
-        for fractions in (estimation._LETTER_FRACTIONS, estimation._QUARTILES):
+        for fractions in (estimation._LETTER_FRACTIONS, (0.25, 0.5, 0.75)):
             with np.errstate(over="ignore", invalid="ignore"):
                 ref = np.percentile(y, [100.0 * f for f in fractions])
-                ours = _percentiles(y, fractions)
+                ours = _percentiles(np.sort(y), fractions)
             # equal as floats: a zero can differ in sign, as sorting and
             # partitioning order -0.0 and 0.0 differently
             assert np.array_equal(ours, ref, equal_nan=True)
